@@ -115,7 +115,8 @@ def run_scheme(scheme, channels, config, rng, opts=None):
         raise ValueError(f"unknown scheme {scheme!r}")
 
     expected = q if REALTIME_DIMS[scheme] == "Q" else REALTIME_DIMS[scheme]
-    assert realtime == expected, f"{scheme} exposes {realtime} real-time dims, expected {expected}"
+    if realtime != expected:
+        raise RuntimeError(f"{scheme} exposes {realtime} real-time dims, expected {expected}")
 
     runtime_ms = (time.perf_counter() - t0) * 1e3
     artifacts["w"] = res.precoder.w

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
+import iegirs
 from iegirs.asymptotics import (AsymptoticInputs, ieg_gain, combined_cascade_distribution,
                                 performance_loss, simulate_grouped_cascades,
                                 simulate_grouped_gain, simulate_ungrouped_gain, uirs_gain,
-                                validate_combined_cascade_monte_carlo)
+                                validate_combined_cascade_monte_carlo, _kurtosis)
 from iegirs.mathkit import group_shrink_factor
 
 
@@ -139,3 +146,18 @@ class TestMonteCarloValidators:
         inp = AsymptoticInputs(N=32, Q=4, kappa_bi=1.0, kappa_iu=1.0)
         samples = simulate_grouped_cascades(inp, 7, np.random.default_rng(5))
         assert samples.shape == (7, 4)
+
+
+class TestKurtosis:
+    def test_matches_scipy_pearson_biased(self):
+        rng = np.random.default_rng(9)
+        for x in (rng.standard_normal(20000), rng.standard_t(5, 3000), rng.uniform(size=7)):
+            expected = stats.kurtosis(x, fisher=False)
+            assert abs(_kurtosis(x) - expected) <= 1e-12 * expected
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        code = "import sys, iegirs.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(iegirs.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "False"

@@ -3,7 +3,7 @@ import pytest
 
 from iegirs import beamforming as bf
 from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector, SolverOptions,
-                                build_rcv_quadratic, effective_channel, effective_channels,
+                                build_rcv_quadratic, effective_channels,
                                 fp_objective, matched_precoder, mm_step, mm_surrogate,
                                 precoder_objective, precoder_quadratic, rcv_objective, sinr,
                                 sinr_all, solve_fp, two_stage_solve, update_auxiliaries,
@@ -18,35 +18,50 @@ def random_complex(rng, shape, scale=1.0):
 
 class TestEffectiveChannel:
     def test_zero_cascade_gives_direct(self):
-        h_bu = np.array([1.0 + 2.0j, -0.5j])
-        h = effective_channel(np.ones(3), np.zeros((3, 2)), h_bu)
+        h_bu = np.array([[1.0 + 2.0j, -0.5j]])
+        h = effective_channels(np.ones(3), np.zeros((1, 3, 2)), h_bu)
         assert np.array_equal(h, h_bu)
 
     def test_no_direct_single_group(self):
-        c_hat = np.array([[2.0 + 1.0j, 0.5j]])
+        c_hat = np.array([[[2.0 + 1.0j, 0.5j]]])
         theta = 0.7
-        h = effective_channel(np.exp(1j * np.array([theta])), c_hat, np.zeros(2))
+        h = effective_channels(np.exp(1j * np.array([theta])), c_hat, np.zeros((1, 2)))
         # h^H = e^{-j theta} * row, so h = conj of that
-        assert np.allclose(h, np.conj(np.exp(-1j * theta) * c_hat[0]))
+        assert np.allclose(h[0], np.conj(np.exp(-1j * theta) * c_hat[0, 0]))
 
     def test_empty_cascade_degenerates(self):
-        h_bu = np.array([0.3 + 0.1j])
-        h = effective_channel(np.zeros(0), np.zeros((0, 1)), h_bu)
+        h_bu = np.array([[0.3 + 0.1j], [-0.0 - 2.0j]])
+        h = effective_channels(np.zeros(0), np.zeros((2, 0, 1)), h_bu)
         assert np.array_equal(h, h_bu)
+        assert np.array_equal(np.signbit(h.real), np.signbit(h_bu.real))
 
     def test_matches_explicit_sum(self):
         rng = np.random.default_rng(0)
-        q, m = 5, 3
+        k, q, m = 2, 5, 3
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-        c_hat = random_complex(rng, (q, m))
-        h_bu = random_complex(rng, m)
-        h = effective_channel(v, c_hat, h_bu)
-        row = sum(np.conj(v[i]) * c_hat[i] for i in range(q)) + np.conj(h_bu)
-        assert np.allclose(np.conj(h), row)
+        c_hat = random_complex(rng, (k, q, m))
+        h_bu = random_complex(rng, (k, m))
+        h = effective_channels(v, c_hat, h_bu)
+        for j in range(k):
+            row = sum(np.conj(v[i]) * c_hat[j, i] for i in range(q)) + np.conj(h_bu[j])
+            assert np.allclose(np.conj(h[j]), row)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            effective_channel(np.ones(2), np.ones((3, 2)), np.ones(2))
+            effective_channels(np.ones(2), np.ones((1, 3, 2)), np.ones((1, 2)))
+        with pytest.raises(ValueError):
+            effective_channels(np.ones(3), np.ones((1, 3, 2)), np.ones((1, 3)))
+        with pytest.raises(ValueError):
+            effective_channels(np.ones(3), np.ones((2, 3, 2)), np.ones((1, 2)))
+
+    @pytest.mark.parametrize("k,q,m", [(1, 1, 1), (2, 4, 2), (4, 4, 4), (3, 256, 2), (2, 1024, 4)])
+    def test_bitwise_equal_to_per_user_formula(self, k, q, m):
+        rng = np.random.default_rng(q + 10 * m + 100 * k)
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
+        c_hat = random_complex(rng, (k, q, m), 1e-3)
+        h_bu = random_complex(rng, (k, m), 1e-4)
+        per_user = np.stack([c_hat[j].conj().T @ v + h_bu[j] for j in range(k)])
+        assert np.array_equal(effective_channels(v, c_hat, h_bu), per_user)
 
 
 class TestSinrAndWsr:
@@ -181,6 +196,94 @@ class TestUpdatePrecoder:
     def test_power_invariant_enforced(self):
         with pytest.raises(ValueError):
             PrecodingMatrix(w=np.ones((2, 2)), p_max=1.0)
+
+    def test_missed_budget_raises(self):
+        rng = np.random.default_rng(4)
+        h = random_complex(rng, (2, 2), 5.0)
+        aux = update_auxiliaries(h, random_complex(rng, (2, 2)), 1e-3, np.ones(2))
+        with pytest.raises(RuntimeError):    # tol = 0 demands the budget to the last bit
+            update_precoder(aux, h, np.ones(2), p_max=1e-4, tol=0.0)
+
+
+def _bisection_multiplier(aux, h, weights, p_max):
+    """Reference search: bracket doubling from max(1, top eigenvalue), then
+    bisection from [0, hi] down to adjacent floats (at most 200 halvings).
+    Returns (lam, w, power_at) for a binding budget."""
+    l0, z = precoder_quadratic(aux, h, weights)
+    evals, vecs = np.linalg.eigh(l0)
+    evals = np.maximum(evals, 0.0)
+    c = vecs.conj().T @ z
+    c2 = np.abs(c) ** 2
+
+    def power_at(lam):
+        return float(np.sum(c2 / (evals[:, None] + lam) ** 2))
+
+    hi = max(1.0, float(evals.max()))
+    while power_at(hi) >= p_max:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
+        if power_at(mid) > p_max:
+            lo = mid
+        else:
+            hi = mid
+    return hi, vecs @ (c / (evals[:, None] + hi)), power_at
+
+
+def _unconstrained_power(aux, h, weights):
+    l0, z = precoder_quadratic(aux, h, weights)
+    return float(np.sum(np.abs(np.linalg.solve(l0, z)) ** 2))
+
+
+def _bit_exact_cases():
+    rng = np.random.default_rng(20)
+    cases = []
+    for k, m in [(1, 1), (1, 3), (2, 4), (3, 5), (2, 2), (4, 4), (4, 2), (5, 1)]:
+        for _ in range(12):
+            h = random_complex(rng, (k, m), 10 ** rng.uniform(-6, 2))
+            p_max = 10 ** rng.uniform(-4, 1)
+            w_prev = random_complex(rng, (m, k), np.sqrt(p_max / k))
+            aux = update_auxiliaries(h, w_prev, 10 ** rng.uniform(-14, 0), np.ones(k))
+            cases.append((aux, h, rng.uniform(0.5, 2.0, size=k), p_max))
+    # budgets just below the unconstrained power, where the multiplier is tiny
+    for k, m in [(1, 1), (2, 2), (3, 3)]:
+        for rel in (1e-3, 1e-6, 1e-9):
+            h = random_complex(rng, (k, m))
+            aux = update_auxiliaries(h, random_complex(rng, (m, k)), 0.1, np.ones(k))
+            weights = np.ones(k)
+            cases.append((aux, h, weights, _unconstrained_power(aux, h, weights) * (1.0 - rel)))
+    return cases
+
+
+BIT_EXACT_CASES = _bit_exact_cases()
+
+
+class TestPrecoderBitExact:
+    """The Newton-started search lands on the float the plain bisection finds."""
+
+    @pytest.mark.parametrize("aux,h,weights,p_max", BIT_EXACT_CASES,
+                             ids=[f"case{i}" for i in range(len(BIT_EXACT_CASES))])
+    def test_matches_reference_bisection(self, aux, h, weights, p_max):
+        pm = update_precoder(aux, h, weights, p_max)
+        if pm.lagrange == 0.0:
+            # unconstrained fit: rank-deficient L0 (K < M) has unbounded
+            # free power only along directions z never touches
+            assert pm.power <= p_max
+            return
+        lam, w, power_at = _bisection_multiplier(aux, h, weights, p_max)
+        assert pm.lagrange == lam
+        assert np.array_equal(pm.w, w)
+        assert power_at(lam) <= p_max < power_at(np.nextafter(lam, 0.0))
+
+    def test_cases_cover_the_regimes(self):
+        bound = [update_precoder(*c).lagrange > 0 for c in BIT_EXACT_CASES]
+        shapes = [(c[1].shape, b) for c, b in zip(BIT_EXACT_CASES, bound)]
+        assert ((1, 1), True) in shapes
+        assert any(s[0] < s[1] and b for s, b in shapes)     # rank-deficient L0
+        assert sum(bound) >= 0.8 * len(BIT_EXACT_CASES)
 
 
 def _random_rcv_instance(rng, k=3, m=2, q=4, direct_scale=0.3):

@@ -43,6 +43,13 @@ class TestRunScheme:
         with pytest.raises(ValueError):
             run_scheme("beam_hopping", ch, cfg, np.random.default_rng(2))
 
+    def test_realtime_dims_invariant_raises(self, monkeypatch):
+        cfg = _tiny_config()
+        channels = build_scenario(cfg, np.random.default_rng(0))
+        monkeypatch.setitem(harness.REALTIME_DIMS, "no_irs", 1)
+        with pytest.raises(RuntimeError, match="real-time dims"):
+            run_scheme("no_irs", channels, cfg, np.random.default_rng(1))
+
     def test_adjacent_at_full_groups_equals_ungrouped(self):
         cfg = _tiny_config(N=16, Q=16)
         ch = build_scenario(cfg, np.random.default_rng(3))
