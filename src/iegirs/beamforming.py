@@ -10,6 +10,7 @@ bits/s/Hz.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,22 +28,24 @@ class FPAuxiliaries:
     def __post_init__(self):
         self.varsigma = np.asarray(self.varsigma, dtype=float)
         self.xi = np.asarray(self.xi, dtype=complex)
-        if np.any(self.varsigma < 0) or not np.all(np.isfinite(self.varsigma)):
+        if (self.varsigma < 0).any() or not np.isfinite(self.varsigma).all():
             raise ValueError("varsigma must be finite and nonnegative")
 
 
 @dataclass
 class ReflectionVector:
-    """Unit-modulus combined reflection coefficients, stored as phases."""
+    """Unit-modulus reflection coefficients stored as phases; values is cached, read-only."""
 
     phases: np.ndarray
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=float)
 
-    @property
+    @cached_property
     def values(self):
-        return np.exp(1j * self.phases)
+        out = np.exp(1j * self.phases)
+        out.flags.writeable = False
+        return out
 
     def __len__(self):
         return self.phases.shape[0]
@@ -63,7 +66,7 @@ class PrecodingMatrix:
 
     @property
     def power(self):
-        return float(np.sum(np.abs(self.w) ** 2))
+        return float((np.abs(self.w) ** 2).sum())
 
 
 def effective_channels(rcv_values, c_hat, h_bu):
@@ -111,6 +114,8 @@ def wsr(gammas, weights):
 
 def _rx_stats(h, w, noise_power):
     """omega_k = h_k^H w_k and the interference-plus-noise terms, no subtraction."""
+    if noise_power <= 0:
+        raise ValueError("noise power must be positive")
     rx = np.conj(h) @ w
     cross = np.abs(rx) ** 2
     np.fill_diagonal(cross, 0.0)
@@ -119,17 +124,20 @@ def _rx_stats(h, w, noise_power):
     return omega, inr
 
 
+def _fp_value(omega, inr, aux, weights):
+    """Internal alternating objective from the received statistics (_rx_stats)."""
+    chi = inr + np.abs(omega) ** 2
+    alpha = np.sqrt(weights * (1.0 + aux.varsigma))
+    val = (weights * (np.log1p(aux.varsigma) - aux.varsigma)).sum()
+    val += (2.0 * alpha * np.real(np.conj(aux.xi) * omega)).sum()
+    val -= (np.abs(aux.xi) ** 2 * chi).sum()
+    return float(val)
+
+
 def fp_objective(rcv_values, w, aux, c_hat, h_bu, noise_power, weights):
     """Internal alternating objective (natural-log form) at the given point."""
     h = effective_channels(rcv_values, c_hat, h_bu)
-    omega, inr = _rx_stats(h, w, noise_power)
-    chi = inr + np.abs(omega) ** 2
-    weights = np.asarray(weights, dtype=float)
-    alpha = np.sqrt(weights * (1.0 + aux.varsigma))
-    val = np.sum(weights * (np.log1p(aux.varsigma) - aux.varsigma))
-    val += np.sum(2.0 * alpha * np.real(np.conj(aux.xi) * omega))
-    val -= np.sum(np.abs(aux.xi) ** 2 * chi)
-    return float(val)
+    return _fp_value(*_rx_stats(h, w, noise_power), aux, np.asarray(weights, dtype=float))
 
 
 def update_auxiliaries(h, w, noise_power, weights):
@@ -140,13 +148,14 @@ def update_auxiliaries(h, w, noise_power, weights):
     accumulated directly (never by subtracting the signal term) so the
     varsigma == SINR identity holds to machine precision.
     """
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
-    weights = np.asarray(weights, dtype=float)
-    omega, inr = _rx_stats(h, w, noise_power)
+    return _auxiliaries(*_rx_stats(h, w, noise_power), np.asarray(weights, dtype=float))
+
+
+def _auxiliaries(omega, inr, weights):
+    """update_auxiliaries from the received statistics (_rx_stats)."""
     chi = inr + np.abs(omega) ** 2
     scale = np.sqrt(chi * inr)                # sqrt(chi^2 - |omega|^2 chi), cancellation-free
-    if np.any(scale <= 0) or not np.all(np.isfinite(scale)):
+    if (scale <= 0).any() or not np.isfinite(scale).all():
         raise ValueError("ill-posed auxiliary update; check channel/noise inputs")
     a = np.abs(omega) / scale
     b = np.abs(omega) ** 2 / scale
@@ -228,24 +237,22 @@ def update_precoder(aux, h, weights, p_max, tol=1e-6):
     if p_max <= 0:
         raise ValueError("power budget must be positive")
     l0, z = precoder_quadratic(aux, h, weights)
-    if not (np.all(np.isfinite(l0)) and np.all(np.isfinite(z))):
+    if not (np.isfinite(l0).all() and np.isfinite(z).all()):
         raise ValueError("non-finite precoder inputs")
     evals, vecs = np.linalg.eigh(l0)
     evals = np.maximum(evals, 0.0)
     c = vecs.conj().T @ z
     c2 = np.abs(c) ** 2
 
+    zero = c2 == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = c2 / (evals[:, None] ** 2)
-        w_free = c / evals[:, None]
-    contrib = np.where(c2 == 0.0, 0.0, contrib)
-    w_free = np.where(c2 == 0.0, 0.0, w_free)
-    p0 = float(np.sum(contrib))
-    if np.isfinite(p0) and p0 <= p_max:
-        return PrecodingMatrix(w=vecs @ w_free, p_max=p_max, lagrange=0.0)
+        p0 = float(np.where(zero, 0.0, c2 / (evals[:, None] ** 2)).sum())
+        if np.isfinite(p0) and p0 <= p_max:
+            w_free = np.where(zero, 0.0, c / evals[:, None])
+            return PrecodingMatrix(w=vecs @ w_free, p_max=p_max, lagrange=0.0)
 
     def power_at(lam):
-        return float(np.sum(c2 / (evals[:, None] + lam) ** 2))
+        return float((c2 / (evals[:, None] + lam) ** 2).sum())
 
     lo, hi = 0.0, None
     est = _newton_multiplier(evals, c2.sum(axis=1), p_max)
@@ -316,7 +323,12 @@ def build_rcv_quadratic(w, aux, c_hat, h_bu, weights):
 
 def rcv_objective(v, u, phi):
     """Value of the reflection subproblem objective at v."""
-    return float(-np.real(np.vdot(v, u @ v)) - 2.0 * np.real(np.vdot(v, phi)))
+    return _rcv_value(v, u @ v, phi)
+
+
+def _rcv_value(v, uv, phi):
+    """rcv_objective with the product uv = U v given."""
+    return float(-np.real(np.vdot(v, uv)) - 2.0 * np.real(np.vdot(v, phi)))
 
 
 def mm_surrogate(v, v_t, u, lam):
@@ -354,7 +366,12 @@ def top_eigenvalue(u, power_iter_above=512):
 
 def mm_step(v, u, phi, lam):
     """One majorization step: align with (lam I - U) v - phi."""
-    direction = (lam * v - u @ v) - phi
+    return _mm_step(v, u @ v, phi, lam)
+
+
+def _mm_step(v, uv, phi, lam):
+    """mm_step with the product uv = U v given."""
+    direction = (lam * v - uv) - phi
     out = np.exp(1j * np.angle(direction))
     out[direction == 0] = 1.0
     return _align_global_phase(out, phi)
@@ -390,7 +407,7 @@ def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
         a_row = np.conj(rcv_values) @ (c_hat[k] @ w)      # reflected parts, all beams
         b_row = np.conj(h_bu[k]) @ w                      # direct parts, all beams
         g += alpha[k] * np.conj(aux.xi[k]) * b_row[k]
-        g -= np.abs(aux.xi[k]) ** 2 * np.sum(np.conj(a_row) * b_row)
+        g -= np.abs(aux.xi[k]) ** 2 * (np.conj(a_row) * b_row).sum()
     if g == 0:
         return rcv_values, w
     rot = np.exp(-1j * np.angle(g))
@@ -410,10 +427,12 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
     u = (u + u.conj().T) / 2.0
     lam = top_eigenvalue(u)
     v = rcv.values if isinstance(rcv, ReflectionVector) else np.asarray(rcv)
-    obj = rcv_objective(v, u, phi)
+    uv = u @ v                                # shared by the step and the objective
+    obj = _rcv_value(v, uv, phi)
     for _ in range(max_inner):
-        v = mm_step(v, u, phi, lam)
-        obj_new = rcv_objective(v, u, phi)
+        v = _mm_step(v, uv, phi, lam)
+        uv = u @ v
+        obj_new = _rcv_value(v, uv, phi)
         done = obj_new - obj <= tol * max(1.0, abs(obj))
         obj = obj_new
         if done:
@@ -487,6 +506,13 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
     precoder-only solve. Returns (precoder, rcv, aux, trace, trace_steps,
     iterations, converged); trace holds the internal objective once per
     outer iteration, trace_steps after every block update.
+
+    h and its received statistics (_rx_stats) are formed once per iteration,
+    at the new reflection vector: they give the closing objective and carry
+    over as the next iteration's h, auxiliary input and opening objective.
+    Each carried value is the same call on the same inputs that would
+    recompute it, so every output is bit for bit that of calling
+    fp_objective after every block.
     """
     q = c_hat.shape[1]
     v = v0 if isinstance(v0, ReflectionVector) else ReflectionVector(phases=np.asarray(v0, dtype=float))
@@ -497,19 +523,22 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
     aux = None
     converged = False
     it = 0
+    h = effective_channels(v.values, c_hat, h_bu)
+    stats = _rx_stats(h, w, noise_power)
     for it in range(1, opts.max_outer + 1):
-        h = effective_channels(v.values, c_hat, h_bu)
-        aux = update_auxiliaries(h, w, noise_power, weights)
-        trace_steps.append(fp_objective(v.values, w, aux, c_hat, h_bu, noise_power, weights))
+        aux = _auxiliaries(*stats, weights)
+        trace_steps.append(_fp_value(*stats, aux, weights))
         pm = update_precoder(aux, h, weights, p_max)
         w = pm.w
-        trace_steps.append(fp_objective(v.values, w, aux, c_hat, h_bu, noise_power, weights))
+        trace_steps.append(_fp_value(*_rx_stats(h, w, noise_power), aux, weights))
         if q > 0:
             v = update_rcv_mm(v, w, aux, c_hat, h_bu, weights,
                               max_inner=opts.mm_iters, tol=opts.mm_tol)
             rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu, weights)
             v = ReflectionVector(phases=np.angle(rotated))
-        current = fp_objective(v.values, w, aux, c_hat, h_bu, noise_power, weights)
+        h = effective_channels(v.values, c_hat, h_bu)
+        stats = _rx_stats(h, w, noise_power)
+        current = _fp_value(*stats, aux, weights)
         trace_steps.append(current)
         trace.append(current)
         if it > 1 and abs(trace[-1] - trace[-2]) <= opts.tol * max(1.0, abs(trace[-2])):

@@ -12,7 +12,7 @@ import csv
 import io
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def run_scheme(scheme, channels, config, rng, opts=None):
     artifacts = {}
 
     if scheme in ("ieg", "aeg"):
-        scheme_opts = opts if scheme == "ieg" else _with_grouping(opts, "adjacent")
+        scheme_opts = opts if scheme == "ieg" else replace(opts, grouping="adjacent")
         res = bf.two_stage_solve(channels, q, opts=scheme_opts, p_max=p_max, weights=weights)
         grouping_ser = res.grouping.assignment.tolist()
         realtime = q
@@ -126,14 +126,6 @@ def run_scheme(scheme, channels, config, rng, opts=None):
         wsr_bits=res.wsr_bits, iterations=res.iterations, runtime_ms=runtime_ms,
         realtime_dims=realtime, grouping=grouping_ser, artifacts=artifacts,
     )
-
-
-def _with_grouping(opts, grouping):
-    return bf.SolverOptions(tol=opts.tol, max_outer=opts.max_outer, mm_iters=opts.mm_iters,
-                            mm_tol=opts.mm_tol, grouping=grouping, qp_rho=opts.qp_rho,
-                            qp_rounds=opts.qp_rounds, qp_pg_steps=opts.qp_pg_steps,
-                            regroup=opts.regroup, random_init=opts.random_init,
-                            init_seed=opts.init_seed)
 
 
 def recompute_wsr(channels, result, config):
@@ -203,26 +195,33 @@ def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,
 
 
 def sweep(axis, values, config, opts=None, out=None, record_timings=False, log=None):
-    """Monte Carlo runs across one swept axis; returns all trial rows."""
+    """Monte Carlo runs across one swept axis; returns all trial rows.
+
+    If out is given, the rows of every finished axis value reach it even if a
+    later one raises.
+    """
     if axis not in ("groups", "elements", "distance", "power"):
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not len(values):
         raise ValueError("sweep needs at least one axis value")
     rows = []
-    for value in values:
-        if axis == "groups":
-            cfg = config.replace(Q=int(value), Q0=int(value))
-        elif axis == "elements":
-            cfg = config.replace(N=int(value))
-        elif axis == "distance":
-            irs = (float(value), config.irs_pos[1], config.irs_pos[2])
-            cfg = config.replace(irs_pos=irs)
-        else:
-            cfg = config.replace(power_dbm=float(value))
-        rows.extend(run_monte_carlo(cfg, axis=axis, axis_value=float(value), opts=opts, log=log))
-    if out is not None:
-        write_csv(rows, out, timings=record_timings)
-        write_csv_aggregate(rows, _aggregate_path(out))
+    try:
+        for value in values:
+            if axis == "groups":
+                cfg = config.replace(Q=int(value), Q0=int(value))
+            elif axis == "elements":
+                cfg = config.replace(N=int(value))
+            elif axis == "distance":
+                irs = (float(value), config.irs_pos[1], config.irs_pos[2])
+                cfg = config.replace(irs_pos=irs)
+            else:
+                cfg = config.replace(power_dbm=float(value))
+            rows.extend(run_monte_carlo(cfg, axis=axis, axis_value=float(value), opts=opts,
+                                        log=log))
+    finally:
+        if out is not None and rows:
+            write_csv(rows, out, timings=record_timings)
+            write_csv_aggregate(rows, _aggregate_path(out))
     return rows
 
 

@@ -1,7 +1,6 @@
 """Special functions and array-geometry primitives shared by every module."""
 
 import numpy as np
-from scipy import special
 
 
 def laguerre_half(x):
@@ -13,6 +12,8 @@ def laguerre_half(x):
     functions absorb the e^{-x/2} factor, so the result stays finite for x up
     to 1e8 and beyond.
     """
+    from scipy import special          # imported here: it costs about 0.25 s at start-up
+
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("laguerre_half requires finite x")

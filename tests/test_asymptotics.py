@@ -148,6 +148,15 @@ class TestMonteCarloValidators:
         assert samples.shape == (7, 4)
 
 
+def _loaded_after_cli_import(module):
+    """Whether a fresh interpreter holds module after `import iegirs.cli`."""
+    code = f"import sys, iegirs.cli; print({module!r} in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(iegirs.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    return out.stdout.strip() == "True"
+
+
 class TestKurtosis:
     def test_matches_scipy_pearson_biased(self):
         rng = np.random.default_rng(9)
@@ -156,8 +165,7 @@ class TestKurtosis:
             assert abs(_kurtosis(x) - expected) <= 1e-12 * expected
 
     def test_cli_import_leaves_out_scipy_stats(self):
-        code = "import sys, iegirs.cli; print('scipy.stats' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(Path(iegirs.__file__).resolve().parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "False"
+        assert not _loaded_after_cli_import("scipy.stats")
+
+    def test_cli_import_leaves_out_scipy_special(self):
+        assert not _loaded_after_cli_import("scipy.special")

@@ -509,3 +509,148 @@ class TestSolveLoop:
             probed = fp_objective(v, res.precoder.w, aux, c_hat, ch.h_bu,
                                   ch.noise_power, weights)
             assert probed <= base + 1e-9 * max(1.0, abs(base))
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness of the alternating loop against its one-quantity-per-block form
+
+
+def _reference_combine(grouping, cascade):
+    """Grouped cascade by np.add.at, one row at a time into zeros."""
+    cascade = np.asarray(cascade)
+    vector_in = cascade.ndim == 1
+    if vector_in:
+        cascade = cascade[:, None]
+    out = np.zeros((grouping.num_groups, cascade.shape[1]), dtype=cascade.dtype)
+    np.add.at(out, grouping.assignment - 1, cascade)
+    return out[:, 0] if vector_in else out
+
+
+def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
+    """Reflection update that forms U v anew in every step and objective."""
+    u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights)
+    u = (u + u.conj().T) / 2.0
+    lam = bf.top_eigenvalue(u)
+    v = np.exp(1j * rcv.phases)
+    obj = rcv_objective(v, u, phi)
+    for _ in range(max_inner):
+        v = mm_step(v, u, phi, lam)
+        obj_new = rcv_objective(v, u, phi)
+        done = obj_new - obj <= tol * max(1.0, abs(obj))
+        obj = obj_new
+        if done:
+            break
+    return ReflectionVector(phases=np.angle(v))
+
+
+def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
+    """Alternating loop that re-evaluates every quantity after every block."""
+    v = v0 if isinstance(v0, ReflectionVector) else ReflectionVector(phases=np.asarray(v0, dtype=float))
+    w = np.asarray(w0, dtype=complex)
+    weights = np.asarray(weights, dtype=float)
+    trace, steps = [], []
+    pm, aux, converged, it = None, None, False, 0
+    for it in range(1, opts.max_outer + 1):
+        vals = np.exp(1j * v.phases)
+        h = effective_channels(vals, c_hat, h_bu)
+        aux = update_auxiliaries(h, w, noise_power, weights)
+        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power, weights))
+        pm = update_precoder(aux, h, weights, p_max)
+        w = pm.w
+        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power, weights))
+        if c_hat.shape[1] > 0:
+            v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, weights,
+                                  max_inner=opts.mm_iters, tol=opts.mm_tol)
+            rotated, w = bf.joint_phase_rotation(np.exp(1j * v.phases), w, aux, c_hat, h_bu, weights)
+            v = ReflectionVector(phases=np.angle(rotated))
+        current = fp_objective(np.exp(1j * v.phases), w, aux, c_hat, h_bu, noise_power, weights)
+        steps.append(current)
+        trace.append(current)
+        if it > 1 and abs(trace[-1] - trace[-2]) <= opts.tol * max(1.0, abs(trace[-2])):
+            converged = True
+            break
+    pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange if pm is not None else 0.0)
+    return pm, v, aux, np.asarray(trace), np.asarray(steps), it, converged
+
+
+def _loop_problem(case):
+    """(c_hat, h_bu, noise, p_max, weights, v0, w0) of a seeded scene."""
+    from iegirs.grouping import adjacent_grouping, combine_cascade, identity_grouping
+    n, q = {"no_irs": (64, 4), "identity": (64, 64), "uirs_q": (256, 16), "q64": (256, 64)}[case]
+    cfg = ScenarioConfig(N=n, Q=q, seed=8)
+    ch = build_scenario(cfg, np.random.default_rng(40 + q))
+    weights = np.asarray(cfg.weights, dtype=float)
+    cascades = np.stack([ch.cascade(k) for k in range(ch.num_users)])
+    h_bu = ch.h_bu
+    if case == "no_irs":
+        c_hat = np.zeros((ch.num_users, 0, cfg.M), dtype=complex)
+    elif case == "uirs_q":
+        # controlled rows as a strided view of the (K, N, M) stack
+        c_hat = cascades[:, :q]
+        vu = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2 * np.pi, n - q))
+        h_bu = h_bu + np.einsum("knm,n->km", cascades[:, q:].conj(), vu)
+    else:
+        g = identity_grouping(n) if q == n else adjacent_grouping(n, q)
+        c_hat = np.stack([combine_cascade(g, c) for c in cascades])
+    v0 = ReflectionVector(phases=np.random.default_rng(5).uniform(0.0, 2 * np.pi, c_hat.shape[1]))
+    w0 = matched_precoder(effective_channels(v0.values, c_hat, h_bu), cfg.power_watts)
+    return c_hat, h_bu, ch.noise_power, cfg.power_watts, weights, v0, w0
+
+
+def _assert_same_solve(a, b):
+    pm_a, v_a, aux_a, trace_a, steps_a, it_a, conv_a = a
+    pm_b, v_b, aux_b, trace_b, steps_b, it_b, conv_b = b
+    assert (it_a, conv_a) == (it_b, conv_b)
+    assert np.array_equal(trace_a, trace_b)
+    assert np.array_equal(steps_a, steps_b)
+    assert np.array_equal(pm_a.w, pm_b.w) and pm_a.lagrange == pm_b.lagrange
+    assert np.array_equal(v_a.phases, v_b.phases)
+    assert np.array_equal(aux_a.xi, aux_b.xi) and np.array_equal(aux_a.varsigma, aux_b.varsigma)
+
+
+class TestLoopBitExact:
+    @pytest.mark.parametrize("case", ["no_irs", "identity", "uirs_q", "q64"])
+    def test_solve_fp_matches_reference(self, case):
+        problem = _loop_problem(case)
+        opts = SolverOptions(max_outer=60)
+        out = solve_fp(*problem, opts)
+        assert out[5] > 2
+        if case == "uirs_q":
+            assert not problem[0].flags.c_contiguous
+        _assert_same_solve(out, _reference_solve_fp(*problem, opts))
+
+    def test_rcv_update_matches_reference(self):
+        rng = np.random.default_rng(21)
+        for q, max_inner in ((1, 3), (4, 50), (16, 0), (64, 30)):
+            c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=q)
+            rcv = ReflectionVector(phases=rng.uniform(0.0, 2 * np.pi, q))
+            args = (rcv, w, aux, c_hat, h_bu, np.ones(3))
+            new = update_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
+            ref = _reference_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
+            assert np.array_equal(new.phases, ref.phases)
+
+    @pytest.mark.parametrize("grouping", ["qp", "phase-partition"])
+    def test_two_stage_solve_matches_reference(self, grouping, monkeypatch):
+        from iegirs import grouping as grp
+        cfg = ScenarioConfig(N=1024, Q=4, seed=1)
+        ch = build_scenario(cfg, np.random.default_rng(9))
+        opts = SolverOptions(grouping=grouping)
+        new = two_stage_solve(ch, 4, opts=opts, p_max=cfg.power_watts)
+        monkeypatch.setattr(bf, "solve_fp", _reference_solve_fp)
+        monkeypatch.setattr(grp, "combine_cascade", _reference_combine)
+        ref = two_stage_solve(ch, 4, opts=opts, p_max=cfg.power_watts)
+        assert np.array_equal(new.grouping.assignment, ref.grouping.assignment)
+        assert np.array_equal(new.trace, ref.trace)
+        assert np.array_equal(new.trace_steps, ref.trace_steps)
+        assert np.array_equal(new.precoder.w, ref.precoder.w)
+        assert np.array_equal(new.rcv.phases, ref.rcv.phases)
+        assert new.wsr_bits == ref.wsr_bits and new.iterations == ref.iterations
+
+
+class TestReflectionVectorValues:
+    def test_values_cached_and_read_only(self):
+        rv = ReflectionVector(phases=np.array([0.0, 1.0, -2.0]))
+        assert rv.values is rv.values
+        assert np.array_equal(rv.values, np.exp(1j * rv.phases))
+        with pytest.raises(ValueError):
+            rv.values[0] = 1.0

@@ -72,6 +72,12 @@ class TestCountGroupings:
         with pytest.raises(ValueError):
             count_groupings(4, 0)
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # a real exception, not an assert that python -O strips
+        monkeypatch.setattr(grp, "factorial", lambda q: 7)
+        with pytest.raises(RuntimeError):
+            count_groupings(5, 2)
+
 
 class TestPhasePartition:
     def test_degenerate_ramp_is_repaired(self):
@@ -193,6 +199,23 @@ class TestCombineCascade:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             combine_cascade(adjacent_grouping(4, 2), np.ones((5, 1)))
+
+    @pytest.mark.parametrize("q", [1, 7, 300])
+    def test_bitwise_equal_to_add_at(self, q):
+        # same sums, same order, same zero signs as np.add.at into zeros
+        rng = np.random.default_rng(q)
+        n = 300
+        assignment = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, size=n - q)])
+        rng.shuffle(assignment)
+        g = GroupingMatrix(assignment=assignment, num_groups=q)
+        c = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 3)) + 1j * rng.standard_normal((n, 3))
+        c[rng.random(n) < 0.3] = -0.0 - 0.0j
+        for x in (c, c.real.copy(), c[:, 0].copy(), c[:, 1].real.copy(), c[:, ::-1], c[::-1]):
+            expected = np.zeros((q,) + x.shape[1:], dtype=x.dtype)
+            np.add.at(expected, g.assignment - 1, x)
+            out = combine_cascade(g, x)
+            assert out.dtype == expected.dtype and out.shape == expected.shape
+            assert out.tobytes() == expected.tobytes()
 
 
 class TestGroupedDeterministicLimit:

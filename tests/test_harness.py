@@ -198,6 +198,25 @@ class TestSweepAndAggregate:
         assert out.exists()
         assert len(out.read_text().strip().splitlines()) == 1 + 2
 
+    def test_sweep_writes_finished_values_on_failure(self, tmp_path, monkeypatch):
+        cfg = _tiny_config(schemes=("no_irs",), trials=2)
+        out = tmp_path / "sweep.csv"
+        original = harness.run_scheme
+
+        def fails_on_second_value(scheme, channels, config, rng, opts=None):
+            if config.Q == 2:
+                raise RuntimeError("boom")
+            return original(scheme, channels, config, rng, opts=opts)
+
+        monkeypatch.setattr(harness, "run_scheme", fails_on_second_value)
+        with pytest.raises(RuntimeError):
+            sweep("groups", [1, 2], cfg, out=str(out))
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 1 + 2
+        assert {line.split(",")[2] for line in lines[1:]} == {"1.0"}
+        agg = (tmp_path / "sweep_agg.csv").read_text().strip().splitlines()
+        assert len(agg) == 1 + 1 and agg[1].startswith("no_irs,groups,1.0,2,")
+
 
 class TestCli:
     def _write_config(self, tmp_path):
