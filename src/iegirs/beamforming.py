@@ -315,7 +315,13 @@ def build_rcv_quadratic(w, aux, c_hat, h_bu, weights):
     phi = np.zeros(q, dtype=complex)
     for k in range(k_users):
         a_k = c_hat[k] @ ww
-        u += np.abs(aux.xi[k]) ** 2 * (a_k @ c_hat[k].conj().T)
+        # one (Q, Q) temporary at a time, scaled in place with the bits of
+        # u += s * (a_k @ C^H): at large Q, glibc hands larger transient
+        # peaks back to the OS and every call page-faults them in again
+        term = a_k @ c_hat[k].conj().T
+        term *= np.abs(aux.xi[k]) ** 2
+        u += term
+        del term
         phi += np.abs(aux.xi[k]) ** 2 * (a_k @ h_bu[k])
         phi -= alpha[k] * np.conj(aux.xi[k]) * (c_hat[k] @ w[:, k])
     return u, phi
@@ -338,30 +344,13 @@ def mm_surrogate(v, v_t, u, lam):
                  + np.real(np.vdot(v_t, d @ v_t)))
 
 
-def top_eigenvalue(u, power_iter_above=512):
-    """Largest eigenvalue of a Hermitian PSD matrix.
+def top_eigenvalue(u):
+    """Largest eigenvalue of a Hermitian PSD matrix, exact at every size.
 
-    Exact eigendecomposition for small sizes; power iteration with a small
-    safety inflation (the majorizer needs lam >= lambda_max) above that.
+    update_rcv_mm's surrogate majorizes only with lam >= lambda_max, so an
+    estimate from below would break its bound.
     """
-    q = u.shape[0]
-    if q <= power_iter_above:
-        return float(np.linalg.eigvalsh(u)[-1])
-    v = np.ones(q, dtype=complex) + 1e-3 * np.arange(q)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(500):
-        y = u @ v
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
-            return 0.0
-        v = y / nrm
-        lam_new = float(np.real(np.vdot(v, u @ v)))
-        if abs(lam_new - lam) <= 1e-12 * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam = lam_new
-    return lam * (1.0 + 1e-9)
+    return float(np.linalg.eigvalsh(u)[-1])
 
 
 def mm_step(v, u, phi, lam):
@@ -422,9 +411,13 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
     improvement below tol or after max_inner steps.
     """
     u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights)
-    if np.linalg.norm(u - u.conj().T) > 1e-8 * max(1.0, np.linalg.norm(u)):
+    skew = u.conj().T                         # check and symmetrize in place, as above
+    skew -= u                                 # -(u - u^H): the same norm, bit for bit
+    if np.linalg.norm(skew) > 1e-8 * max(1.0, np.linalg.norm(u)):
         raise ValueError("reflection quadratic is not Hermitian")
-    u = (u + u.conj().T) / 2.0
+    del skew
+    u += u.conj().T
+    u /= 2.0
     lam = top_eigenvalue(u)
     v = rcv.values if isinstance(rcv, ReflectionVector) else np.asarray(rcv)
     uv = u @ v                                # shared by the step and the objective
@@ -448,11 +441,7 @@ class SolverOptions:
     max_outer: int = 200
     mm_iters: int = 30
     mm_tol: float = 1e-9
-    grouping: str = "qp"             # qp | phase-partition | knn | adjacent | identity
-    qp_rho: float = 1.0
-    qp_rounds: int = 20
-    qp_pg_steps: int = 15
-    regroup: bool = False            # one extra grouping pass after a statistical re-solve
+    grouping: str = "arc-search"     # arc-search | phase-partition | adjacent | identity
     random_init: bool = False
     init_seed: int | None = None
 
@@ -564,7 +553,7 @@ def _aggregate_arc_grouping(cascades_stat, h_bu_stat, weights, q):
     agg = np.zeros(n, dtype=complex)
     for k in range(cascades_stat.shape[0]):
         agg += weights[k] * (cascades_stat[k] @ w_mf[:, k])
-    return _arc_from_phases(np.angle(agg), q), np.angle(agg)
+    return _arc_from_phases(np.angle(agg), q)
 
 
 def _arc_from_solved(cascades_stat, state, weights, q):
@@ -606,11 +595,11 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
     """Stage-1 grouping choice from statistical CSI.
 
     Returns (grouping, stacked statistical cascades, statistical solver state
-    or None). The relaxed-program path bootstraps its statistical precoders
-    by solving the alternating loop on the deterministic channels at the
-    better of two seed groupings (adjacent blocks vs the beam-domain arc
-    partition); a reflection vector tuned to adjacent blocks is stale for any
-    phase-coherent regrouping and would trap the relaxed program there.
+    or None). The arc search solves the alternating loop on the deterministic
+    channels at the better of two seed groupings (adjacent blocks vs the
+    beam-domain arc partition of the aggregate cascade phase), then ranks
+    candidate arcs by warm-started statistical solves and keeps any that
+    raises the statistical rate, for up to three rounds.
     """
     n = channels.num_elements
     k_users = channels.num_users
@@ -621,22 +610,15 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
         return grp.identity_grouping(n), cascades_stat, None
     if opts.grouping == "adjacent":
         return grp.adjacent_grouping(n, q), cascades_stat, None
-    if opts.grouping == "phase-partition":
-        g, _ = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
-        return g, cascades_stat, None
-    if opts.grouping == "knn":
-        _, agg_phases = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
-        rng = np.random.default_rng(opts.init_seed)
-        return grp.circular_knn_grouping(agg_phases, q, rng=rng), cascades_stat, None
-    if opts.grouping != "qp":
+    if opts.grouping not in ("phase-partition", "arc-search"):
         raise ValueError(f"unknown grouping method {opts.grouping!r}")
+    arc = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
+    if opts.grouping == "phase-partition":
+        return arc, cascades_stat, None
 
-    boot_opts = SolverOptions(tol=opts.tol, max_outer=opts.max_outer,
-                              mm_iters=opts.mm_iters, mm_tol=opts.mm_tol, grouping="adjacent")
-    arc, _ = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
     best_rate, g, stat_state = -np.inf, None, None
     for seed_g in (grp.adjacent_grouping(n, q), arc):
-        rate, state = _statistical_solve(channels, cascades_stat, seed_g, weights, p_max, boot_opts)
+        rate, state = _statistical_solve(channels, cascades_stat, seed_g, weights, p_max, opts)
         if rate > best_rate:
             best_rate, g, stat_state = rate, seed_g, state
 
@@ -654,27 +636,12 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
             if np.array_equal(candidate.assignment, g.assignment):
                 continue
             rate, state = _statistical_solve(channels, cascades_stat, candidate, weights,
-                                             p_max, boot_opts, warm=stat_state)
+                                             p_max, opts, warm=stat_state)
             if rate > best_rate:
                 best_rate, g, stat_state = rate, candidate, state
                 improved = True
         if not improved:
             break
-
-    for _ in range(2 if opts.regroup else 1):
-        refined = grp.relaxed_qp_grouping(cascades_stat, channels.h_bu_stat, stat_state[0],
-                                          stat_state[1], stat_state[2], q, weights=weights,
-                                          rho=opts.qp_rho, max_rounds=opts.qp_rounds,
-                                          pg_steps=opts.qp_pg_steps, extra_starts=(g,))
-        if np.array_equal(refined.assignment, g.assignment):
-            break
-        # accept the relaxed-program refinement only if it improves the
-        # statistical rate with re-optimized precoders; the fixed-precoder
-        # score alone favours whichever grouping those precoders were tuned on
-        rate, state = _statistical_solve(channels, cascades_stat, refined, weights, p_max, boot_opts)
-        if rate <= best_rate:
-            break
-        best_rate, g, stat_state = rate, refined, state
     return g, cascades_stat, stat_state
 
 
@@ -682,7 +649,7 @@ def two_stage_solve(channels, q, opts=None, p_max=None, weights=None):
     """End-to-end solve: statistical grouping, then alternating beamforming.
 
     Stage 1 picks the grouping from statistical CSI per opts.grouping (the
-    relaxed program by default). Stage 2 runs the alternating loop on the
+    arc search by default). Stage 2 runs the alternating loop on the
     grouped instantaneous cascades until the internal objective's relative
     change drops below opts.tol or opts.max_outer is reached. The returned
     trace never decreases by more than rounding noise.

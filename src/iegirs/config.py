@@ -21,7 +21,6 @@ class ScenarioConfig:
     K: int = 4                      # single-antenna users
     N: int = 1024                   # IRS elements
     Q: int = 4                      # reflection groups
-    Q0: int | None = None           # pilot budget; defaults to Q
     bs_pos: tuple = (0.0, 6.0, 16.0)
     irs_pos: tuple = (300.0, 0.0, 8.0)
     user_center: tuple = (300.0, 6.0, 0.0)
@@ -38,10 +37,8 @@ class ScenarioConfig:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
-        if self.Q0 is None:
-            self.Q0 = self.Q
-        if not (1 <= self.Q <= self.Q0 <= self.N):
-            raise ValueError(f"need 1 <= Q <= Q0 <= N, got Q={self.Q}, Q0={self.Q0}, N={self.N}")
+        if not 1 <= self.Q <= self.N:
+            raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
         if self.M < 1 or self.K < 1:
             raise ValueError("M and K must be >= 1")
         if self.scenario not in SCENARIOS:
@@ -52,6 +49,9 @@ class ScenarioConfig:
             self.weights = tuple(1.0 for _ in range(self.K))
         if len(self.weights) != self.K:
             raise ValueError("weights length must equal K")
+        unknown = [s for s in self.schemes if s not in SCHEMES]
+        if unknown:
+            raise ValueError(f"unknown schemes {unknown}; choose from {SCHEMES}")
 
     @property
     def power_watts(self):
@@ -69,7 +69,7 @@ class ScenarioConfig:
         """Build from a nested mapping (the YAML layout below)."""
         kw = {}
         sys_ = raw.get("system", {})
-        for key in ("M", "K", "N", "Q", "Q0"):
+        for key in ("M", "K", "N", "Q"):
             if key in sys_:
                 kw[key] = sys_[key]
         geo = raw.get("geometry", {})
@@ -99,7 +99,7 @@ class ScenarioConfig:
 
     def to_dict(self):
         return {
-            "system": {"M": self.M, "K": self.K, "N": self.N, "Q": self.Q, "Q0": self.Q0},
+            "system": {"M": self.M, "K": self.K, "N": self.N, "Q": self.Q},
             "geometry": {
                 "bs": list(self.bs_pos),
                 "irs": list(self.irs_pos),

@@ -3,7 +3,10 @@
 A grouping assigns each of the N reflector elements to exactly one of Q
 groups (every group non-empty); elements of a group share one reflection
 phase. Constructors: equal-arc phase partition, circular k-means, adjacent
-blocks, and a relaxed quadratic program driven by statistical CSI.
+blocks, and a relaxed quadratic program driven by statistical CSI. Stage 1
+of beamforming.two_stage_solve uses adjacent blocks and equal-arc partitions
+(arc_assignment); circular k-means and the relaxed program are library
+constructors that it does not call.
 """
 
 import warnings

@@ -24,7 +24,17 @@ from .config import trial_seed_sequence
 CSV_HEADER = ("scheme", "axis", "axis_value", "N", "Q", "trial", "seed",
               "wsr_bits_per_hz", "iterations", "runtime_ms")
 
-REALTIME_DIMS = {"ieg": "Q", "aeg": "Q", "uirs_q": "Q", "random_rcv": 0, "no_irs": 0}
+# Real-time reflection dims and frozen phases drawn by each scheme, given (N, Q).
+# The real-time rows are the Q groups of ieg and aeg, or elements 1..Q of
+# uirs_q; the frozen elements are the last ones of the surface. no_irs has
+# no surface.
+SCHEME_DIMS = {
+    "ieg": lambda n, q: (q, 0),
+    "aeg": lambda n, q: (q, 0),
+    "uirs_q": lambda n, q: (q, n - q),
+    "random_rcv": lambda n, q: (0, n),
+    "no_irs": lambda n, q: (0, 0),
+}
 
 
 @dataclass
@@ -50,13 +60,32 @@ class TrialResult:
             raise ValueError("weighted sum rate cannot be negative")
 
 
+def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
+    """(c_hat, h_bu_eff) of one scheme on one channel realization.
+
+    c_hat (K, rows, M) stacks the cascades steered in real time: combined
+    under grouping for the grouped schemes, else the leading elements, as
+    many as SCHEME_DIMS gives. h_bu_eff adds to the direct links the last
+    len(frozen) elements, held at the phases frozen.
+    """
+    k_users = channels.num_users
+    realtime, _ = SCHEME_DIMS[scheme](channels.num_elements, q)
+    cascades = [channels.cascade(k) for k in range(k_users)]
+    if grouping is None:
+        c_hat = np.stack([c[:realtime] for c in cascades])
+    else:
+        c_hat = np.stack([grp.combine_cascade(grouping, c) for c in cascades])
+    h_bu_eff = channels.h_bu
+    if len(frozen):
+        vf = np.exp(1j * np.asarray(frozen))
+        h_bu_eff = np.stack([channels.h_bu[k] + cascades[k][-len(frozen):].conj().T @ vf
+                             for k in range(k_users)])
+    return c_hat, h_bu_eff
+
+
 def _solve_fixed_reflection(channels, c_hat, h_bu_eff, p_max, weights, opts):
     """Precoder-plus-reflection loop on prepared grouped cascades."""
-    k_users = channels.num_users
-    if c_hat.shape[1] > 0:
-        v0 = bf.ReflectionVector(phases=np.zeros(c_hat.shape[1]))
-    else:
-        v0 = bf.ReflectionVector(phases=np.zeros(0))
+    v0 = bf.ReflectionVector(phases=np.zeros(c_hat.shape[1]))
     w0 = bf.matched_precoder(bf.effective_channels(v0.values, c_hat, h_bu_eff), p_max)
     pm, v, aux, trace, trace_steps, iterations, converged = bf.solve_fp(
         c_hat, h_bu_eff, channels.noise_power, p_max, weights, v0, w0, opts)
@@ -69,58 +98,34 @@ def _solve_fixed_reflection(channels, c_hat, h_bu_eff, p_max, weights, opts):
 def run_scheme(scheme, channels, config, rng, opts=None):
     """Solve one scheme on one channel realization and package the result.
 
-    rng drives only scheme-internal randomness (the fixed reflection draws of
+    rng drives only scheme-internal randomness (the frozen phase draws of
     uirs_q and random_rcv); the channels are produced by the caller so every
     scheme in a trial sees the same realization.
     """
+    if scheme not in SCHEME_DIMS:
+        raise ValueError(f"unknown scheme {scheme!r}")
     opts = opts or bf.SolverOptions()
     weights = np.asarray(config.weights, dtype=float)
     p_max = config.power_watts
     q = config.Q
+    expected, n_frozen = SCHEME_DIMS[scheme](channels.num_elements, q)
     t0 = time.perf_counter()
+    frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
     grouping_ser = None
-    artifacts = {}
-
     if scheme in ("ieg", "aeg"):
         scheme_opts = opts if scheme == "ieg" else replace(opts, grouping="adjacent")
         res = bf.two_stage_solve(channels, q, opts=scheme_opts, p_max=p_max, weights=weights)
         grouping_ser = res.grouping.assignment.tolist()
-        realtime = q
-    elif scheme == "uirs_q":
-        n = channels.num_elements
-        fixed = rng.uniform(0.0, 2.0 * np.pi, size=n - q)
-        cascades = [channels.cascade(k) for k in range(channels.num_users)]
-        c_hat = np.stack([c[:q] for c in cascades])
-        vu = np.exp(1j * fixed)
-        h_bu_eff = np.stack([channels.h_bu[k] + cascades[k][q:].conj().T @ vu
-                             for k in range(channels.num_users)])
-        res = _solve_fixed_reflection(channels, c_hat, h_bu_eff, p_max, weights, opts)
-        artifacts["uncontrolled_phases"] = fixed
-        realtime = q
-    elif scheme == "random_rcv":
-        n = channels.num_elements
-        fixed = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        va = np.exp(1j * fixed)
-        h_bu_eff = np.stack([channels.h_bu[k] + channels.cascade(k).conj().T @ va
-                             for k in range(channels.num_users)])
-        c_hat = np.zeros((channels.num_users, 0, config.M), dtype=complex)
-        res = _solve_fixed_reflection(channels, c_hat, h_bu_eff, p_max, weights, opts)
-        artifacts["all_phases"] = fixed
-        realtime = 0
-    elif scheme == "no_irs":
-        c_hat = np.zeros((channels.num_users, 0, config.M), dtype=complex)
-        res = _solve_fixed_reflection(channels, c_hat, channels.h_bu, p_max, weights, opts)
-        realtime = 0
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        c_hat, h_bu_eff = scheme_problem(scheme, channels, q, frozen=frozen)
+        res = _solve_fixed_reflection(channels, c_hat, h_bu_eff, p_max, weights, opts)
 
-    expected = q if REALTIME_DIMS[scheme] == "Q" else REALTIME_DIMS[scheme]
+    realtime = len(res.rcv)
     if realtime != expected:
         raise RuntimeError(f"{scheme} exposes {realtime} real-time dims, expected {expected}")
 
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    artifacts["w"] = res.precoder.w
-    artifacts["rcv_phases"] = res.rcv.phases
+    artifacts = {"w": res.precoder.w, "rcv_phases": res.rcv.phases, "frozen_phases": frozen}
     return TrialResult(
         scheme=scheme, axis="", axis_value=0.0, N=config.N, Q=q, trial=0, seed=0,
         wsr_bits=res.wsr_bits, iterations=res.iterations, runtime_ms=runtime_ms,
@@ -130,30 +135,15 @@ def run_scheme(scheme, channels, config, rng, opts=None):
 
 def recompute_wsr(channels, result, config):
     """Re-derive the weighted sum rate from the stored solution artifacts."""
-    weights = np.asarray(config.weights, dtype=float)
-    w = result.artifacts["w"]
+    grouping = None
+    if result.grouping is not None:
+        grouping = grp.GroupingMatrix(assignment=np.asarray(result.grouping), num_groups=result.Q)
+    c_hat, h_bu = scheme_problem(result.scheme, channels, result.Q, grouping=grouping,
+                                 frozen=result.artifacts["frozen_phases"])
     v = np.exp(1j * np.asarray(result.artifacts["rcv_phases"]))
-    if result.scheme in ("ieg", "aeg"):
-        g = grp.GroupingMatrix(assignment=np.asarray(result.grouping), num_groups=result.Q)
-        c_hat = np.stack([grp.combine_cascade(g, channels.cascade(k))
-                          for k in range(channels.num_users)])
-        h_bu = channels.h_bu
-    elif result.scheme == "uirs_q":
-        cascades = [channels.cascade(k) for k in range(channels.num_users)]
-        c_hat = np.stack([c[:result.Q] for c in cascades])
-        vu = np.exp(1j * result.artifacts["uncontrolled_phases"])
-        h_bu = np.stack([channels.h_bu[k] + cascades[k][result.Q:].conj().T @ vu
-                         for k in range(channels.num_users)])
-    elif result.scheme == "random_rcv":
-        va = np.exp(1j * result.artifacts["all_phases"])
-        c_hat = np.zeros((channels.num_users, 0, w.shape[0]), dtype=complex)
-        h_bu = np.stack([channels.h_bu[k] + channels.cascade(k).conj().T @ va
-                         for k in range(channels.num_users)])
-    else:
-        c_hat = np.zeros((channels.num_users, 0, w.shape[0]), dtype=complex)
-        h_bu = channels.h_bu
     h = bf.effective_channels(v, c_hat, h_bu)
-    return bf.wsr(bf.sinr_all(h, w, channels.noise_power), weights)
+    weights = np.asarray(config.weights, dtype=float)
+    return bf.wsr(bf.sinr_all(h, result.artifacts["w"], channels.noise_power), weights)
 
 
 def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,
@@ -208,7 +198,7 @@ def sweep(axis, values, config, opts=None, out=None, record_timings=False, log=N
     try:
         for value in values:
             if axis == "groups":
-                cfg = config.replace(Q=int(value), Q0=int(value))
+                cfg = config.replace(Q=int(value))
             elif axis == "elements":
                 cfg = config.replace(N=int(value))
             elif axis == "distance":

@@ -296,6 +296,16 @@ def _random_rcv_instance(rng, k=3, m=2, q=4, direct_scale=0.3):
 
 
 class TestReflectionUpdate:
+    def test_top_eigenvalue_bounds_spectrum_above_512(self):
+        # a top gap of 1e-3 at Q = 600: the majorizer needs lam >= lambda_max
+        rng = np.random.default_rng(17)
+        q = 600
+        basis, _ = np.linalg.qr(random_complex(rng, (q, q)))
+        evals = np.concatenate([rng.uniform(0.0, 0.99, q - 2), [1.0 - 1e-3, 1.0]])
+        u = (basis * evals) @ basis.conj().T
+        u = (u + u.conj().T) / 2.0
+        assert bf.top_eigenvalue(u) >= np.linalg.eigvalsh(u)[-1]
+
     def test_equal_eigenvalue_one_step(self):
         # U = lam I: the first step is the exact unconstrained-phase maximizer
         rng = np.random.default_rng(6)
@@ -526,9 +536,23 @@ def _reference_combine(grouping, cascade):
     return out[:, 0] if vector_in else out
 
 
+def _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights):
+    """(U, phi) with every product and scaling in a fresh temporary."""
+    alpha = np.sqrt(np.asarray(weights, dtype=float) * (1.0 + aux.varsigma))
+    ww = w @ w.conj().T
+    u = np.zeros((c_hat.shape[1],) * 2, dtype=complex)
+    phi = np.zeros(c_hat.shape[1], dtype=complex)
+    for k in range(c_hat.shape[0]):
+        a_k = c_hat[k] @ ww
+        u += np.abs(aux.xi[k]) ** 2 * (a_k @ c_hat[k].conj().T)
+        phi += np.abs(aux.xi[k]) ** 2 * (a_k @ h_bu[k])
+        phi -= alpha[k] * np.conj(aux.xi[k]) * (c_hat[k] @ w[:, k])
+    return u, phi
+
+
 def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
-    """Reflection update that forms U v anew in every step and objective."""
-    u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights)
+    """Reflection update that forms U, its symmetrization and U v anew in every step."""
+    u, phi = _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights)
     u = (u + u.conj().T) / 2.0
     lam = bf.top_eigenvalue(u)
     v = np.exp(1j * rcv.phases)
@@ -629,7 +653,16 @@ class TestLoopBitExact:
             ref = _reference_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
             assert np.array_equal(new.phases, ref.phases)
 
-    @pytest.mark.parametrize("grouping", ["qp", "phase-partition"])
+    def test_rcv_quadratic_matches_reference(self):
+        rng = np.random.default_rng(22)
+        for k, m, q in ((1, 1, 1), (3, 2, 16), (4, 4, 256)):
+            c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=k, m=m, q=q)
+            for stack in (c_hat, np.concatenate([c_hat, c_hat], axis=1)[:, :q]):
+                u, phi = build_rcv_quadratic(w, aux, stack, h_bu, np.ones(k))
+                u_ref, phi_ref = _reference_rcv_quadratic(w, aux, stack, h_bu, np.ones(k))
+                assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
+
+    @pytest.mark.parametrize("grouping", ["arc-search", "phase-partition"])
     def test_two_stage_solve_matches_reference(self, grouping, monkeypatch):
         from iegirs import grouping as grp
         cfg = ScenarioConfig(N=1024, Q=4, seed=1)
@@ -639,12 +672,96 @@ class TestLoopBitExact:
         monkeypatch.setattr(bf, "solve_fp", _reference_solve_fp)
         monkeypatch.setattr(grp, "combine_cascade", _reference_combine)
         ref = two_stage_solve(ch, 4, opts=opts, p_max=cfg.power_watts)
-        assert np.array_equal(new.grouping.assignment, ref.grouping.assignment)
-        assert np.array_equal(new.trace, ref.trace)
-        assert np.array_equal(new.trace_steps, ref.trace_steps)
-        assert np.array_equal(new.precoder.w, ref.precoder.w)
-        assert np.array_equal(new.rcv.phases, ref.rcv.phases)
-        assert new.wsr_bits == ref.wsr_bits and new.iterations == ref.iterations
+        _assert_same_two_stage(new, ref)
+
+
+def _assert_same_two_stage(a, b):
+    assert np.array_equal(a.grouping.assignment, b.grouping.assignment)
+    assert np.array_equal(a.trace, b.trace)
+    assert np.array_equal(a.trace_steps, b.trace_steps)
+    assert np.array_equal(a.precoder.w, b.precoder.w)
+    assert np.array_equal(a.rcv.phases, b.rcv.phases)
+    assert a.wsr_bits == b.wsr_bits and a.iterations == b.iterations
+
+
+# ---------------------------------------------------------------------------
+# Stage 1 against the arc search followed by the relaxed-program refinement
+
+
+def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relaxed_calls):
+    """Arc search, then up to one relaxed-program refinement kept only if it
+    raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
+    15 projected-gradient steps, the incumbent as an extra start)."""
+    from iegirs import grouping as grp
+    n = channels.num_elements
+    k_users = channels.num_users
+    cascades_stat = np.stack([channels.cascade_stat(k) for k in range(k_users)])
+    arc = bf._aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
+    best_rate, g, stat_state = -np.inf, None, None
+    for seed_g in (grp.adjacent_grouping(n, q), arc):
+        rate, state = bf._statistical_solve(channels, cascades_stat, seed_g, weights, p_max, opts)
+        if rate > best_rate:
+            best_rate, g, stat_state = rate, seed_g, state
+    for _ in range(3):
+        candidates = [bf._arc_from_solved(cascades_stat, stat_state, weights, q)]
+        for k in range(k_users):
+            ramp = cascades_stat[k] @ stat_state[0][:, k]
+            candidates.append(bf._arc_from_phases(np.angle(ramp), q))
+        improved = False
+        for candidate in candidates:
+            if np.array_equal(candidate.assignment, g.assignment):
+                continue
+            rate, state = bf._statistical_solve(channels, cascades_stat, candidate, weights,
+                                                p_max, opts, warm=stat_state)
+            if rate > best_rate:
+                best_rate, g, stat_state = rate, candidate, state
+                improved = True
+        if not improved:
+            break
+    relaxed_calls.append(q)
+    refined = grp.relaxed_qp_grouping(cascades_stat, channels.h_bu_stat, stat_state[0],
+                                      stat_state[1], stat_state[2], q, weights=weights,
+                                      rho=1.0, max_rounds=20, pg_steps=15, extra_starts=(g,))
+    if not np.array_equal(refined.assignment, g.assignment):
+        rate, state = bf._statistical_solve(channels, cascades_stat, refined, weights, p_max, opts)
+        if rate > best_rate:
+            g, stat_state = refined, state
+    return g, cascades_stat, stat_state
+
+
+def _stage1_scene(case):
+    """(channels, Q, p_max) of trial t of a seeded scene (c11's seed and layout).
+
+    Where a trial among the first eight has one, t is a trial whose grouping
+    a per-user arc (or, at 30 dBm, a later search round) decides.
+    """
+    from iegirs.config import trial_seed_sequence
+    trial, kw = {"c11_n256": (0, dict(N=256)), "c11_n1024": (3, dict(N=1024)),
+                 "q2": (0, dict(N=256, Q=2)), "q16": (2, dict(N=256, Q=16)),
+                 "unobscured": (6, dict(N=256, scenario="unobscured")),
+                 "kappa0.1": (6, dict(N=256, kappa_bi=0.1, kappa_iu=0.1, kappa_bu=0.1)),
+                 "kappa10": (1, dict(N=256, kappa_bi=10.0, kappa_iu=10.0, kappa_bu=10.0)),
+                 "30dBm": (4, dict(N=256, power_dbm=30.0))}[case]
+    cfg = ScenarioConfig(**{"Q": 4, "seed": 11, **kw})
+    rng = np.random.default_rng(trial_seed_sequence(cfg.seed, trial).spawn(1)[0])
+    return build_scenario(cfg, rng), cfg.Q, cfg.power_watts
+
+
+class TestStage1BitExact:
+    @pytest.mark.parametrize("case", ["c11_n256", "c11_n1024", "q2", "q16", "unobscured",
+                                      "kappa0.1", "kappa10", "30dBm"])
+    def test_matches_relaxed_refinement_reference(self, case, monkeypatch):
+        ch, q, p_max = _stage1_scene(case)
+        new = two_stage_solve(ch, q, p_max=p_max)
+        calls = []
+
+        def reference(channels, q, opts, weights, p_max):
+            return _reference_grouping_from_statistics(channels, q, opts, weights, p_max, calls)
+
+        monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
+        ref = two_stage_solve(ch, q, p_max=p_max)
+        assert calls == [q]
+        _assert_same_two_stage(new, ref)
 
 
 class TestReflectionVectorValues:

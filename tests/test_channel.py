@@ -212,9 +212,13 @@ class TestScenarioConfig:
 
     def test_budget_ordering_enforced(self):
         with pytest.raises(ValueError):
-            ScenarioConfig(N=16, Q=8, Q0=4)
-        with pytest.raises(ValueError):
             ScenarioConfig(N=4, Q=8)
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(ValueError, match="beam_hopping"):
+            ScenarioConfig(schemes=("ieg", "beam_hopping"))
+        with pytest.raises(ValueError, match="beam_hopping"):
+            ScenarioConfig.from_dict({"schemes": ["ieg", "beam_hopping"]})
 
     def test_scenario_enum(self):
         with pytest.raises(ValueError):

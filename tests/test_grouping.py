@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -265,17 +267,26 @@ class TestSimplexProjection:
         col = np.array([[0.2], [0.3], [0.5]])
         assert np.allclose(project_columns_to_simplex(col), col)
 
-    def test_matches_convex_solver(self):
-        cvxpy = pytest.importorskip("cvxpy")
+    def test_matches_brute_force_over_supports(self):
+        # the projection lies in the relative interior of one face, so it is
+        # the nearest feasible point among the affine projections onto the
+        # faces {x_S >= 0, sum(x_S) = 1, x = 0 off S}, one per support S
         rng = np.random.default_rng(10)
-        y = rng.standard_normal((4, 6)) * 2
+        y = np.hstack([rng.standard_normal((4, 300)) * 2,
+                       [[1.0, 0.0, 5.0, -1.0], [1.0, 0.0, -5.0, -1.0],
+                        [1.0, 0.0, 5.0, -1.0], [1.0, 0.0, 0.25, -3.0]]])
         p = project_columns_to_simplex(y)
         for j in range(y.shape[1]):
-            x = cvxpy.Variable(4)
-            prob = cvxpy.Problem(cvxpy.Minimize(cvxpy.sum_squares(x - y[:, j])),
-                                 [x >= 0, cvxpy.sum(x) == 1])
-            prob.solve()
-            assert np.allclose(p[:, j], x.value, atol=1e-6)
+            best_d, best_x = np.inf, None
+            for r in range(1, 5):
+                for support in itertools.combinations(range(4), r):
+                    idx = list(support)
+                    x = np.zeros(4)
+                    x[idx] = y[idx, j] - (y[idx, j].sum() - 1.0) / r
+                    d = ((x - y[:, j]) ** 2).sum()
+                    if (x >= 0).all() and d < best_d:
+                        best_d, best_x = d, x
+            assert np.allclose(p[:, j], best_x, rtol=0.0, atol=1e-12)
 
 
 def _single_user_statistical_instance(seed, n=64, q=4):

@@ -6,7 +6,7 @@ from iegirs import harness
 from iegirs.beamforming import SolverOptions
 from iegirs.channel import ChannelSet, build_scenario
 from iegirs.cli import main as cli_main
-from iegirs.config import ScenarioConfig, trial_seed_sequence
+from iegirs.config import SCHEMES, ScenarioConfig, trial_seed_sequence
 from iegirs.harness import (aggregate, recompute_wsr, rows_to_csv_text, run_monte_carlo,
                             run_scheme, sweep, write_csv)
 
@@ -46,9 +46,12 @@ class TestRunScheme:
     def test_realtime_dims_invariant_raises(self, monkeypatch):
         cfg = _tiny_config()
         channels = build_scenario(cfg, np.random.default_rng(0))
-        monkeypatch.setitem(harness.REALTIME_DIMS, "no_irs", 1)
+        monkeypatch.setitem(harness.SCHEME_DIMS, "aeg", lambda n, q: (q + 1, 0))
         with pytest.raises(RuntimeError, match="real-time dims"):
-            run_scheme("no_irs", channels, cfg, np.random.default_rng(1))
+            run_scheme("aeg", channels, cfg, np.random.default_rng(1))
+
+    def test_scheme_table_covers_config_schemes(self):
+        assert tuple(harness.SCHEME_DIMS) == SCHEMES
 
     def test_adjacent_at_full_groups_equals_ungrouped(self):
         cfg = _tiny_config(N=16, Q=16)
