@@ -9,8 +9,10 @@ updates are exact stationary points in that form); reported rates are
 bits/s/Hz.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,18 +20,61 @@ from . import grouping as grp
 from .grouping import GroupingMatrix
 
 
-@dataclass
+class AuxTerms(NamedTuple):
+    """Per-user terms of FPAuxiliaries under one weights vector (FPAuxiliaries.terms).
+
+    xi_sq is |xi|^2 by the array square and xi_sq_pow the same by scalar
+    float pow, as the per-user loops form it: the two differ in the last
+    bit for some values, and each consumer keeps the form it always used.
+    """
+
+    key: bytes                  # the weights, as bytes
+    two_alpha: np.ndarray       # 2 alpha, alpha = sqrt(weights (1 + varsigma))
+    alpha_xi: np.ndarray        # alpha xi
+    alpha_conj_xi: np.ndarray   # alpha conj(xi)
+    conj_xi: np.ndarray
+    xi_sq: np.ndarray
+    xi_sq_pow: tuple
+    fp_base: np.float64         # sum weights (log(1 + varsigma) - varsigma)
+
+
+@dataclass(frozen=True)
 class FPAuxiliaries:
-    """Ratio-transform auxiliaries: varsigma (K,) >= 0 and xi (K,) complex."""
+    """Ratio-transform auxiliaries: varsigma (K,) >= 0 and xi (K,) complex.
+
+    Immutable (its arrays are read-only copies), so the terms every block
+    of the alternating loop reads can be formed once: terms(weights) builds
+    them on first use and keeps them for the last weights seen.
+    """
 
     varsigma: np.ndarray
     xi: np.ndarray
 
     def __post_init__(self):
-        self.varsigma = np.asarray(self.varsigma, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=complex)
-        if (self.varsigma < 0).any() or not np.isfinite(self.varsigma).all():
+        varsigma = np.array(self.varsigma, dtype=float)
+        xi = np.array(self.xi, dtype=complex)
+        if (varsigma < 0).any() or not np.isfinite(varsigma).all():
             raise ValueError("varsigma must be finite and nonnegative")
+        varsigma.flags.writeable = False
+        xi.flags.writeable = False
+        object.__setattr__(self, "varsigma", varsigma)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "_terms", None)
+
+    def terms(self, weights):
+        """AuxTerms under weights, a float array; rebuilt only when the weights change."""
+        key = weights.tobytes()
+        t = self._terms
+        if t is None or t.key != key:
+            alpha = np.sqrt(weights * (1.0 + self.varsigma))
+            conj_xi = np.conj(self.xi)
+            mag = np.abs(self.xi)
+            t = AuxTerms(key=key, two_alpha=2.0 * alpha, alpha_xi=alpha * self.xi,
+                         alpha_conj_xi=alpha * conj_xi, conj_xi=conj_xi, xi_sq=mag ** 2,
+                         xi_sq_pow=tuple(m ** 2 for m in mag.tolist()),
+                         fp_base=(weights * (np.log1p(self.varsigma) - self.varsigma)).sum())
+            object.__setattr__(self, "_terms", t)
+        return t
 
 
 @dataclass
@@ -126,11 +171,10 @@ def _rx_stats(h, w, noise_power):
 
 def _fp_value(omega, inr, aux, weights):
     """Internal alternating objective from the received statistics (_rx_stats)."""
+    t = aux.terms(weights)
     chi = inr + np.abs(omega) ** 2
-    alpha = np.sqrt(weights * (1.0 + aux.varsigma))
-    val = (weights * (np.log1p(aux.varsigma) - aux.varsigma)).sum()
-    val += (2.0 * alpha * np.real(np.conj(aux.xi) * omega)).sum()
-    val -= (np.abs(aux.xi) ** 2 * chi).sum()
+    val = t.fp_base + (t.two_alpha * np.real(t.conj_xi * omega)).sum()
+    val -= (t.xi_sq * chi).sum()
     return float(val)
 
 
@@ -153,14 +197,17 @@ def update_auxiliaries(h, w, noise_power, weights):
 
 def _auxiliaries(omega, inr, weights):
     """update_auxiliaries from the received statistics (_rx_stats)."""
-    chi = inr + np.abs(omega) ** 2
+    mag = np.abs(omega)
+    mag2 = mag ** 2
+    chi = inr + mag2
     scale = np.sqrt(chi * inr)                # sqrt(chi^2 - |omega|^2 chi), cancellation-free
     if (scale <= 0).any() or not np.isfinite(scale).all():
         raise ValueError("ill-posed auxiliary update; check channel/noise inputs")
-    a = np.abs(omega) / scale
-    b = np.abs(omega) ** 2 / scale
+    a = mag / scale
+    b = mag2 / scale
     xi = np.sqrt(weights) * a * np.exp(1j * np.angle(omega))
-    varsigma = (b ** 2 + b * np.sqrt(b ** 2 + 4.0)) / 2.0
+    b2 = b ** 2
+    varsigma = (b2 + b * np.sqrt(b2 + 4.0)) / 2.0
     return FPAuxiliaries(varsigma=varsigma, xi=xi)
 
 
@@ -172,10 +219,9 @@ def precoder_objective(w, l0, z):
 
 def precoder_quadratic(aux, h, weights):
     """(L0, Z) of the precoder subproblem: maximize 2 Re tr(Z^H W) - sum w_k^H L0 w_k."""
-    weights = np.asarray(weights, dtype=float)
-    alpha = np.sqrt(weights * (1.0 + aux.varsigma))
-    z = (alpha * aux.xi)[None, :] * h.T       # columns z_k = alpha_k xi_k h_k
-    l0 = np.einsum("k,km,kn->mn", np.abs(aux.xi) ** 2, h, np.conj(h))
+    t = aux.terms(np.asarray(weights, dtype=float))
+    z = t.alpha_xi[None, :] * h.T             # columns z_k = alpha_k xi_k h_k
+    l0 = np.einsum("k,km,kn->mn", t.xi_sq, h, np.conj(h))
     return (l0 + l0.conj().T) / 2.0, z
 
 
@@ -243,16 +289,23 @@ def update_precoder(aux, h, weights, p_max, tol=1e-6):
     evals = np.maximum(evals, 0.0)
     c = vecs.conj().T @ z
     c2 = np.abs(c) ** 2
+    ev = evals[:, None]
+    ev2 = ev ** 2
 
-    zero = c2 == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p0 = float(np.where(zero, 0.0, c2 / (evals[:, None] ** 2)).sum())
-        if np.isfinite(p0) and p0 <= p_max:
-            w_free = np.where(zero, 0.0, c / evals[:, None])
-            return PrecodingMatrix(w=vecs @ w_free, p_max=p_max, lagrange=0.0)
+    if ev2[0, 0] > 0.0:
+        # evals ascend, so nothing divides by zero, and c2 / ev2 is 0.0
+        # wherever c2 is, as the masked form below gives
+        p0 = float((c2 / ev2).sum())
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p0 = float(np.where(c2 == 0.0, 0.0, c2 / ev2).sum())
+    if math.isfinite(p0) and p0 <= p_max:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_free = np.where(c2 == 0.0, 0.0, c / ev)
+        return PrecodingMatrix(w=vecs @ w_free, p_max=p_max, lagrange=0.0)
 
     def power_at(lam):
-        return float((c2 / (evals[:, None] + lam) ** 2).sum())
+        return float((c2 / (ev + lam) ** 2).sum())
 
     lo, hi = 0.0, None
     est = _newton_multiplier(evals, c2.sum(axis=1), p_max)
@@ -299,31 +352,44 @@ def update_precoder(aux, h, weights, p_max, tol=1e-6):
     if not abs(p_hi - p_max) <= tol * p_max:
         raise RuntimeError(f"precoder power {p_hi} misses the budget {p_max} "
                            f"by more than {tol} relative")
-    return PrecodingMatrix(w=vecs @ (c / (evals[:, None] + hi)), p_max=p_max, lagrange=hi)
+    return PrecodingMatrix(w=vecs @ (c / (ev + hi)), p_max=p_max, lagrange=hi)
 
 
-def build_rcv_quadratic(w, aux, c_hat, h_bu, weights):
+def build_rcv_quadratic(w, aux, c_hat, h_bu, weights, work=None):
     """Quadratic model (U, phi) of the reflection subproblem.
 
     The objective to maximize over unit-modulus v is -v^H U v - 2 Re{v^H phi};
-    U is Hermitian positive semidefinite.
+    U is Hermitian positive semidefinite. U is built in work[0] of work, a
+    (2, Q, Q) complex array, with work[1] as scratch; without it one is
+    allocated. A caller that reuses work keeps the (Q, Q) buffers off the
+    heap's trim path: freed and re-faulted on every call, they cost more
+    than the arithmetic at Q = 256.
+
+    The products run stacked over the users. Each slice of a stacked matmul
+    calls the BLAS kernel of the per-user product it replaces (gemm for
+    C_k W W^H and the (Q, Q) product, gemv for the vector products), so U
+    and phi keep the bits of the per-user loop; a gemm column can differ
+    from the matching gemv in the last bit, so the vector products are
+    never folded into a gemm. The (Q, Q) products stay per user, summed
+    into U in user order: a (K, Q, Q) stack is 4 MB at Q = 256.
     """
     k_users, q, _ = c_hat.shape
-    alpha = np.sqrt(np.asarray(weights, dtype=float) * (1.0 + aux.varsigma))
-    ww = w @ w.conj().T
-    u = np.zeros((q, q), dtype=complex)
+    t = aux.terms(np.asarray(weights, dtype=float))
+    if work is None:
+        work = np.empty((2, q, q), dtype=complex)
+    u, term = work
+    a = c_hat @ (w @ w.conj().T)                      # a_k = C_k W W^H
+    a_h = (a @ h_bu[:, :, None])[..., 0]              # a_k h_bu_k
+    c_w = (c_hat @ w.T[:, :, None])[..., 0]           # C_k w_k
+    c_conj_t = c_hat.conj().transpose(0, 2, 1)
+    u.fill(0.0)
     phi = np.zeros(q, dtype=complex)
     for k in range(k_users):
-        a_k = c_hat[k] @ ww
-        # one (Q, Q) temporary at a time, scaled in place with the bits of
-        # u += s * (a_k @ C^H): at large Q, glibc hands larger transient
-        # peaks back to the OS and every call page-faults them in again
-        term = a_k @ c_hat[k].conj().T
-        term *= np.abs(aux.xi[k]) ** 2
+        np.matmul(a[k], c_conj_t[k], out=term)
+        term *= t.xi_sq_pow[k]
         u += term
-        del term
-        phi += np.abs(aux.xi[k]) ** 2 * (a_k @ h_bu[k])
-        phi -= alpha[k] * np.conj(aux.xi[k]) * (c_hat[k] @ w[:, k])
+        phi += t.xi_sq_pow[k] * a_h[k]
+        phi -= t.alpha_conj_xi[k] * c_w[k]
     return u, phi
 
 
@@ -334,7 +400,7 @@ def rcv_objective(v, u, phi):
 
 def _rcv_value(v, uv, phi):
     """rcv_objective with the product uv = U v given."""
-    return float(-np.real(np.vdot(v, uv)) - 2.0 * np.real(np.vdot(v, phi)))
+    return float(-np.vdot(v, uv).real - 2.0 * np.vdot(v, phi).real)
 
 
 def mm_surrogate(v, v_t, u, lam):
@@ -359,9 +425,13 @@ def mm_step(v, u, phi, lam):
 
 
 def _mm_step(v, uv, phi, lam):
-    """mm_step with the product uv = U v given."""
+    """mm_step with the product uv = U v given.
+
+    Here and in _align_global_phase, arctan2(z.imag, z.real) is np.angle(z)
+    without its wrapper, which costs as much as the arithmetic at small Q.
+    """
     direction = (lam * v - uv) - phi
-    out = np.exp(1j * np.angle(direction))
+    out = np.exp(1j * np.arctan2(direction.imag, direction.real))
     out[direction == 0] = 1.0
     return _align_global_phase(out, phi)
 
@@ -376,7 +446,7 @@ def _align_global_phase(v, phi):
     s = np.vdot(v, phi)                       # v^H phi
     if s == 0:
         return v
-    return -np.exp(1j * np.angle(s)) * v
+    return -np.exp(1j * np.arctan2(s.imag, s.real)) * v
 
 
 def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
@@ -388,35 +458,45 @@ def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
     whenever the direct links are much weaker than the reflected path; one
     exact step per cycle removes that crawl. Power and unit-modulus
     feasibility are untouched.
+
+    The per-user products run stacked, each slice on the kernel of the
+    per-user product (see build_rcv_quadratic), and g sums the users in
+    order, so the angle keeps the bits of the per-user loop.
     """
-    k_users = h_bu.shape[0]
-    alpha = np.sqrt(np.asarray(weights, dtype=float) * (1.0 + aux.varsigma))
+    t = aux.terms(np.asarray(weights, dtype=float))
+    a = np.conj(rcv_values) @ (c_hat @ w)             # a[k]: reflected parts, all beams
+    b = (np.conj(h_bu)[:, None, :] @ w)[:, 0]         # b[k]: direct parts, all beams
+    cross = (np.conj(a) * b).sum(axis=1)
     g = 0.0 + 0.0j
-    for k in range(k_users):
-        a_row = np.conj(rcv_values) @ (c_hat[k] @ w)      # reflected parts, all beams
-        b_row = np.conj(h_bu[k]) @ w                      # direct parts, all beams
-        g += alpha[k] * np.conj(aux.xi[k]) * b_row[k]
-        g -= np.abs(aux.xi[k]) ** 2 * (np.conj(a_row) * b_row).sum()
+    for k in range(h_bu.shape[0]):
+        g += t.alpha_conj_xi[k] * b[k, k]
+        g -= t.xi_sq_pow[k] * cross[k]
     if g == 0:
         return rcv_values, w
     rot = np.exp(-1j * np.angle(g))
     return rot * rcv_values, rot * w
 
 
-def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
+def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10, work=None):
     """Reflection update by iterated majorization.
 
     Each step maximizes a tangent surrogate of the quadratic objective, so
     the true objective is non-decreasing across steps. Stops on relative
-    improvement below tol or after max_inner steps.
+    improvement below tol or after max_inner steps. work is the (2, Q, Q)
+    scratch of build_rcv_quadratic; U is checked and symmetrized in it.
     """
-    u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights)
-    skew = u.conj().T                         # check and symmetrize in place, as above
-    skew -= u                                 # -(u - u^H): the same norm, bit for bit
-    if np.linalg.norm(skew) > 1e-8 * max(1.0, np.linalg.norm(u)):
+    if work is None:
+        work = np.empty((2, c_hat.shape[1], c_hat.shape[1]), dtype=complex)
+    u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights, work=work)
+    scratch = work[1]
+    # the transposed skew conj(U) - U^T, so that its memory holds the
+    # entries of U^H - U in the order np.linalg.norm once summed them
+    np.conjugate(u, out=scratch)
+    scratch -= u.T
+    if _frobenius(scratch) > 1e-8 * max(1.0, _frobenius(u)):
         raise ValueError("reflection quadratic is not Hermitian")
-    del skew
-    u += u.conj().T
+    np.conjugate(u.T, out=scratch)
+    u += scratch
     u /= 2.0
     lam = top_eigenvalue(u)
     v = rcv.values if isinstance(rcv, ReflectionVector) else np.asarray(rcv)
@@ -431,6 +511,12 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
         if done:
             break
     return ReflectionVector(phases=np.angle(v))
+
+
+def _frobenius(x):
+    """np.linalg.norm(x) of a complex array, by the same operations."""
+    x = x.ravel(order="K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 @dataclass
@@ -508,6 +594,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
     w = np.asarray(w0, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     trace, trace_steps = [], []
+    work = np.empty((2, q, q), dtype=complex)   # the (Q, Q) buffers of every reflection update
     pm = None
     aux = None
     converged = False
@@ -522,7 +609,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
         trace_steps.append(_fp_value(*_rx_stats(h, w, noise_power), aux, weights))
         if q > 0:
             v = update_rcv_mm(v, w, aux, c_hat, h_bu, weights,
-                              max_inner=opts.mm_iters, tol=opts.mm_tol)
+                              max_inner=opts.mm_iters, tol=opts.mm_tol, work=work)
             rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu, weights)
             v = ReflectionVector(phases=np.angle(rotated))
         h = effective_channels(v.values, c_hat, h_bu)
@@ -560,10 +647,10 @@ def _arc_from_solved(cascades_stat, state, weights, q):
     """Arc partition of the cascade phases under the solved statistical
     precoders, each user's contribution rotated into its alignment frame."""
     w_stat, _, aux_stat = state
-    alpha = np.sqrt(np.asarray(weights, dtype=float) * (1.0 + aux_stat.varsigma))
+    alpha_conj_xi = aux_stat.terms(np.asarray(weights, dtype=float)).alpha_conj_xi
     agg = np.zeros(cascades_stat.shape[1], dtype=complex)
     for k in range(cascades_stat.shape[0]):
-        agg += alpha[k] * np.conj(aux_stat.xi[k]) * (cascades_stat[k] @ w_stat[:, k])
+        agg += alpha_conj_xi[k] * (cascades_stat[k] @ w_stat[:, k])
     return _arc_from_phases(np.angle(agg), q)
 
 
@@ -625,7 +712,12 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
     # candidate arcs, all ranked by warm-started statistical solves: the
     # mixed-user fixed point (regroup under the solved precoders) plus one
     # arc per user (serving a single user's ramp coherently can beat any
-    # cross-user compromise when the direct links already carry the rest)
+    # cross-user compromise when the direct links already carry the rest).
+    # A solve is deterministic in (candidate, warm state), and one that did
+    # not raise best_rate left stat_state as it was, so an assignment
+    # already solved from the current stat_state is skipped: its rate is
+    # known not to win.
+    solved = set()
     for _ in range(3):
         candidates = [_arc_from_solved(cascades_stat, stat_state, weights, q)]
         for k in range(k_users):
@@ -633,13 +725,16 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
             candidates.append(_arc_from_phases(np.angle(ramp), q))
         improved = False
         for candidate in candidates:
-            if np.array_equal(candidate.assignment, g.assignment):
+            key = candidate.assignment.tobytes()
+            if key in solved or np.array_equal(candidate.assignment, g.assignment):
                 continue
             rate, state = _statistical_solve(channels, cascades_stat, candidate, weights,
                                              p_max, opts, warm=stat_state)
+            solved.add(key)
             if rate > best_rate:
                 best_rate, g, stat_state = rate, candidate, state
                 improved = True
+                solved.clear()
         if not improved:
             break
     return g, cascades_stat, stat_state

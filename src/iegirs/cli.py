@@ -28,6 +28,11 @@ def _load_config(args):
     return cfg.replace(**overrides) if overrides else cfg
 
 
+def _report_unconverged(rows):
+    capped = sum(not r.converged for r in rows)
+    print(f"{capped} of {len(rows)} solves stopped at max_outer without converging")
+
+
 def _cmd_simulate(args):
     cfg = _load_config(args)
     rows = harness.run_monte_carlo(cfg, opts=None, out=args.out,
@@ -37,6 +42,7 @@ def _cmd_simulate(args):
         for agg in harness.aggregate(rows):
             print(f"{agg['scheme']:12s} mean WSR {agg['wsr_mean']:.4f} bits/s/Hz "
                   f"(+- {agg['wsr_stderr']:.4f}, {agg['n_trials']} trials)")
+        _report_unconverged(rows)
         print(f"rows written to {args.out}")
     return 0
 
@@ -44,9 +50,10 @@ def _cmd_simulate(args):
 def _cmd_sweep(args):
     cfg = _load_config(args)
     values = [float(v) for v in args.values.split(",")]
-    harness.sweep(args.axis, values, cfg, out=args.out, record_timings=args.timings,
-                  log=None if args.quiet else sys.stderr)
+    rows = harness.sweep(args.axis, values, cfg, out=args.out, record_timings=args.timings,
+                         log=None if args.quiet else sys.stderr)
     if not args.quiet:
+        _report_unconverged(rows)
         print(f"rows written to {args.out} (aggregate alongside)")
     return 0
 

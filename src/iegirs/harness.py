@@ -52,6 +52,7 @@ class TrialResult:
     iterations: int
     runtime_ms: float
     realtime_dims: int
+    converged: bool             # False if the loop stopped at max_outer; not in the CSV
     grouping: list | None = None
     artifacts: dict = field(default_factory=dict)
 
@@ -129,7 +130,8 @@ def run_scheme(scheme, channels, config, rng, opts=None):
     return TrialResult(
         scheme=scheme, axis="", axis_value=0.0, N=config.N, Q=q, trial=0, seed=0,
         wsr_bits=res.wsr_bits, iterations=res.iterations, runtime_ms=runtime_ms,
-        realtime_dims=realtime, grouping=grouping_ser, artifacts=artifacts,
+        realtime_dims=realtime, converged=res.converged, grouping=grouping_ser,
+        artifacts=artifacts,
     )
 
 

@@ -550,6 +550,21 @@ def _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights):
     return u, phi
 
 
+def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
+    """Shared-rotation line search with every product formed per user."""
+    alpha = np.sqrt(np.asarray(weights, dtype=float) * (1.0 + aux.varsigma))
+    g = 0.0 + 0.0j
+    for k in range(h_bu.shape[0]):
+        a_row = np.conj(rcv_values) @ (c_hat[k] @ w)
+        b_row = np.conj(h_bu[k]) @ w
+        g += alpha[k] * np.conj(aux.xi[k]) * b_row[k]
+        g -= np.abs(aux.xi[k]) ** 2 * (np.conj(a_row) * b_row).sum()
+    if g == 0:
+        return rcv_values, w
+    rot = np.exp(-1j * np.angle(g))
+    return rot * rcv_values, rot * w
+
+
 def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
     """Reflection update that forms U, its symmetrization and U v anew in every step."""
     u, phi = _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights)
@@ -585,7 +600,8 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
         if c_hat.shape[1] > 0:
             v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, weights,
                                   max_inner=opts.mm_iters, tol=opts.mm_tol)
-            rotated, w = bf.joint_phase_rotation(np.exp(1j * v.phases), w, aux, c_hat, h_bu, weights)
+            rotated, w = _reference_joint_phase_rotation(np.exp(1j * v.phases), w, aux, c_hat,
+                                                         h_bu, weights)
             v = ReflectionVector(phases=np.angle(rotated))
         current = fp_objective(np.exp(1j * v.phases), w, aux, c_hat, h_bu, noise_power, weights)
         steps.append(current)
@@ -655,12 +671,79 @@ class TestLoopBitExact:
 
     def test_rcv_quadratic_matches_reference(self):
         rng = np.random.default_rng(22)
-        for k, m, q in ((1, 1, 1), (3, 2, 16), (4, 4, 256)):
+        shapes = [(1, 1, 1), (3, 2, 16), (4, 4, 256)]
+        shapes += [(k, m, q) for k in range(1, 6) for m in range(1, 6) for q in (1, 5)]
+        for k, m, q in shapes:
             c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=k, m=m, q=q)
-            for stack in (c_hat, np.concatenate([c_hat, c_hat], axis=1)[:, :q]):
+            for stack in _strided_stacks(c_hat):
                 u, phi = build_rcv_quadratic(w, aux, stack, h_bu, np.ones(k))
                 u_ref, phi_ref = _reference_rcv_quadratic(w, aux, stack, h_bu, np.ones(k))
                 assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
+
+    def test_hermitian_check_norms_match_linalg(self):
+        rng = np.random.default_rng(26)
+        for q in (1, 4, 37, 256):
+            u = random_complex(rng, (q, q))
+            for view in (u, u.T, u.conj().T):
+                assert bf._frobenius(view) == np.linalg.norm(view)
+            skew = u.conj().T                       # the skew as update_rcv_mm once formed it
+            skew -= u
+            scratch = np.empty_like(u)
+            np.conjugate(u, out=scratch)
+            scratch -= u.T
+            assert bf._frobenius(scratch) == np.linalg.norm(skew)
+
+    def test_joint_phase_rotation_matches_reference(self):
+        rng = np.random.default_rng(23)
+        for k in range(1, 6):
+            for m in range(1, 6):
+                for q in (1, 5, 64):
+                    c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=k, m=m, q=q)
+                    v = np.exp(1j * rng.uniform(0.0, 2 * np.pi, q))
+                    for stack in _strided_stacks(c_hat):
+                        args = (v, w, aux, stack, h_bu, rng.uniform(0.5, 2.0, k))
+                        v_new, w_new = bf.joint_phase_rotation(*args)
+                        v_ref, w_ref = _reference_joint_phase_rotation(*args)
+                        assert np.array_equal(v_new, v_ref) and np.array_equal(w_new, w_ref)
+
+    def test_scalar_pow_xi_kept(self):
+        # |xi|^2 of this xi is 0.8472001102896298 by scalar pow and
+        # 0.8472001102896299 by the array square: the per-user terms keep
+        # the scalar form the per-user loops used
+        xi0 = 0.9084019250927495 + 0.14834437224720298j
+        assert float(np.abs(xi0)) ** 2 == 0.8472001102896298
+        assert (np.abs(np.array([xi0])) ** 2)[0] == 0.8472001102896299
+        rng = np.random.default_rng(24)
+        c_hat, h_bu, w, _ = _random_rcv_instance(rng, k=3, m=2, q=6)
+        aux = FPAuxiliaries(varsigma=np.array([0.7, 1.3, 0.2]),
+                            xi=np.array([xi0, 0.3 - 0.8j, -0.5 + 0.1j]))
+        weights = np.array([1.0, 0.5, 2.0])
+        assert aux.terms(weights).xi_sq_pow[0] == 0.8472001102896298
+        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights)
+        u_ref, phi_ref = _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights)
+        assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
+        v = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 6))
+        got = bf.joint_phase_rotation(v, w, aux, c_hat, h_bu, weights)
+        ref = _reference_joint_phase_rotation(v, w, aux, c_hat, h_bu, weights)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_aux_terms_follow_the_weights(self):
+        rng = np.random.default_rng(25)
+        c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=3, m=2, q=4)
+        weights = np.ones(3)
+        for new_weights in (np.array([1.0, 2.0, 0.5]), np.array([3.0, 1.0, 1.0]), np.ones(3)):
+            weights[:] = new_weights                    # the same array, changed in place
+            fresh = FPAuxiliaries(varsigma=aux.varsigma, xi=aux.xi)
+            assert np.array_equal(aux.terms(weights).two_alpha,
+                                  2.0 * np.sqrt(new_weights * (1.0 + aux.varsigma)))
+            for fn in (lambda a: build_rcv_quadratic(w, a, c_hat, h_bu, weights),
+                       lambda a: precoder_quadratic(a, h_bu, weights)):
+                for got, ref in zip(fn(aux), fn(fresh)):
+                    assert np.array_equal(got, ref)
+            stats = bf._rx_stats(h_bu, w, 0.1)
+            assert bf._fp_value(*stats, aux, weights) == bf._fp_value(*stats, fresh, weights)
+        with pytest.raises(ValueError):
+            aux.xi[0] = 0.0                             # read-only: the terms cannot go stale
 
     @pytest.mark.parametrize("grouping", ["arc-search", "phase-partition"])
     def test_two_stage_solve_matches_reference(self, grouping, monkeypatch):
@@ -673,6 +756,12 @@ class TestLoopBitExact:
         monkeypatch.setattr(grp, "combine_cascade", _reference_combine)
         ref = two_stage_solve(ch, 4, opts=opts, p_max=cfg.power_watts)
         _assert_same_two_stage(new, ref)
+
+
+def _strided_stacks(c_hat):
+    """c_hat itself and the same values as a strided (K, Q, M) view, as uirs_q slices them."""
+    q = c_hat.shape[1]
+    return c_hat, np.concatenate([c_hat, c_hat], axis=1)[:, :q]
 
 
 def _assert_same_two_stage(a, b):
@@ -688,10 +777,11 @@ def _assert_same_two_stage(a, b):
 # Stage 1 against the arc search followed by the relaxed-program refinement
 
 
-def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relaxed_calls):
-    """Arc search, then up to one relaxed-program refinement kept only if it
-    raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
-    15 projected-gradient steps, the incumbent as an extra start)."""
+def _reference_arc_search(channels, q, opts, weights, p_max):
+    """The arc search that solves every candidate, repeats included.
+
+    Returns (grouping, stacked statistical cascades, statistical state, rate).
+    """
     from iegirs import grouping as grp
     n = channels.num_elements
     k_users = channels.num_users
@@ -718,6 +808,16 @@ def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relax
                 improved = True
         if not improved:
             break
+    return g, cascades_stat, stat_state, best_rate
+
+
+def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relaxed_calls):
+    """Arc search, then up to one relaxed-program refinement kept only if it
+    raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
+    15 projected-gradient steps, the incumbent as an extra start)."""
+    from iegirs import grouping as grp
+    g, cascades_stat, stat_state, best_rate = _reference_arc_search(channels, q, opts, weights,
+                                                                    p_max)
     relaxed_calls.append(q)
     refined = grp.relaxed_qp_grouping(cascades_stat, channels.h_bu_stat, stat_state[0],
                                       stat_state[1], stat_state[2], q, weights=weights,
@@ -733,7 +833,9 @@ def _stage1_scene(case):
     """(channels, Q, p_max) of trial t of a seeded scene (c11's seed and layout).
 
     Where a trial among the first eight has one, t is a trial whose grouping
-    a per-user arc (or, at 30 dBm, a later search round) decides.
+    a per-user arc (or, at 30 dBm, a later search round) decides. In
+    "30dBm_t3", a candidate solved before an improvement comes back after
+    it and wins, so the repeat record must be cleared when the state moves.
     """
     from iegirs.config import trial_seed_sequence
     trial, kw = {"c11_n256": (0, dict(N=256)), "c11_n1024": (3, dict(N=1024)),
@@ -741,7 +843,8 @@ def _stage1_scene(case):
                  "unobscured": (6, dict(N=256, scenario="unobscured")),
                  "kappa0.1": (6, dict(N=256, kappa_bi=0.1, kappa_iu=0.1, kappa_bu=0.1)),
                  "kappa10": (1, dict(N=256, kappa_bi=10.0, kappa_iu=10.0, kappa_bu=10.0)),
-                 "30dBm": (4, dict(N=256, power_dbm=30.0))}[case]
+                 "30dBm": (4, dict(N=256, power_dbm=30.0)),
+                 "30dBm_t3": (3, dict(N=256, power_dbm=30.0))}[case]
     cfg = ScenarioConfig(**{"Q": 4, "seed": 11, **kw})
     rng = np.random.default_rng(trial_seed_sequence(cfg.seed, trial).spawn(1)[0])
     return build_scenario(cfg, rng), cfg.Q, cfg.power_watts
@@ -761,6 +864,28 @@ class TestStage1BitExact:
         monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
         ref = two_stage_solve(ch, q, p_max=p_max)
         assert calls == [q]
+        _assert_same_two_stage(new, ref)
+
+    @pytest.mark.parametrize("case, skipped", [("c11_n256", 2), ("q2", 2), ("30dBm_t3", 0)])
+    def test_repeat_candidates_skipped(self, case, skipped, monkeypatch):
+        ch, q, p_max = _stage1_scene(case)
+        solves = []
+        solve = bf._statistical_solve
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bf, "_statistical_solve", counted)
+        new = two_stage_solve(ch, q, p_max=p_max)
+        n_new = len(solves)
+
+        def reference(channels, q, opts, weights, p_max):
+            return _reference_arc_search(channels, q, opts, weights, p_max)[:3]
+
+        monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
+        ref = two_stage_solve(ch, q, p_max=p_max)
+        assert len(solves) - 2 * n_new == skipped
         _assert_same_two_stage(new, ref)
 
 

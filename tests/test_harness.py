@@ -53,6 +53,17 @@ class TestRunScheme:
     def test_scheme_table_covers_config_schemes(self):
         assert tuple(harness.SCHEME_DIMS) == SCHEMES
 
+    def test_capped_solve_flagged_outside_csv(self):
+        cfg = _tiny_config(schemes=("ieg", "aeg", "uirs_q"), trials=1)
+        rows = run_monte_carlo(cfg)
+        capped = run_monte_carlo(cfg, opts=SolverOptions(max_outer=2))
+        assert all(r.converged and r.iterations > 2 for r in rows)
+        assert not any(r.converged for r in capped)
+        assert all(r.iterations == 2 for r in capped)
+        lines = rows_to_csv_text(capped).splitlines()          # the flag is not a CSV column
+        assert lines[0] == ",".join(harness.CSV_HEADER)
+        assert [len(line.split(",")) for line in lines] == [len(harness.CSV_HEADER)] * 4
+
     def test_adjacent_at_full_groups_equals_ungrouped(self):
         cfg = _tiny_config(N=16, Q=16)
         ch = build_scenario(cfg, np.random.default_rng(3))
@@ -235,6 +246,22 @@ class TestCli:
         assert rc == 0
         assert out.exists()
         assert "mean WSR" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_capped_solves_reported(self, tmp_path, capsys, monkeypatch, command):
+        cfg_path = self._write_config(tmp_path)
+        monkeypatch.setattr(harness.bf, "SolverOptions", lambda: SolverOptions(max_outer=2))
+        args = {"simulate": ["simulate"], "sweep": ["sweep", "--axis", "groups", "--values", "2"]}
+        capped = sum(not r.converged
+                     for r in run_monte_carlo(_tiny_config(schemes=("aeg", "no_irs")),
+                                              opts=SolverOptions(max_outer=2)))
+        assert capped > 0
+        out = tmp_path / "out.csv"
+        assert cli_main(args[command] + ["--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (f"{capped} of 4 solves stopped at max_outer without converging"
+                in capsys.readouterr().out)
+        cli_main(args[command] + ["--config", str(cfg_path), "--out", str(out), "--quiet"])
+        assert "max_outer" not in capsys.readouterr().out
 
     def test_simulate_trial_override(self, tmp_path):
         cfg_path = self._write_config(tmp_path)
