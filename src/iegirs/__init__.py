@@ -6,9 +6,9 @@ from .beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector, Solv
                           SolveResult, two_stage_solve, wsr)
 from .channel import ChannelSet, RicianLink, build_scenario, path_loss_db
 from .config import ScenarioConfig
-from .grouping import (GroupingMatrix, adjacent_grouping, circular_knn_grouping,
-                       combine_cascade, count_groupings, identity_grouping,
-                       phase_partition_grouping, relaxed_qp_grouping, validate)
+from .grouping import (GroupingMatrix, adjacent_grouping, combine_cascade, count_groupings,
+                       identity_grouping, phase_partition_grouping, relaxed_qp_grouping,
+                       validate)
 from .harness import TrialResult, run_monte_carlo, run_scheme, sweep
 from .mathkit import array_response, group_shrink_factor, laguerre_half, virtual_los_direction
 

@@ -100,28 +100,33 @@ def performance_loss(kappa_bi, kappa_iu, mu):
     return float(1.0 - num / den)
 
 
-def _ramp_links(n, delta_ramp, inputs):
-    """Two Rician links whose cascade phase ramp advances by 2*pi*delta_ramp."""
-    theta = np.arcsin(delta_ramp)
+# Per-element advance of the deterministic cascade phase ramp, in turns: an
+# irrational advance, so the elements' fractional positions equidistribute.
+DELTA_RAMP = 1.0 / np.sqrt(2.0)
+# Tolerances of the combined-cascade law check: relative modulus error of the
+# mean (and its phase error as a share of the group arc 2*pi/Q), and relative
+# per-entry variance error.
+MEAN_TOL = 0.05
+VAR_TOL = 0.10
+
+
+def _ramp_links(n, inputs):
+    """Two Rician links whose cascade phase ramp advances by 2*pi*DELTA_RAMP."""
+    theta = np.arcsin(DELTA_RAMP)
     los = array_response(n, theta)
     link_bi = RicianLink(delta=inputs.delta_bi, kappa=inputs.kappa_bi, los=los)
     link_iu = RicianLink(delta=inputs.delta_iu, kappa=inputs.kappa_iu, los=los.copy())
     return link_bi, link_iu
 
 
-def simulate_grouped_cascades(inputs, trials, rng, delta_ramp=None, grouping=None):
+def simulate_grouped_cascades(inputs, trials, rng):
     """Monte Carlo draws of the combined grouped cascade, shape (trials, Q).
 
-    The deterministic cascade component is a phase ramp with per-element
-    advance 2*pi*delta_ramp (default 1/sqrt(2), an irrational advance whose
-    fractional positions equidistribute); the grouping defaults to the
-    equal-arc phase partition for that ramp.
+    The deterministic cascade component is the DELTA_RAMP phase ramp, and
+    the grouping is the equal-arc phase partition for that ramp.
     """
-    if delta_ramp is None:
-        delta_ramp = 1.0 / np.sqrt(2.0)
-    link_bi, link_iu = _ramp_links(inputs.N, delta_ramp, inputs)
-    if grouping is None:
-        grouping = phase_partition_grouping(delta_ramp, inputs.N, inputs.Q)
+    link_bi, link_iu = _ramp_links(inputs.N, inputs)
+    grouping = phase_partition_grouping(DELTA_RAMP, inputs.N, inputs.Q)
     out = np.empty((trials, inputs.Q), dtype=complex)
     for t in range(trials):
         c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
@@ -129,15 +134,15 @@ def simulate_grouped_cascades(inputs, trials, rng, delta_ramp=None, grouping=Non
     return out
 
 
-def simulate_grouped_gain(inputs, trials, rng, delta_ramp=None):
+def simulate_grouped_gain(inputs, trials, rng):
     """Mean simulated phase-aligned gain ||grouped cascade||_1^2."""
-    samples = simulate_grouped_cascades(inputs, trials, rng, delta_ramp=delta_ramp)
+    samples = simulate_grouped_cascades(inputs, trials, rng)
     return float(np.mean(np.abs(samples).sum(axis=1) ** 2))
 
 
 def simulate_ungrouped_gain(q, inputs, trials, rng):
     """Mean simulated phase-aligned gain of an ungrouped q-element surface."""
-    link_bi, link_iu = _ramp_links(q, 1.0 / np.sqrt(2.0), inputs)
+    link_bi, link_iu = _ramp_links(q, inputs)
     gains = np.empty(trials)
     for t in range(trials):
         c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
@@ -174,17 +179,16 @@ def _kurtosis(x):
     return float(np.mean(d2 ** 2) / np.mean(d2) ** 2)
 
 
-def validate_combined_cascade_monte_carlo(inputs, trials, rng, delta_ramp=None,
-                                mean_tol=0.05, var_tol=0.10):
+def validate_combined_cascade_monte_carlo(inputs, trials, rng):
     """Monte Carlo check of the combined-cascade distribution.
 
     Draws the grouped cascade under the equal-arc partition, then compares
-    the empirical mean (modulus within mean_tol relative, phase within
-    mean_tol of the group arc 2*pi/Q) and per-entry variance (within var_tol
+    the empirical mean (modulus within MEAN_TOL relative, phase within
+    MEAN_TOL of the group arc 2*pi/Q) and per-entry variance (within VAR_TOL
     relative) against the closed form. Also reports the kurtosis of the
     centered real/imaginary parts as a normality proxy (3 for a Gaussian).
     """
-    samples = simulate_grouped_cascades(inputs, trials, rng, delta_ramp=delta_ramp)
+    samples = simulate_grouped_cascades(inputs, trials, rng)
     mean_pred, var_pred = combined_cascade_distribution(inputs)
     mean_emp = samples.mean(axis=0)
     centered = samples - mean_emp[None, :]
@@ -194,7 +198,7 @@ def validate_combined_cascade_monte_carlo(inputs, trials, rng, delta_ramp=None,
         modulus_err = float(np.max(np.abs(np.abs(mean_emp) - np.abs(mean_pred)) / np.abs(mean_pred)))
         dphi = np.angle(mean_emp * np.conj(mean_pred))
         phase_err = float(np.max(np.abs(dphi)))
-        mean_ok = modulus_err <= mean_tol and phase_err <= mean_tol * (2 * np.pi / inputs.Q)
+        mean_ok = modulus_err <= MEAN_TOL and phase_err <= MEAN_TOL * (2 * np.pi / inputs.Q)
     else:
         # vanishing predicted mean: require the empirical mean to be small
         # against the per-entry standard deviation
@@ -204,7 +208,7 @@ def validate_combined_cascade_monte_carlo(inputs, trials, rng, delta_ramp=None,
     variance_err = float(np.max(np.abs(var_emp - var_pred) / var_pred))
     kurt_re = _kurtosis(centered.real.ravel())
     kurt_im = _kurtosis(centered.imag.ravel())
-    passed = bool(mean_ok and variance_err <= var_tol)
+    passed = bool(mean_ok and variance_err <= VAR_TOL)
     return CascadeLawReport(passed=passed, mean_pred=mean_pred, mean_emp=mean_emp,
                         modulus_err=modulus_err, phase_err=phase_err,
                         variance_pred=var_pred, variance_emp=var_emp,

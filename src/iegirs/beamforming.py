@@ -129,18 +129,8 @@ def effective_channels(rcv_values, c_hat, h_bu):
     return np.matmul(c_hat.conj().transpose(0, 2, 1), np.asarray(rcv_values)) + h_bu
 
 
-def sinr(h, w, k, noise_power):
-    """SINR of user k: |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + noise)."""
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
-    rx = np.conj(h[k]) @ w
-    cross = np.abs(rx) ** 2
-    signal = cross[k]
-    return float(signal / (np.sum(cross) - signal + noise_power))
-
-
 def sinr_all(h, w, noise_power):
-    """All users' SINRs at once."""
+    """SINRs |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + noise) of all users, shape (K,)."""
     if noise_power <= 0:
         raise ValueError("noise power must be positive")
     rx = np.conj(h) @ w                       # rx[k, j] = h_k^H w_j
@@ -209,12 +199,6 @@ def _auxiliaries(omega, inr, weights):
     b2 = b ** 2
     varsigma = (b2 + b * np.sqrt(b2 + 4.0)) / 2.0
     return FPAuxiliaries(varsigma=varsigma, xi=xi)
-
-
-def precoder_objective(w, l0, z):
-    """Concave precoder objective 2 Re tr(Z^H W) - sum_k w_k^H L0 w_k."""
-    return float(2.0 * np.real(np.vdot(z, w))
-                 - np.real(np.einsum("mk,mn,nk->", w.conj(), l0, w)))
 
 
 def precoder_quadratic(aux, h, weights):
@@ -527,9 +511,6 @@ class SolverOptions:
     max_outer: int = 200
     mm_iters: int = 30
     mm_tol: float = 1e-9
-    grouping: str = "arc-search"     # arc-search | phase-partition | adjacent | identity
-    random_init: bool = False
-    init_seed: int | None = None
 
 
 @dataclass
@@ -626,11 +607,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
 
 
 def _arc_from_phases(phases, q):
-    frac = np.mod(-np.asarray(phases) / (2 * np.pi), 1.0)
-    g = GroupingMatrix(assignment=grp.arc_assignment(frac, q), num_groups=q)
-    if grp.validate(g) is not None:
-        g.repairs = grp.repair_empty_by_arc(g.assignment, q, frac)
-    return g
+    return grp.arc_grouping(np.mod(-np.asarray(phases) / (2 * np.pi), 1.0), q)
 
 
 def _aggregate_arc_grouping(cascades_stat, h_bu_stat, weights, q):
@@ -678,36 +655,31 @@ def _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, warm=No
     return rate, (pm.w, v_stat.values, aux_stat)
 
 
-def _grouping_from_statistics(channels, q, opts, weights, p_max):
-    """Stage-1 grouping choice from statistical CSI.
+def _stat_cascades(channels):
+    """Statistical per-element cascades of all users, shape (K, N, M)."""
+    return np.stack([channels.cascade_stat(k) for k in range(channels.num_users)])
 
-    Returns (grouping, stacked statistical cascades, statistical solver state
-    or None). The arc search solves the alternating loop on the deterministic
-    channels at the better of two seed groupings (adjacent blocks vs the
-    beam-domain arc partition of the aggregate cascade phase), then ranks
-    candidate arcs by warm-started statistical solves and keeps any that
-    raises the statistical rate, for up to three rounds.
+
+def _grouping_from_statistics(channels, q, opts, weights, p_max):
+    """Stage-1 arc search on statistical CSI.
+
+    Returns (grouping, stacked statistical cascades, statistical solver
+    state). It solves the alternating loop on the deterministic channels at
+    one seed grouping, the beam-domain arc partition of the aggregate cascade
+    phase, then ranks candidate arcs by warm-started statistical solves and
+    keeps any that raises the statistical rate, for up to three rounds. At
+    Q == N, where every grouping relabels the identity, the seed is adjacent
+    blocks (the identity itself): a relabelled arc seed reaches the same
+    rate up to the order of its sums, so only its last bits would differ.
     """
     n = channels.num_elements
     k_users = channels.num_users
-    cascades_stat = np.stack([channels.cascade_stat(k) for k in range(k_users)])
-    if opts.grouping == "identity":
-        if q != n:
-            raise ValueError("identity grouping requires Q == N")
-        return grp.identity_grouping(n), cascades_stat, None
-    if opts.grouping == "adjacent":
-        return grp.adjacent_grouping(n, q), cascades_stat, None
-    if opts.grouping not in ("phase-partition", "arc-search"):
-        raise ValueError(f"unknown grouping method {opts.grouping!r}")
-    arc = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
-    if opts.grouping == "phase-partition":
-        return arc, cascades_stat, None
-
-    best_rate, g, stat_state = -np.inf, None, None
-    for seed_g in (grp.adjacent_grouping(n, q), arc):
-        rate, state = _statistical_solve(channels, cascades_stat, seed_g, weights, p_max, opts)
-        if rate > best_rate:
-            best_rate, g, stat_state = rate, seed_g, state
+    cascades_stat = _stat_cascades(channels)
+    if q == n:
+        g = grp.adjacent_grouping(n, q)
+    else:
+        g = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
+    best_rate, stat_state = _statistical_solve(channels, cascades_stat, g, weights, p_max, opts)
 
     # candidate arcs, all ranked by warm-started statistical solves: the
     # mixed-user fixed point (regroup under the solved precoders) plus one
@@ -740,36 +712,44 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
     return g, cascades_stat, stat_state
 
 
-def two_stage_solve(channels, q, opts=None, p_max=None, weights=None):
+def two_stage_solve(channels, q, opts=None, p_max=None, weights=None, grouping=None):
     """End-to-end solve: statistical grouping, then alternating beamforming.
 
-    Stage 1 picks the grouping from statistical CSI per opts.grouping (the
-    arc search by default). Stage 2 runs the alternating loop on the
-    grouped instantaneous cascades until the internal objective's relative
-    change drops below opts.tol or opts.max_outer is reached. The returned
-    trace never decreases by more than rounding noise.
+    Stage 1 picks the grouping from statistical CSI by the arc search; a
+    given grouping (a GroupingMatrix of the N elements into q groups) is
+    used as it is instead. Stage 2 runs the alternating loop on the grouped
+    instantaneous cascades until the internal objective's relative change
+    drops below opts.tol or opts.max_outer is reached. The returned trace
+    never decreases by more than rounding noise.
     """
     opts = opts or SolverOptions()
     k_users = channels.num_users
+    n = channels.num_elements
     if weights is None:
         weights = np.asarray(channels.meta.get("weights", np.ones(k_users)), dtype=float)
     else:
         weights = np.asarray(weights, dtype=float)
     if p_max is None:
         p_max = float(channels.meta.get("p_max", 0.01))
-    if not 1 <= q <= channels.num_elements:
+    if not 1 <= q <= n:
         raise ValueError("need 1 <= Q <= N")
 
-    g, cascades_stat, stat_state = _grouping_from_statistics(channels, q, opts, weights, p_max)
+    if grouping is None:
+        g, cascades_stat, (w_stat, *_) = _grouping_from_statistics(channels, q, opts, weights,
+                                                                   p_max)
+    else:
+        if (grouping.num_elements, grouping.num_groups) != (n, q):
+            raise ValueError(f"grouping of {grouping.num_elements} elements into "
+                             f"{grouping.num_groups} groups, need {n} into {q}")
+        report = grp.validate(grouping)
+        if report is not None:
+            raise ValueError(f"invalid grouping: {report}")
+        g, cascades_stat = grouping, _stat_cascades(channels)
+        w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
 
     c_hat = np.stack([grp.combine_cascade(g, channels.cascade(k)) for k in range(k_users)])
     c_hat_stat = np.stack([grp.combine_cascade(g, cascades_stat[k]) for k in range(k_users)])
-    if opts.random_init:
-        rng = np.random.default_rng(opts.init_seed)
-        v0 = ReflectionVector(phases=rng.uniform(0.0, 2 * np.pi, size=q))
-    else:
-        w_stat = stat_state[0] if stat_state is not None else stat_matched_beams(cascades_stat, channels.h_bu_stat)
-        v0 = heuristic_rcv(c_hat_stat, w_stat, weights)
+    v0 = heuristic_rcv(c_hat_stat, w_stat, weights)
     w0 = matched_precoder(effective_channels(v0.values, c_hat, channels.h_bu), p_max)
 
     pm, v, aux, trace, trace_steps, iterations, converged = solve_fp(

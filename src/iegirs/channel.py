@@ -63,38 +63,18 @@ def sample_rician(link, rng):
     return link.stat_component + link.nlos_scale * complex_normal(link.los.shape, rng)
 
 
-@dataclass
-class CascadePair:
-    """Deterministic cascade component and the mixing coefficients of the rest.
-
-    coeffs = (a_bar, a_tilde, b_bar, b_tilde); their squares sum to 1 exactly.
-    a_bar weighs the LoS(x)LoS product, a_tilde the NLoS(x)NLoS product, and
-    b_bar/b_tilde the two mixed products. scale = delta_bi*delta_iu.
-    """
-
-    c1: np.ndarray
-    coeffs: tuple
-    scale: float
-
-
 def cascade_coefficients(kappa_bi, kappa_iu):
+    """Mixing coefficients (a_bar, a_tilde, b_bar, b_tilde) of a two-hop Rician cascade.
+
+    a_bar weighs the LoS(x)LoS product, a_tilde the NLoS(x)NLoS product, and
+    b_bar/b_tilde the two mixed products; their squares sum to 1.
+    """
     d = (1.0 + kappa_bi) * (1.0 + kappa_iu)
     a_bar = np.sqrt(kappa_bi * kappa_iu / d)
     a_tilde = np.sqrt(1.0 / d)
     b_bar = np.sqrt(kappa_iu / d)
     b_tilde = np.sqrt(kappa_bi / d)
     return a_bar, a_tilde, b_bar, b_tilde
-
-
-def cascade_decompose(kappa_bi, kappa_iu, delta_bi, delta_iu, theta_bi, theta_iu, n):
-    """Split a single-antenna cascade into deterministic + stochastic parts."""
-    if min(kappa_bi, kappa_iu, delta_bi, delta_iu) < 0:
-        raise ValueError("factors must be nonnegative")
-    coeffs = cascade_coefficients(kappa_bi, kappa_iu)
-    h_bi = array_response(n, theta_bi)
-    h_iu = array_response(n, theta_iu)
-    c1 = coeffs[0] * delta_bi * delta_iu * np.conj(h_iu) * np.conj(h_bi)
-    return CascadePair(c1=c1, coeffs=coeffs, scale=delta_bi * delta_iu)
 
 
 def cascaded_channel(h_iu_k, h_bi):
@@ -162,14 +142,6 @@ class ChannelSet:
     def cascade_stat(self, k):
         """Statistical per-element cascade for user k, shape (N, M)."""
         return cascaded_channel(self.h_iu_stat[k], self.h_bi_stat)
-
-    def statistical_twin(self):
-        """A ChannelSet whose realizations equal the deterministic components."""
-        return ChannelSet(
-            h_bi=self.h_bi_stat.copy(), h_iu=self.h_iu_stat.copy(), h_bu=self.h_bu_stat.copy(),
-            h_bi_stat=self.h_bi_stat.copy(), h_iu_stat=self.h_iu_stat.copy(),
-            h_bu_stat=self.h_bu_stat.copy(), noise_power=self.noise_power, meta=dict(self.meta),
-        )
 
 
 def _unit(v):

@@ -1,12 +1,11 @@
-"""Grouping-matrix construction, validation, and optimization.
+"""Grouping-matrix construction, validation, and combination.
 
 A grouping assigns each of the N reflector elements to exactly one of Q
 groups (every group non-empty); elements of a group share one reflection
-phase. Constructors: equal-arc phase partition, circular k-means, adjacent
-blocks, and a relaxed quadratic program driven by statistical CSI. Stage 1
-of beamforming.two_stage_solve uses adjacent blocks and equal-arc partitions
-(arc_assignment); circular k-means and the relaxed program are library
-constructors that it does not call.
+phase. Constructors: equal-arc partitions (arc_grouping, which stage 1 of
+beamforming.two_stage_solve searches over), adjacent blocks (the aeg
+scheme's grouping), the identity, and a relaxed quadratic program driven by
+statistical CSI, a library constructor that the solver does not call.
 """
 
 import warnings
@@ -96,40 +95,32 @@ def identity_grouping(n):
     return GroupingMatrix(assignment=np.arange(1, n + 1), num_groups=n)
 
 
-def _circ_dist01(a, b):
-    """Circular distance between fractional positions in [0, 1)."""
-    d = np.abs(a - b)
-    return np.minimum(d, 1.0 - d)
+_ARC_QUANTUM = 2.0 ** 40
 
 
-def repair_empty_by_arc(assignment, q, frac_pos):
-    """Fill empty groups with the nearest-phase elements from groups of >= 2."""
+def arc_grouping(frac_pos, q):
+    """Equal-arc grouping of fractional positions: label 1 + floor(q * frac), at most q.
+
+    Positions are quantized at 2^-40 first so that a boundary atom (e.g. the
+    zero-phase leading element of a ramp) bins identically whether its
+    position was computed as 0 or as 1 - epsilon. Each empty group then takes
+    the element circularly nearest its arc's center from the groups of >= 2.
+    """
+    frac_pos = np.asarray(frac_pos)
+    frac = np.mod(np.round(frac_pos * _ARC_QUANTUM) / _ARC_QUANTUM, 1.0)
+    assignment = 1 + np.minimum((q * frac).astype(int), q - 1)
     repairs = 0
     sizes = np.bincount(assignment - 1, minlength=q)
     for label in range(1, q + 1):
         while sizes[label - 1] == 0:
-            center = (label - 0.5) / q
             movable = np.where(sizes[assignment - 1] >= 2)[0]
-            pick = movable[np.argmin(_circ_dist01(frac_pos[movable], center))]
+            d = np.abs(frac_pos[movable] - (label - 0.5) / q)
+            pick = movable[np.argmin(np.minimum(d, 1.0 - d))]
             sizes[assignment[pick] - 1] -= 1
             assignment[pick] = label
             sizes[label - 1] += 1
             repairs += 1
-    return repairs
-
-
-_ARC_QUANTUM = 2.0 ** 40
-
-
-def arc_assignment(frac_pos, q):
-    """Group label 1 + floor(q * frac) for fractional positions, clamped to q.
-
-    Positions are quantized at 2^-40 first so that a boundary atom (e.g. the
-    zero-phase leading element of a ramp) bins identically whether its
-    position was computed as 0 or as 1 - epsilon.
-    """
-    frac = np.mod(np.round(np.asarray(frac_pos) * _ARC_QUANTUM) / _ARC_QUANTUM, 1.0)
-    return 1 + np.minimum((q * frac).astype(int), q - 1)
+    return GroupingMatrix(assignment=assignment, num_groups=q, repairs=repairs)
 
 
 def phase_partition_grouping(delta, n, q):
@@ -143,82 +134,7 @@ def phase_partition_grouping(delta, n, q):
     """
     if not 1 <= q <= n:
         raise ValueError("need 1 <= q <= n")
-    frac = np.mod(np.arange(n) * float(delta), 1.0)
-    assignment = arc_assignment(frac, q)
-    repairs = repair_empty_by_arc(assignment, q, frac)
-    return GroupingMatrix(assignment=assignment, num_groups=q, repairs=repairs)
-
-
-def circular_fit_objective(phases, grouping):
-    """Sum of 1 - cos(phase - group mean direction), the Lloyd objective.
-
-    Equals N - sum_q |z_q| with z_q the sum of unit phasors of group q, i.e.
-    tighter phase groups leave a larger coherent sum.
-    """
-    z = _group_sum(grouping.assignment, np.exp(1j * np.asarray(phases)), grouping.num_groups)
-    return float(len(phases) - np.abs(z).sum())
-
-
-def _lloyd(phases, q, assignment, max_iter):
-    """Lloyd iterations on the unit circle from an initial assignment."""
-    phasors = np.exp(1j * phases)
-    repairs = 0
-    for _ in range(max_iter):
-        z = _group_sum(assignment, phasors, q)
-        sizes = np.bincount(assignment - 1, minlength=q)
-        # refill empty clusters with the element worst-served by its own centroid
-        for label in np.where(sizes == 0)[0] + 1:
-            centroids = np.angle(z)
-            cost = 1.0 - np.cos(phases - centroids[assignment - 1])
-            movable = np.where(sizes[assignment - 1] >= 2)[0]
-            pick = movable[np.argmax(cost[movable])]
-            z[assignment[pick] - 1] -= phasors[pick]
-            sizes[assignment[pick] - 1] -= 1
-            assignment[pick] = label
-            z[label - 1] += phasors[pick]
-            sizes[label - 1] += 1
-            repairs += 1
-        centroids = np.angle(z)
-        dist = 1.0 - np.cos(phases[:, None] - centroids[None, :])
-        new_assignment = 1 + np.argmin(dist, axis=1)
-        if np.array_equal(new_assignment, assignment):
-            break
-        assignment = new_assignment
-    g = GroupingMatrix(assignment=assignment, num_groups=q, repairs=repairs)
-    if validate(g) is not None:
-        g.repairs += repair_empty_by_arc(g.assignment, q, np.mod(phases / (2 * np.pi), 1.0))
-    return g
-
-
-def _farthest_point_seed(phases, q, rng):
-    first = int(rng.integers(len(phases))) if rng is not None else 0
-    centroids = [phases[first]]
-    for _ in range(q - 1):
-        d = np.min(1.0 - np.cos(phases[:, None] - np.asarray(centroids)[None, :]), axis=1)
-        centroids.append(phases[int(np.argmax(d))])
-    dist = 1.0 - np.cos(phases[:, None] - np.asarray(centroids)[None, :])
-    return 1 + np.argmin(dist, axis=1)
-
-
-def circular_knn_grouping(phases, q, rng=None, init=None, max_iter=200):
-    """Cluster element phases on the unit circle into q groups.
-
-    Runs Lloyd iterations (nearest-centroid assignment, centroid = direction
-    of the summed unit phasors) from an equal-arc start and a farthest-point
-    start, plus an optional caller-supplied initial assignment, and keeps the
-    result with the smallest circular_fit_objective. The objective is
-    non-increasing across iterations within each run.
-    """
-    phases = np.asarray(phases, dtype=float)
-    n = phases.shape[0]
-    if not 1 <= q <= n:
-        raise ValueError("need 1 <= q <= n")
-    inits = [arc_assignment(np.mod(-phases / (2 * np.pi), 1.0), q),
-             _farthest_point_seed(phases, q, rng)]
-    if init is not None:
-        inits.append(np.asarray(init.assignment if isinstance(init, GroupingMatrix) else init, dtype=int))
-    candidates = [_lloyd(phases, q, a.copy(), max_iter) for a in inits]
-    return min(candidates, key=lambda g: circular_fit_objective(phases, g))
+    return arc_grouping(np.mod(np.arange(n) * float(delta), 1.0), q)
 
 
 def _group_sum(assignment, values, q):
@@ -349,11 +265,7 @@ def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q, weight
 
     aggregate = np.einsum("k,knk->n", alpha * np.conj(xi), proj)
     starts = [adjacent_grouping(n, q)]
-    arc = GroupingMatrix(assignment=arc_assignment(np.mod(-np.angle(aggregate) / (2 * np.pi), 1.0), q),
-                         num_groups=q)
-    if validate(arc) is not None:
-        arc.repairs = repair_empty_by_arc(arc.assignment, q, np.mod(-np.angle(aggregate) / (2 * np.pi), 1.0))
-    starts.append(arc)
+    starts.append(arc_grouping(np.mod(-np.angle(aggregate) / (2 * np.pi), 1.0), q))
     starts.extend(extra_starts)
 
     def binary_obj(gm):

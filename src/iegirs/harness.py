@@ -12,7 +12,7 @@ import csv
 import io
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,8 +114,9 @@ def run_scheme(scheme, channels, config, rng, opts=None):
     frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
     grouping_ser = None
     if scheme in ("ieg", "aeg"):
-        scheme_opts = opts if scheme == "ieg" else replace(opts, grouping="adjacent")
-        res = bf.two_stage_solve(channels, q, opts=scheme_opts, p_max=p_max, weights=weights)
+        grouping = grp.adjacent_grouping(channels.num_elements, q) if scheme == "aeg" else None
+        res = bf.two_stage_solve(channels, q, opts=opts, p_max=p_max, weights=weights,
+                                 grouping=grouping)
         grouping_ser = res.grouping.assignment.tolist()
     else:
         c_hat, h_bu_eff = scheme_problem(scheme, channels, q, frozen=frozen)

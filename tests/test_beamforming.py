@@ -5,15 +5,32 @@ from iegirs import beamforming as bf
 from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector, SolverOptions,
                                 build_rcv_quadratic, effective_channels,
                                 fp_objective, matched_precoder, mm_step, mm_surrogate,
-                                precoder_objective, precoder_quadratic, rcv_objective, sinr,
-                                sinr_all, solve_fp, two_stage_solve, update_auxiliaries,
-                                update_precoder, update_rcv_mm, wsr)
+                                precoder_quadratic, rcv_objective, sinr_all, solve_fp,
+                                two_stage_solve, update_auxiliaries, update_precoder,
+                                update_rcv_mm, wsr)
 from iegirs.channel import ChannelSet, build_scenario
 from iegirs.config import ScenarioConfig
+from iegirs.grouping import GroupingMatrix, adjacent_grouping, identity_grouping
 
 
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def sinr(h, w, k, noise_power):
+    """SINR of user k: |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + noise), one user at a time."""
+    if noise_power <= 0:
+        raise ValueError("noise power must be positive")
+    rx = np.conj(h[k]) @ w
+    cross = np.abs(rx) ** 2
+    signal = cross[k]
+    return float(signal / (np.sum(cross) - signal + noise_power))
+
+
+def precoder_objective(w, l0, z):
+    """Concave precoder objective 2 Re tr(Z^H W) - sum_k w_k^H L0 w_k."""
+    return float(2.0 * np.real(np.vdot(z, w))
+                 - np.real(np.einsum("mk,mn,nk->", w.conj(), l0, w)))
 
 
 class TestEffectiveChannel:
@@ -419,8 +436,8 @@ class TestSolveLoop:
         # reflection collects the full l1 mass of the cascade
         rng = np.random.default_rng(12)
         ch = self._manual_channelset(rng)
-        res = two_stage_solve(ch, ch.num_elements,
-                              opts=SolverOptions(grouping="identity", tol=1e-12, max_outer=500))
+        res = two_stage_solve(ch, ch.num_elements, opts=SolverOptions(tol=1e-12, max_outer=500),
+                              grouping=identity_grouping(ch.num_elements))
         c = np.conj(ch.h_iu[0]) * np.conj(ch.h_bi[0])
         achieved = abs(np.vdot(res.rcv.values, c))
         assert abs(achieved - np.abs(c).sum()) <= 1e-6 * np.abs(c).sum()
@@ -437,8 +454,8 @@ class TestSolveLoop:
     def test_adjacent_at_full_groups_equals_identity(self):
         cfg = ScenarioConfig(N=16, Q=16, M=2, K=2, seed=3)
         ch = build_scenario(cfg, np.random.default_rng(3))
-        res_adj = two_stage_solve(ch, 16, opts=SolverOptions(grouping="adjacent"))
-        res_idn = two_stage_solve(ch, 16, opts=SolverOptions(grouping="identity"))
+        res_adj = two_stage_solve(ch, 16, grouping=adjacent_grouping(16, 16))
+        res_idn = two_stage_solve(ch, 16, grouping=identity_grouping(16))
         assert np.array_equal(res_adj.grouping.assignment, res_idn.grouping.assignment)
         assert res_adj.wsr_bits == res_idn.wsr_bits
 
@@ -448,9 +465,9 @@ class TestSolveLoop:
         rng = np.random.default_rng(13)
         ch = self._manual_channelset(rng, n=8, direct=0.5)
         q = 2
-        res = two_stage_solve(ch, q, opts=SolverOptions(grouping="adjacent", tol=1e-12,
-                                                        max_outer=400))
-        from iegirs.grouping import adjacent_grouping, combine_cascade
+        res = two_stage_solve(ch, q, opts=SolverOptions(tol=1e-12, max_outer=400),
+                              grouping=adjacent_grouping(8, q))
+        from iegirs.grouping import combine_cascade
         c_hat = combine_cascade(adjacent_grouping(8, q), np.conj(ch.h_iu[0])[:, None] * np.conj(ch.h_bi).T)
         p_max, noise = 1.0, ch.noise_power
         gridsize = 256
@@ -482,14 +499,6 @@ class TestSolveLoop:
         rel = np.diff(steps) / np.maximum(1.0, np.abs(steps[:-1]))
         assert rel.min() >= -1e-8
 
-    def test_random_init_reproducible(self):
-        cfg = ScenarioConfig(N=32, Q=4, M=2, K=2, seed=4)
-        ch = build_scenario(cfg, np.random.default_rng(4))
-        opts = SolverOptions(grouping="adjacent", random_init=True, init_seed=7)
-        r1 = two_stage_solve(ch, 4, opts=opts)
-        r2 = two_stage_solve(ch, 4, opts=opts)
-        assert r1.wsr_bits == r2.wsr_bits
-
     def test_q_bounds(self):
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
         ch = build_scenario(cfg, np.random.default_rng(5))
@@ -497,6 +506,16 @@ class TestSolveLoop:
             two_stage_solve(ch, 0)
         with pytest.raises(ValueError):
             two_stage_solve(ch, 17)
+
+    @pytest.mark.parametrize("grouping", [adjacent_grouping(16, 3), adjacent_grouping(15, 2),
+                                          GroupingMatrix(assignment=[1] * 15 + [3], num_groups=2),
+                                          GroupingMatrix(assignment=[1] * 16, num_groups=2)],
+                             ids=["num_groups", "num_elements", "bad_label", "empty_group"])
+    def test_fixed_grouping_checked(self, grouping):
+        cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
+        ch = build_scenario(cfg, np.random.default_rng(5))
+        with pytest.raises(ValueError):
+            two_stage_solve(ch, 2, grouping=grouping)
 
     def test_stationary_under_reflection_probes(self):
         # at convergence no small unit-modulus perturbation of the reflection
@@ -745,16 +764,21 @@ class TestLoopBitExact:
         with pytest.raises(ValueError):
             aux.xi[0] = 0.0                             # read-only: the terms cannot go stale
 
-    @pytest.mark.parametrize("grouping", ["arc-search", "phase-partition"])
-    def test_two_stage_solve_matches_reference(self, grouping, monkeypatch):
+    @pytest.mark.parametrize("stage1", ["arc-search", "phase-partition"])
+    def test_two_stage_solve_matches_reference(self, stage1, monkeypatch):
+        # "phase-partition" passes the arc search's seed as a fixed grouping,
+        # so stage 1 runs no statistical solve
         from iegirs import grouping as grp
         cfg = ScenarioConfig(N=1024, Q=4, seed=1)
         ch = build_scenario(cfg, np.random.default_rng(9))
-        opts = SolverOptions(grouping=grouping)
-        new = two_stage_solve(ch, 4, opts=opts, p_max=cfg.power_watts)
+        grouping = None
+        if stage1 == "phase-partition":
+            grouping = bf._aggregate_arc_grouping(bf._stat_cascades(ch), ch.h_bu_stat,
+                                                  np.asarray(cfg.weights, dtype=float), 4)
+        new = two_stage_solve(ch, 4, p_max=cfg.power_watts, grouping=grouping)
         monkeypatch.setattr(bf, "solve_fp", _reference_solve_fp)
         monkeypatch.setattr(grp, "combine_cascade", _reference_combine)
-        ref = two_stage_solve(ch, 4, opts=opts, p_max=cfg.power_watts)
+        ref = two_stage_solve(ch, 4, p_max=cfg.power_watts, grouping=grouping)
         _assert_same_two_stage(new, ref)
 
 
@@ -885,7 +909,22 @@ class TestStage1BitExact:
 
         monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
         ref = two_stage_solve(ch, q, p_max=p_max)
-        assert len(solves) - 2 * n_new == skipped
+        # the reference solves the repeats and, before the arc seed, adjacent blocks
+        assert len(solves) - n_new == n_new + skipped + 1
+        _assert_same_two_stage(new, ref)
+
+    def test_full_groups_seed_adjacent_blocks(self, monkeypatch):
+        # at Q == N the arc seed relabels the identity, and seeding with it
+        # moves the last bits of this scene's rate
+        cfg = ScenarioConfig(N=8, Q=8, seed=0)
+        ch = build_scenario(cfg, np.random.default_rng(0))
+        new = two_stage_solve(ch, 8, p_max=cfg.power_watts)
+
+        def reference(channels, q, opts, weights, p_max):
+            return _reference_arc_search(channels, q, opts, weights, p_max)[:3]
+
+        monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
+        ref = two_stage_solve(ch, 8, p_max=cfg.power_watts)
         _assert_same_two_stage(new, ref)
 
 

@@ -5,12 +5,11 @@ import pytest
 
 from iegirs import beamforming as bf
 from iegirs import grouping as grp
-from iegirs.channel import cascade_decompose
-from iegirs.grouping import (GroupingMatrix, adjacent_grouping, circular_fit_objective,
-                             circular_knn_grouping, combine_cascade, count_groupings,
+from iegirs.channel import cascade_coefficients
+from iegirs.grouping import (GroupingMatrix, adjacent_grouping, combine_cascade, count_groupings,
                              grouping_objective, identity_grouping, phase_partition_grouping,
                              project_columns_to_simplex, relaxed_qp_grouping, validate)
-from iegirs.mathkit import group_shrink_factor
+from iegirs.mathkit import array_response, group_shrink_factor
 
 
 def brute_force_partition_count(n, q):
@@ -102,51 +101,6 @@ class TestPhasePartition:
             phase_partition_grouping(0.3, 2, 4)
 
 
-class TestCircularKnn:
-    def test_identical_phases_repaired(self):
-        g = circular_knn_grouping(np.zeros(8), 3, rng=np.random.default_rng(0))
-        assert validate(g) is None
-        assert g.repairs >= 1
-
-    def test_recovers_planted_clusters(self):
-        rng = np.random.default_rng(1)
-        q, per = 4, 50
-        centers = 2 * np.pi * (np.arange(q) + 0.15) / q
-        phases = np.concatenate([c + 0.02 * rng.standard_normal(per) for c in centers])
-        planted = np.repeat(np.arange(1, q + 1), per)
-        g = circular_knn_grouping(phases, q, rng=rng)
-        # same partition up to a label permutation
-        mapping = {}
-        for found, true in zip(g.assignment, planted):
-            mapping.setdefault(found, true)
-            assert mapping[found] == true
-        assert len(mapping) == q
-
-    def test_refines_phase_partition(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            n, q = int(rng.integers(16, 64)), int(rng.integers(2, 5))
-            delta = rng.uniform(0.05, 0.95)
-            partition = phase_partition_grouping(delta, n, q)
-            phases = -2 * np.pi * np.mod(np.arange(n) * delta, 1.0)
-            clustered = circular_knn_grouping(phases, q, rng=rng, init=partition)
-            assert (circular_fit_objective(phases, clustered)
-                    <= circular_fit_objective(phases, partition) + 1e-12)
-
-    def test_objective_non_increasing_across_lloyd(self):
-        rng = np.random.default_rng(3)
-        phases = rng.uniform(0, 2 * np.pi, 60)
-        q = 3
-        assignment = grp.arc_assignment(np.mod(-phases / (2 * np.pi), 1.0), q)
-        prev = circular_fit_objective(phases, GroupingMatrix(assignment=assignment, num_groups=q))
-        for _ in range(10):
-            g = grp._lloyd(phases, q, assignment.copy(), max_iter=1)
-            val = circular_fit_objective(phases, g)
-            assert val <= prev + 1e-12
-            prev = val
-            assignment = g.assignment
-
-
 class TestAdjacent:
     def test_even_split(self):
         assert np.array_equal(adjacent_grouping(4, 2).assignment, [1, 1, 2, 2])
@@ -220,6 +174,14 @@ class TestCombineCascade:
             assert out.tobytes() == expected.tobytes()
 
 
+def _deterministic_cascade(kappa, theta, n):
+    """(a_bar, deterministic cascade) of unit-amplitude links, both of Rician factor
+    kappa and steered at theta on an n-element array."""
+    a_bar = cascade_coefficients(kappa, kappa)[0]
+    h = array_response(n, theta)
+    return a_bar, a_bar * np.conj(h) * np.conj(h)
+
+
 class TestGroupedDeterministicLimit:
     def test_irrational_ramp(self):
         # group means of the pure deterministic cascade approach
@@ -228,10 +190,9 @@ class TestGroupedDeterministicLimit:
         n = q * mu
         delta = 1.0 / np.sqrt(2.0)
         theta = np.arcsin(delta)
-        pair = cascade_decompose(10.0, 10.0, 1.0, 1.0, theta, theta, n)
+        a_bar, c1 = _deterministic_cascade(10.0, theta, n)
         g = phase_partition_grouping(delta, n, q)
-        combined = combine_cascade(g, pair.c1) / (mu * pair.scale)
-        a_bar = pair.coeffs[0]
+        combined = combine_cascade(g, c1) / mu
         expected = group_shrink_factor(q) * a_bar * np.exp(-1j * (2 * np.arange(1, q + 1) - 1) * np.pi / q)
         rel = np.abs(combined - expected) / np.abs(expected)
         assert np.all(rel < 0.05)
@@ -245,10 +206,9 @@ class TestGroupedDeterministicLimit:
         mu = n // q
         delta = x / y
         theta = np.arcsin(delta)
-        pair = cascade_decompose(10.0, 10.0, 1.0, 1.0, theta, theta, n)
+        a_bar, c1 = _deterministic_cascade(10.0, theta, n)
         g = phase_partition_grouping(delta, n, q)
-        combined = combine_cascade(g, pair.c1) / (mu * pair.scale)
-        a_bar = pair.coeffs[0]
+        combined = combine_cascade(g, c1) / mu
         expected = group_shrink_factor(q) * a_bar * np.exp(-1j * (2 * np.arange(1, q + 1) - 1) * np.pi / q)
         rel = np.abs(combined - expected) / np.abs(expected)
         assert np.all(rel < 0.05)
@@ -294,12 +254,12 @@ def _single_user_statistical_instance(seed, n=64, q=4):
     rng = np.random.default_rng(seed)
     delta = rng.uniform(0.05, 0.95)
     theta = np.arcsin(delta)
-    pair = cascade_decompose(8.0, 8.0, 1.0, 1.0, theta, theta, n)
-    cascades = pair.c1[None, :, None]                    # (K=1, N, M=1)
+    _, c1 = _deterministic_cascade(8.0, theta, n)
+    cascades = c1[None, :, None]                         # (K=1, N, M=1)
     h_bu = np.zeros((1, 1), dtype=complex)
     w = np.array([[np.sqrt(0.5)]], dtype=complex)        # real positive beam
     partition = phase_partition_grouping(delta, n, q)
-    grouped = combine_cascade(partition, pair.c1)
+    grouped = combine_cascade(partition, c1)
     v = np.exp(1j * np.angle(grouped))                   # aligned reflection
     h = bf.effective_channels(v, combine_cascade(partition, cascades[0])[None], h_bu)
     aux = bf.update_auxiliaries(h, w, 1e-4, np.ones(1))
