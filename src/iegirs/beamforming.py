@@ -10,7 +10,7 @@ bits/s/Hz.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -461,8 +461,8 @@ def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
     return rot * rcv_values, rot * w
 
 
-def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10, work=None):
-    """Reflection update by iterated majorization.
+def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner, tol, work=None):
+    """Reflection update by iterated majorization from the ReflectionVector rcv.
 
     Each step maximizes a tangent surrogate of the quadratic objective, so
     the true objective is non-decreasing across steps. Stops on relative
@@ -483,7 +483,7 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10, wo
     u += scratch
     u /= 2.0
     lam = top_eigenvalue(u)
-    v = rcv.values if isinstance(rcv, ReflectionVector) else np.asarray(rcv)
+    v = rcv.values
     uv = u @ v                                # shared by the step and the objective
     obj = _rcv_value(v, uv, phi)
     for _ in range(max_inner):
@@ -515,16 +515,22 @@ class SolverOptions:
 
 @dataclass
 class SolveResult:
-    """Solution bundle: grouping, beams, reflections, rate, and the trace."""
+    """One run of the alternating loop (solve_fp) and the rate it reached.
+
+    grouping is set by the caller that chose it (None from solve_fp); aux is
+    the last iteration's (None if the loop never ran); wsr_bits, in
+    bits/s/Hz, is the rate at (precoder, rcv); trace_steps holds the internal
+    objective after every block update, three per outer iteration.
+    """
 
     grouping: GroupingMatrix | None
     precoder: PrecodingMatrix
     rcv: ReflectionVector
+    aux: FPAuxiliaries | None
     wsr_bits: float
-    trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    trace_steps: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    iterations: int = 0
-    converged: bool = False
+    trace_steps: np.ndarray
+    iterations: int
+    converged: bool
 
 
 def matched_precoder(h, p_max):
@@ -545,41 +551,42 @@ def stat_matched_beams(cascades_stat, h_bu_stat):
     return matched_precoder(h, 1.0)
 
 
+def _aggregate(cascades, w, coef):
+    """sum_k coef_k C_k w_k over the users' cascades C_k and beams w_k, in user order."""
+    agg = np.zeros(cascades.shape[1], dtype=complex)
+    for k in range(cascades.shape[0]):
+        agg += coef[k] * (cascades[k] @ w[:, k])
+    return agg
+
+
 def heuristic_rcv(c_hat_stat, w_stat, weights):
     """Statistical reflection guess: align each group with the weighted
     aggregate of its statistical cascade responses to the users' beams."""
-    agg = np.zeros(c_hat_stat.shape[1], dtype=complex)
-    for k in range(c_hat_stat.shape[0]):
-        agg += weights[k] * (c_hat_stat[k] @ w_stat[:, k])
-    phases = np.angle(agg)
-    return ReflectionVector(phases=phases)
+    return ReflectionVector(phases=np.angle(_aggregate(c_hat_stat, w_stat, weights)))
 
 
 def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
-    """Alternating ratio-transform loop at a fixed grouping.
+    """Alternating ratio-transform loop at a fixed grouping, from (v0, w0).
 
     c_hat: (K, Q, M) grouped cascades; Q may be 0, which turns this into a
-    precoder-only solve. Returns (precoder, rcv, aux, trace, trace_steps,
-    iterations, converged); trace holds the internal objective once per
-    outer iteration, trace_steps after every block update.
+    precoder-only solve. v0 is a ReflectionVector, w0 the (M, K) starting
+    beams. Returns a SolveResult with grouping None.
 
     h and its received statistics (_rx_stats) are formed once per iteration,
     at the new reflection vector: they give the closing objective and carry
-    over as the next iteration's h, auxiliary input and opening objective.
-    Each carried value is the same call on the same inputs that would
-    recompute it, so every output is bit for bit that of calling
-    fp_objective after every block.
+    over as the next iteration's h, auxiliary input and opening objective,
+    and the last h gives the returned rate. Each carried value is the same
+    call on the same inputs that would recompute it, so every output is bit
+    for bit that of calling fp_objective after every block.
     """
     q = c_hat.shape[1]
-    v = v0 if isinstance(v0, ReflectionVector) else ReflectionVector(phases=np.asarray(v0, dtype=float))
+    v = v0
     w = np.asarray(w0, dtype=complex)
     weights = np.asarray(weights, dtype=float)
-    trace, trace_steps = [], []
+    trace_steps = []
     work = np.empty((2, q, q), dtype=complex)   # the (Q, Q) buffers of every reflection update
-    pm = None
-    aux = None
-    converged = False
-    it = 0
+    pm = aux = previous = None
+    converged, it = False, 0
     h = effective_channels(v.values, c_hat, h_bu)
     stats = _rx_stats(h, w, noise_power)
     for it in range(1, opts.max_outer + 1):
@@ -597,13 +604,14 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
         stats = _rx_stats(h, w, noise_power)
         current = _fp_value(*stats, aux, weights)
         trace_steps.append(current)
-        trace.append(current)
-        if it > 1 and abs(trace[-1] - trace[-2]) <= opts.tol * max(1.0, abs(trace[-2])):
+        if it > 1 and abs(current - previous) <= opts.tol * max(1.0, abs(previous)):
             converged = True
             break
-    lagrange = pm.lagrange if pm is not None else 0.0
-    pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=lagrange)
-    return pm, v, aux, np.asarray(trace), np.asarray(trace_steps), it, converged
+        previous = current
+    pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange if pm is not None else 0.0)
+    return SolveResult(grouping=None, precoder=pm, rcv=v, aux=aux,
+                       wsr_bits=wsr(sinr_all(h, pm.w, noise_power), weights),
+                       trace_steps=np.asarray(trace_steps), iterations=it, converged=converged)
 
 
 def _arc_from_phases(phases, q):
@@ -612,47 +620,38 @@ def _arc_from_phases(phases, q):
 
 def _aggregate_arc_grouping(cascades_stat, h_bu_stat, weights, q):
     """Equal-arc partition of the weighted aggregate statistical cascade phase."""
-    n = cascades_stat.shape[1]
     w_mf = stat_matched_beams(cascades_stat, h_bu_stat)
-    agg = np.zeros(n, dtype=complex)
-    for k in range(cascades_stat.shape[0]):
-        agg += weights[k] * (cascades_stat[k] @ w_mf[:, k])
-    return _arc_from_phases(np.angle(agg), q)
+    return _arc_from_phases(np.angle(_aggregate(cascades_stat, w_mf, weights)), q)
 
 
-def _arc_from_solved(cascades_stat, state, weights, q):
-    """Arc partition of the cascade phases under the solved statistical
+def _arc_from_solved(cascades_stat, stat, weights, q):
+    """Arc partition of the cascade phases under the statistical solve stat's
     precoders, each user's contribution rotated into its alignment frame."""
-    w_stat, _, aux_stat = state
-    alpha_conj_xi = aux_stat.terms(np.asarray(weights, dtype=float)).alpha_conj_xi
-    agg = np.zeros(cascades_stat.shape[1], dtype=complex)
-    for k in range(cascades_stat.shape[0]):
-        agg += alpha_conj_xi[k] * (cascades_stat[k] @ w_stat[:, k])
-    return _arc_from_phases(np.angle(agg), q)
+    alpha_conj_xi = stat.aux.terms(np.asarray(weights, dtype=float)).alpha_conj_xi
+    return _arc_from_phases(np.angle(_aggregate(cascades_stat, stat.precoder.w, alpha_conj_xi)), q)
 
 
 def _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, warm=None):
     """Solve the alternating loop on the deterministic channels at grouping g.
 
-    warm optionally carries an incumbent (w, rcv values) pair: solving every
-    candidate grouping from the same warm point isolates the grouping's own
-    contribution from the nonconvex multi-user solve's run-to-run spread.
-    Returns (statistical weighted sum rate, (w, rcv values, auxiliaries)).
+    warm optionally carries an incumbent statistical SolveResult, whose beams
+    start the solve: solving every candidate grouping from the same warm
+    point isolates the grouping's own contribution from the nonconvex
+    multi-user solve's run-to-run spread. Returns the SolveResult, its
+    grouping set to g.
     """
-    k_users = channels.num_users
-    c_hat_stat = np.stack([grp.combine_cascade(g, cascades_stat[k]) for k in range(k_users)])
+    c_hat_stat = grp.combine_cascades(g, cascades_stat)
     if warm is not None:
-        w0 = warm[0]
+        w0 = warm.precoder.w
         v0 = heuristic_rcv(c_hat_stat, w0, weights)
     else:
         w_mf = stat_matched_beams(cascades_stat, channels.h_bu_stat)
         v0 = heuristic_rcv(c_hat_stat, w_mf, weights)
         w0 = matched_precoder(effective_channels(v0.values, c_hat_stat, channels.h_bu_stat), p_max)
-    pm, v_stat, aux_stat, *_ = solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power,
-                                        p_max=p_max, weights=weights, v0=v0, w0=w0, opts=opts)
-    h = effective_channels(v_stat.values, c_hat_stat, channels.h_bu_stat)
-    rate = wsr(sinr_all(h, pm.w, channels.noise_power), weights)
-    return rate, (pm.w, v_stat.values, aux_stat)
+    stat = solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power,
+                    p_max=p_max, weights=weights, v0=v0, w0=w0, opts=opts)
+    stat.grouping = g
+    return stat
 
 
 def _stat_cascades(channels):
@@ -663,14 +662,15 @@ def _stat_cascades(channels):
 def _grouping_from_statistics(channels, q, opts, weights, p_max):
     """Stage-1 arc search on statistical CSI.
 
-    Returns (grouping, stacked statistical cascades, statistical solver
-    state). It solves the alternating loop on the deterministic channels at
-    one seed grouping, the beam-domain arc partition of the aggregate cascade
-    phase, then ranks candidate arcs by warm-started statistical solves and
-    keeps any that raises the statistical rate, for up to three rounds. At
-    Q == N, where every grouping relabels the identity, the seed is adjacent
-    blocks (the identity itself): a relabelled arc seed reaches the same
-    rate up to the order of its sums, so only its last bits would differ.
+    Returns (statistical SolveResult of the chosen grouping, stacked
+    statistical cascades); the grouping is the result's. It solves the
+    alternating loop on the deterministic channels at one seed grouping, the
+    beam-domain arc partition of the aggregate cascade phase, then ranks
+    candidate arcs by warm-started statistical solves and keeps any that
+    raises the statistical rate, for up to three rounds. At Q == N, where
+    every grouping relabels the identity, the seed is adjacent blocks (the
+    identity itself): a relabelled arc seed reaches the same rate up to the
+    order of its sums, so only its last bits would differ.
     """
     n = channels.num_elements
     k_users = channels.num_users
@@ -679,37 +679,36 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
         g = grp.adjacent_grouping(n, q)
     else:
         g = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
-    best_rate, stat_state = _statistical_solve(channels, cascades_stat, g, weights, p_max, opts)
+    best = _statistical_solve(channels, cascades_stat, g, weights, p_max, opts)
 
     # candidate arcs, all ranked by warm-started statistical solves: the
     # mixed-user fixed point (regroup under the solved precoders) plus one
     # arc per user (serving a single user's ramp coherently can beat any
     # cross-user compromise when the direct links already carry the rest).
     # A solve is deterministic in (candidate, warm state), and one that did
-    # not raise best_rate left stat_state as it was, so an assignment
-    # already solved from the current stat_state is skipped: its rate is
-    # known not to win.
+    # not raise the best rate left best as it was, so an assignment already
+    # solved from the current best is skipped: its rate is known not to win.
     solved = set()
     for _ in range(3):
-        candidates = [_arc_from_solved(cascades_stat, stat_state, weights, q)]
+        candidates = [_arc_from_solved(cascades_stat, best, weights, q)]
         for k in range(k_users):
-            ramp = cascades_stat[k] @ stat_state[0][:, k]
+            ramp = cascades_stat[k] @ best.precoder.w[:, k]
             candidates.append(_arc_from_phases(np.angle(ramp), q))
         improved = False
         for candidate in candidates:
             key = candidate.assignment.tobytes()
-            if key in solved or np.array_equal(candidate.assignment, g.assignment):
+            if key in solved or np.array_equal(candidate.assignment, best.grouping.assignment):
                 continue
-            rate, state = _statistical_solve(channels, cascades_stat, candidate, weights,
-                                             p_max, opts, warm=stat_state)
+            stat = _statistical_solve(channels, cascades_stat, candidate, weights, p_max, opts,
+                                      warm=best)
             solved.add(key)
-            if rate > best_rate:
-                best_rate, g, stat_state = rate, candidate, state
+            if stat.wsr_bits > best.wsr_bits:
+                best = stat
                 improved = True
                 solved.clear()
         if not improved:
             break
-    return g, cascades_stat, stat_state
+    return best, cascades_stat
 
 
 def two_stage_solve(channels, q, opts=None, p_max=None, weights=None, grouping=None):
@@ -719,24 +718,24 @@ def two_stage_solve(channels, q, opts=None, p_max=None, weights=None, grouping=N
     given grouping (a GroupingMatrix of the N elements into q groups) is
     used as it is instead. Stage 2 runs the alternating loop on the grouped
     instantaneous cascades until the internal objective's relative change
-    drops below opts.tol or opts.max_outer is reached. The returned trace
-    never decreases by more than rounding noise.
+    drops below opts.tol or opts.max_outer is reached. p_max and weights
+    default to channels.meta["p_max"] and channels.meta["weights"]. Returns
+    the stage-2 SolveResult with its grouping set; its trace_steps never
+    decrease by more than rounding noise.
     """
     opts = opts or SolverOptions()
-    k_users = channels.num_users
     n = channels.num_elements
-    if weights is None:
-        weights = np.asarray(channels.meta.get("weights", np.ones(k_users)), dtype=float)
-    else:
-        weights = np.asarray(weights, dtype=float)
-    if p_max is None:
-        p_max = float(channels.meta.get("p_max", 0.01))
+    for key, value in (("p_max", p_max), ("weights", weights)):
+        if value is None and key not in channels.meta:
+            raise ValueError(f"no {key} given and none in channels.meta[{key!r}]")
+    weights = np.asarray(channels.meta["weights"] if weights is None else weights, dtype=float)
+    p_max = float(channels.meta["p_max"]) if p_max is None else p_max
     if not 1 <= q <= n:
         raise ValueError("need 1 <= Q <= N")
 
     if grouping is None:
-        g, cascades_stat, (w_stat, *_) = _grouping_from_statistics(channels, q, opts, weights,
-                                                                   p_max)
+        stat, cascades_stat = _grouping_from_statistics(channels, q, opts, weights, p_max)
+        g, w_stat = stat.grouping, stat.precoder.w
     else:
         if (grouping.num_elements, grouping.num_groups) != (n, q):
             raise ValueError(f"grouping of {grouping.num_elements} elements into "
@@ -747,14 +746,9 @@ def two_stage_solve(channels, q, opts=None, p_max=None, weights=None, grouping=N
         g, cascades_stat = grouping, _stat_cascades(channels)
         w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
 
-    c_hat = np.stack([grp.combine_cascade(g, channels.cascade(k)) for k in range(k_users)])
-    c_hat_stat = np.stack([grp.combine_cascade(g, cascades_stat[k]) for k in range(k_users)])
-    v0 = heuristic_rcv(c_hat_stat, w_stat, weights)
+    c_hat = grp.combine_cascades(g, [channels.cascade(k) for k in range(channels.num_users)])
+    v0 = heuristic_rcv(grp.combine_cascades(g, cascades_stat), w_stat, weights)
     w0 = matched_precoder(effective_channels(v0.values, c_hat, channels.h_bu), p_max)
-
-    pm, v, aux, trace, trace_steps, iterations, converged = solve_fp(
-        c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, w0, opts)
-    h = effective_channels(v.values, c_hat, channels.h_bu)
-    rate = wsr(sinr_all(h, pm.w, channels.noise_power), weights)
-    return SolveResult(grouping=g, precoder=pm, rcv=v, wsr_bits=rate, trace=trace,
-                       trace_steps=trace_steps, iterations=iterations, converged=converged)
+    res = solve_fp(c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, w0, opts)
+    res.grouping = g
+    return res

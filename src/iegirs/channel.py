@@ -201,12 +201,8 @@ def build_scenario(config, rng):
 
     meta = {
         "users": users,
-        "delta_bi": link_bi.delta,
         "delta_iu": np.array([lk.delta for lk in links_iu]),
         "delta_bu": np.array([lk.delta for lk in links_bu]),
-        "kappas": (config.kappa_bi, config.kappa_iu, config.kappa_bu),
-        "upa_factors": (n1, n2),
-        "scenario": config.scenario,
         "p_max": config.power_watts,
         "weights": tuple(config.weights),
     }

@@ -29,7 +29,7 @@ def _load_config(args):
 
 
 def _report_unconverged(rows):
-    capped = sum(not r.converged for r in rows)
+    capped = sum(not r.solution.converged for r in rows)
     print(f"{capped} of {len(rows)} solves stopped at max_outer without converging")
 
 

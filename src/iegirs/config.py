@@ -49,6 +49,9 @@ class ScenarioConfig:
             self.weights = tuple(1.0 for _ in range(self.K))
         if len(self.weights) != self.K:
             raise ValueError("weights length must equal K")
+        weights = np.asarray(self.weights, dtype=float)
+        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+            raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; choose from {SCHEMES}")

@@ -161,6 +161,11 @@ def combine_cascade(grouping, cascade):
     return _group_sum(grouping.assignment, cascade, grouping.num_groups)
 
 
+def combine_cascades(grouping, cascades):
+    """combine_cascade of each user's (N, M) cascade, stacked to (K, Q, M)."""
+    return np.stack([combine_cascade(grouping, c) for c in cascades])
+
+
 # ---------------------------------------------------------------------------
 # Relaxed grouping program on statistical CSI
 

@@ -12,7 +12,7 @@ import csv
 import io
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,12 @@ SCHEME_DIMS = {
 
 @dataclass
 class TrialResult:
-    """One scheme's outcome on one channel realization, plus audit artifacts."""
+    """One scheme's outcome on one channel realization: a CSV row and its solve.
+
+    wsr_bits and iterations are the solution's; recompute_wsr audits the row
+    from solution (a bf.SolveResult) and frozen_phases, the phases at which
+    the scheme's frozen elements were held.
+    """
 
     scheme: str
     axis: str
@@ -51,10 +56,8 @@ class TrialResult:
     wsr_bits: float
     iterations: int
     runtime_ms: float
-    realtime_dims: int
-    converged: bool             # False if the loop stopped at max_outer; not in the CSV
-    grouping: list | None = None
-    artifacts: dict = field(default_factory=dict)
+    solution: bf.SolveResult
+    frozen_phases: np.ndarray
 
     def __post_init__(self):
         if self.wsr_bits < 0:
@@ -75,25 +78,13 @@ def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
     if grouping is None:
         c_hat = np.stack([c[:realtime] for c in cascades])
     else:
-        c_hat = np.stack([grp.combine_cascade(grouping, c) for c in cascades])
+        c_hat = grp.combine_cascades(grouping, cascades)
     h_bu_eff = channels.h_bu
     if len(frozen):
         vf = np.exp(1j * np.asarray(frozen))
         h_bu_eff = np.stack([channels.h_bu[k] + cascades[k][-len(frozen):].conj().T @ vf
                              for k in range(k_users)])
     return c_hat, h_bu_eff
-
-
-def _solve_fixed_reflection(channels, c_hat, h_bu_eff, p_max, weights, opts):
-    """Precoder-plus-reflection loop on prepared grouped cascades."""
-    v0 = bf.ReflectionVector(phases=np.zeros(c_hat.shape[1]))
-    w0 = bf.matched_precoder(bf.effective_channels(v0.values, c_hat, h_bu_eff), p_max)
-    pm, v, aux, trace, trace_steps, iterations, converged = bf.solve_fp(
-        c_hat, h_bu_eff, channels.noise_power, p_max, weights, v0, w0, opts)
-    h = bf.effective_channels(v.values, c_hat, h_bu_eff)
-    rate = bf.wsr(bf.sinr_all(h, pm.w, channels.noise_power), weights)
-    return bf.SolveResult(grouping=None, precoder=pm, rcv=v, wsr_bits=rate, trace=trace,
-                          trace_steps=trace_steps, iterations=iterations, converged=converged)
 
 
 def run_scheme(scheme, channels, config, rng, opts=None):
@@ -112,41 +103,37 @@ def run_scheme(scheme, channels, config, rng, opts=None):
     expected, n_frozen = SCHEME_DIMS[scheme](channels.num_elements, q)
     t0 = time.perf_counter()
     frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
-    grouping_ser = None
     if scheme in ("ieg", "aeg"):
         grouping = grp.adjacent_grouping(channels.num_elements, q) if scheme == "aeg" else None
         res = bf.two_stage_solve(channels, q, opts=opts, p_max=p_max, weights=weights,
                                  grouping=grouping)
-        grouping_ser = res.grouping.assignment.tolist()
     else:
         c_hat, h_bu_eff = scheme_problem(scheme, channels, q, frozen=frozen)
-        res = _solve_fixed_reflection(channels, c_hat, h_bu_eff, p_max, weights, opts)
+        v0 = bf.ReflectionVector(phases=np.zeros(c_hat.shape[1]))
+        w0 = bf.matched_precoder(bf.effective_channels(v0.values, c_hat, h_bu_eff), p_max)
+        res = bf.solve_fp(c_hat, h_bu_eff, channels.noise_power, p_max, weights, v0, w0, opts)
 
-    realtime = len(res.rcv)
-    if realtime != expected:
-        raise RuntimeError(f"{scheme} exposes {realtime} real-time dims, expected {expected}")
+    if len(res.rcv) != expected:
+        raise RuntimeError(f"{scheme} exposes {len(res.rcv)} real-time dims, expected {expected}")
 
     runtime_ms = (time.perf_counter() - t0) * 1e3
-    artifacts = {"w": res.precoder.w, "rcv_phases": res.rcv.phases, "frozen_phases": frozen}
     return TrialResult(
         scheme=scheme, axis="", axis_value=0.0, N=config.N, Q=q, trial=0, seed=0,
         wsr_bits=res.wsr_bits, iterations=res.iterations, runtime_ms=runtime_ms,
-        realtime_dims=realtime, converged=res.converged, grouping=grouping_ser,
-        artifacts=artifacts,
+        solution=res, frozen_phases=frozen,
     )
 
 
 def recompute_wsr(channels, result, config):
-    """Re-derive the weighted sum rate from the stored solution artifacts."""
-    grouping = None
-    if result.grouping is not None:
-        grouping = grp.GroupingMatrix(assignment=np.asarray(result.grouping), num_groups=result.Q)
-    c_hat, h_bu = scheme_problem(result.scheme, channels, result.Q, grouping=grouping,
-                                 frozen=result.artifacts["frozen_phases"])
-    v = np.exp(1j * np.asarray(result.artifacts["rcv_phases"]))
+    """Re-derive the weighted sum rate of a row from its solution's beams and
+    phases, its grouping and its frozen phases; never reads solution.wsr_bits."""
+    sol = result.solution
+    c_hat, h_bu = scheme_problem(result.scheme, channels, result.Q, grouping=sol.grouping,
+                                 frozen=result.frozen_phases)
+    v = np.exp(1j * sol.rcv.phases)
     h = bf.effective_channels(v, c_hat, h_bu)
     weights = np.asarray(config.weights, dtype=float)
-    return bf.wsr(bf.sinr_all(h, result.artifacts["w"], channels.noise_power), weights)
+    return bf.wsr(bf.sinr_all(h, sol.precoder.w, channels.noise_power), weights)
 
 
 def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,

@@ -345,7 +345,7 @@ class TestReflectionUpdate:
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=1)
         u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, np.ones(3))
         out = update_rcv_mm(ReflectionVector(phases=np.array([1.0])), w, aux, c_hat, h_bu,
-                            np.ones(3), max_inner=2)
+                            np.ones(3), max_inner=2, tol=1e-10)
         grid = np.exp(1j * np.linspace(0, 2 * np.pi, 10 ** 4, endpoint=False))
         vals = [rcv_objective(np.array([g]), u, phi) for g in grid]
         assert rcv_objective(out.values, u, phi) >= max(vals) - 1e-6 * max(1.0, abs(max(vals)))
@@ -419,7 +419,8 @@ class TestReflectionUpdate:
 
         monkeypatch.setattr(bf, "build_rcv_quadratic", bad_quadratic)
         with pytest.raises(ValueError):
-            update_rcv_mm(ReflectionVector(phases=np.zeros(2)), w, aux, c_hat, h_bu, np.ones(3))
+            update_rcv_mm(ReflectionVector(phases=np.zeros(2)), w, aux, c_hat, h_bu, np.ones(3),
+                          max_inner=50, tol=1e-10)
 
 
 class TestSolveLoop:
@@ -492,12 +493,24 @@ class TestSolveLoop:
         h_bu = random_complex(rng, (k, m))
         c_hat = np.zeros((k, 0, m), dtype=complex)
         w0 = matched_precoder(h_bu, 1.0)
-        pm, v, aux, trace, steps, it, conv = solve_fp(
-            c_hat, h_bu, 1e-2, 1.0, np.ones(k), np.zeros(0), w0, SolverOptions())
-        assert conv
-        assert len(v) == 0
+        res = solve_fp(c_hat, h_bu, 1e-2, 1.0, np.ones(k), ReflectionVector(phases=np.zeros(0)),
+                       w0, SolverOptions())
+        assert res.converged
+        assert len(res.rcv) == 0 and res.grouping is None
+        steps = res.trace_steps
         rel = np.diff(steps) / np.maximum(1.0, np.abs(steps[:-1]))
         assert rel.min() >= -1e-8
+
+    @pytest.mark.parametrize("given, missing", [({"weights": (1.0,)}, "p_max"),
+                                                 ({"p_max": 1.0}, "weights")])
+    def test_missing_budget_or_weights_named(self, given, missing):
+        ch = self._manual_channelset(np.random.default_rng(15), n=8)
+        ch.meta = {}
+        with pytest.raises(ValueError, match=missing):
+            two_stage_solve(ch, 2, **given)
+        ch.meta = {k: v for k, v in {"p_max": 1.0, "weights": (1.0,)}.items() if k != missing}
+        with pytest.raises(ValueError, match=missing):
+            two_stage_solve(ch, 2)
 
     def test_q_bounds(self):
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
@@ -602,8 +615,9 @@ def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10
 
 
 def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
-    """Alternating loop that re-evaluates every quantity after every block."""
-    v = v0 if isinstance(v0, ReflectionVector) else ReflectionVector(phases=np.asarray(v0, dtype=float))
+    """Alternating loop that re-evaluates every quantity after every block,
+    and the rate at the end from a fresh effective channel."""
+    v = v0
     w = np.asarray(w0, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     trace, steps = [], []
@@ -629,7 +643,10 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
             converged = True
             break
     pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange if pm is not None else 0.0)
-    return pm, v, aux, np.asarray(trace), np.asarray(steps), it, converged
+    h = effective_channels(v.values, c_hat, h_bu)
+    rate = wsr(sinr_all(h, pm.w, noise_power), weights)
+    return bf.SolveResult(grouping=None, precoder=pm, rcv=v, aux=aux, wsr_bits=rate,
+                          trace_steps=np.asarray(steps), iterations=it, converged=converged)
 
 
 def _loop_problem(case):
@@ -657,14 +674,12 @@ def _loop_problem(case):
 
 
 def _assert_same_solve(a, b):
-    pm_a, v_a, aux_a, trace_a, steps_a, it_a, conv_a = a
-    pm_b, v_b, aux_b, trace_b, steps_b, it_b, conv_b = b
-    assert (it_a, conv_a) == (it_b, conv_b)
-    assert np.array_equal(trace_a, trace_b)
-    assert np.array_equal(steps_a, steps_b)
-    assert np.array_equal(pm_a.w, pm_b.w) and pm_a.lagrange == pm_b.lagrange
-    assert np.array_equal(v_a.phases, v_b.phases)
-    assert np.array_equal(aux_a.xi, aux_b.xi) and np.array_equal(aux_a.varsigma, aux_b.varsigma)
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    assert np.array_equal(a.trace_steps, b.trace_steps)
+    assert np.array_equal(a.precoder.w, b.precoder.w) and a.precoder.lagrange == b.precoder.lagrange
+    assert np.array_equal(a.rcv.phases, b.rcv.phases)
+    assert np.array_equal(a.aux.xi, b.aux.xi) and np.array_equal(a.aux.varsigma, b.aux.varsigma)
+    assert a.wsr_bits == b.wsr_bits
 
 
 class TestLoopBitExact:
@@ -673,7 +688,7 @@ class TestLoopBitExact:
         problem = _loop_problem(case)
         opts = SolverOptions(max_outer=60)
         out = solve_fp(*problem, opts)
-        assert out[5] > 2
+        assert out.iterations > 2
         if case == "uirs_q":
             assert not problem[0].flags.c_contiguous
         _assert_same_solve(out, _reference_solve_fp(*problem, opts))
@@ -790,7 +805,6 @@ def _strided_stacks(c_hat):
 
 def _assert_same_two_stage(a, b):
     assert np.array_equal(a.grouping.assignment, b.grouping.assignment)
-    assert np.array_equal(a.trace, b.trace)
     assert np.array_equal(a.trace_steps, b.trace_steps)
     assert np.array_equal(a.precoder.w, b.precoder.w)
     assert np.array_equal(a.rcv.phases, b.rcv.phases)
@@ -804,35 +818,36 @@ def _assert_same_two_stage(a, b):
 def _reference_arc_search(channels, q, opts, weights, p_max):
     """The arc search that solves every candidate, repeats included.
 
-    Returns (grouping, stacked statistical cascades, statistical state, rate).
+    Returns (statistical SolveResult of the chosen grouping, stacked
+    statistical cascades), as _grouping_from_statistics does.
     """
     from iegirs import grouping as grp
     n = channels.num_elements
     k_users = channels.num_users
     cascades_stat = np.stack([channels.cascade_stat(k) for k in range(k_users)])
     arc = bf._aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
-    best_rate, g, stat_state = -np.inf, None, None
+    best = None
     for seed_g in (grp.adjacent_grouping(n, q), arc):
-        rate, state = bf._statistical_solve(channels, cascades_stat, seed_g, weights, p_max, opts)
-        if rate > best_rate:
-            best_rate, g, stat_state = rate, seed_g, state
+        stat = bf._statistical_solve(channels, cascades_stat, seed_g, weights, p_max, opts)
+        if best is None or stat.wsr_bits > best.wsr_bits:
+            best = stat
     for _ in range(3):
-        candidates = [bf._arc_from_solved(cascades_stat, stat_state, weights, q)]
+        candidates = [bf._arc_from_solved(cascades_stat, best, weights, q)]
         for k in range(k_users):
-            ramp = cascades_stat[k] @ stat_state[0][:, k]
+            ramp = cascades_stat[k] @ best.precoder.w[:, k]
             candidates.append(bf._arc_from_phases(np.angle(ramp), q))
         improved = False
         for candidate in candidates:
-            if np.array_equal(candidate.assignment, g.assignment):
+            if np.array_equal(candidate.assignment, best.grouping.assignment):
                 continue
-            rate, state = bf._statistical_solve(channels, cascades_stat, candidate, weights,
-                                                p_max, opts, warm=stat_state)
-            if rate > best_rate:
-                best_rate, g, stat_state = rate, candidate, state
+            stat = bf._statistical_solve(channels, cascades_stat, candidate, weights,
+                                         p_max, opts, warm=best)
+            if stat.wsr_bits > best.wsr_bits:
+                best = stat
                 improved = True
         if not improved:
             break
-    return g, cascades_stat, stat_state, best_rate
+    return best, cascades_stat
 
 
 def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relaxed_calls):
@@ -840,17 +855,17 @@ def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relax
     raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
     15 projected-gradient steps, the incumbent as an extra start)."""
     from iegirs import grouping as grp
-    g, cascades_stat, stat_state, best_rate = _reference_arc_search(channels, q, opts, weights,
-                                                                    p_max)
+    best, cascades_stat = _reference_arc_search(channels, q, opts, weights, p_max)
     relaxed_calls.append(q)
-    refined = grp.relaxed_qp_grouping(cascades_stat, channels.h_bu_stat, stat_state[0],
-                                      stat_state[1], stat_state[2], q, weights=weights,
-                                      rho=1.0, max_rounds=20, pg_steps=15, extra_starts=(g,))
-    if not np.array_equal(refined.assignment, g.assignment):
-        rate, state = bf._statistical_solve(channels, cascades_stat, refined, weights, p_max, opts)
-        if rate > best_rate:
-            g, stat_state = refined, state
-    return g, cascades_stat, stat_state
+    refined = grp.relaxed_qp_grouping(cascades_stat, channels.h_bu_stat, best.precoder.w,
+                                      best.rcv.values, best.aux, q, weights=weights,
+                                      rho=1.0, max_rounds=20, pg_steps=15,
+                                      extra_starts=(best.grouping,))
+    if not np.array_equal(refined.assignment, best.grouping.assignment):
+        stat = bf._statistical_solve(channels, cascades_stat, refined, weights, p_max, opts)
+        if stat.wsr_bits > best.wsr_bits:
+            best = stat
+    return best, cascades_stat
 
 
 def _stage1_scene(case):
@@ -904,10 +919,7 @@ class TestStage1BitExact:
         new = two_stage_solve(ch, q, p_max=p_max)
         n_new = len(solves)
 
-        def reference(channels, q, opts, weights, p_max):
-            return _reference_arc_search(channels, q, opts, weights, p_max)[:3]
-
-        monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
+        monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
         ref = two_stage_solve(ch, q, p_max=p_max)
         # the reference solves the repeats and, before the arc seed, adjacent blocks
         assert len(solves) - n_new == n_new + skipped + 1
@@ -920,10 +932,7 @@ class TestStage1BitExact:
         ch = build_scenario(cfg, np.random.default_rng(0))
         new = two_stage_solve(ch, 8, p_max=cfg.power_watts)
 
-        def reference(channels, q, opts, weights, p_max):
-            return _reference_arc_search(channels, q, opts, weights, p_max)[:3]
-
-        monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
+        monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
         ref = two_stage_solve(ch, 8, p_max=cfg.power_watts)
         _assert_same_two_stage(new, ref)
 

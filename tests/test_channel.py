@@ -226,3 +226,11 @@ class TestScenarioConfig:
         assert ScenarioConfig(K=3).weights == (1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             ScenarioConfig(K=3, weights=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
+    def test_bad_weights_rejected_at_construction(self, bad):
+        # caught here, not as a failed precoder update deep inside a solve
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            ScenarioConfig(weights=(bad, 1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            ScenarioConfig.from_dict({"weights": [1.0, 1.0, bad, 1.0]})

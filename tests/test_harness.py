@@ -39,7 +39,7 @@ class TestRunScheme:
     def test_pilot_budget_accounting(self):
         cfg = _tiny_config(schemes=("ieg", "aeg", "uirs_q", "random_rcv", "no_irs"), trials=1)
         rows = run_monte_carlo(cfg)
-        dims = {r.scheme: r.realtime_dims for r in rows}
+        dims = {r.scheme: len(r.solution.rcv) for r in rows}
         assert dims == {"ieg": 2, "aeg": 2, "uirs_q": 2, "random_rcv": 0, "no_irs": 0}
 
     def test_unknown_scheme(self):
@@ -62,8 +62,8 @@ class TestRunScheme:
         cfg = _tiny_config(schemes=("ieg", "aeg", "uirs_q"), trials=1)
         rows = run_monte_carlo(cfg)
         capped = run_monte_carlo(cfg, opts=SolverOptions(max_outer=2))
-        assert all(r.converged and r.iterations > 2 for r in rows)
-        assert not any(r.converged for r in capped)
+        assert all(r.solution.converged and r.iterations > 2 for r in rows)
+        assert not any(r.solution.converged for r in capped)
         assert all(r.iterations == 2 for r in capped)
         lines = rows_to_csv_text(capped).splitlines()          # the flag is not a CSV column
         assert lines[0] == ",".join(harness.CSV_HEADER)
@@ -77,7 +77,7 @@ class TestRunScheme:
                                   weights=np.asarray(cfg.weights, dtype=float),
                                   grouping=identity_grouping(16))
         assert res_aeg.wsr_bits == res_idn.wsr_bits
-        assert res_aeg.grouping == res_idn.grouping.assignment.tolist()
+        assert np.array_equal(res_aeg.solution.grouping.assignment, res_idn.grouping.assignment)
 
 
 class TestAudit:
@@ -91,7 +91,7 @@ class TestAudit:
             assert abs(again - row.wsr_bits) <= 1e-9 * max(1.0, row.wsr_bits)
 
     def test_schemes_share_channels(self):
-        # both schemes' stored artifacts audit against the same realization
+        # both schemes' stored solutions audit against the same realization
         cfg = _tiny_config(schemes=("aeg", "no_irs"), trials=1)
         rows = run_monte_carlo(cfg)
         ss = trial_seed_sequence(cfg.seed, 0)
@@ -258,7 +258,7 @@ class TestCli:
         cfg_path = self._write_config(tmp_path)
         monkeypatch.setattr(harness.bf, "SolverOptions", lambda: SolverOptions(max_outer=2))
         args = {"simulate": ["simulate"], "sweep": ["sweep", "--axis", "groups", "--values", "2"]}
-        capped = sum(not r.converged
+        capped = sum(not r.solution.converged
                      for r in run_monte_carlo(_tiny_config(schemes=("aeg", "no_irs")),
                                               opts=SolverOptions(max_outer=2)))
         assert capped > 0
@@ -316,15 +316,39 @@ class TestCli:
         assert row[3] == "10000"
 
 
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkHooks:
     def test_traced_names_resolve(self):
         # perfbench/spans.py wraps these functions by name; a missing one
         # breaks only the traced benchmark run, so catch it here
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = _load_perfbench("spans")
         missing = [f"{module}.{name}" for module, names in spans.TRACED.items()
                    for name in names
                    if not callable(getattr(importlib.import_module(f"iegirs.{module}"), name, None))]
         assert missing == []
+
+    def test_benchmark_rows_audit_clean(self, tmp_path):
+        # perfbench/child.py reads the rows run_monte_carlo returns and audits
+        # each one with recompute_wsr; a row it cannot re-derive fails every
+        # benchmark run, so catch it here
+        child = _load_perfbench("child")
+        cfg_path = tmp_path / "scene.yaml"
+        cfg_path.write_text(yaml.safe_dump(_tiny_config(trials=1).to_dict()))
+        capture = child.Capture()
+        capture.install()
+        try:
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv"),
+                      "--quiet"])
+        finally:
+            capture.uninstall()
+        rows = [r for batch in capture.rows for r in batch]
+        assert {r.scheme for r in rows} == set(SCHEMES)
+        assert child.audit_trial_rows(capture.rows, capture.draws) == 0
+        assert len(capture.solve_refs) == len(rows)
