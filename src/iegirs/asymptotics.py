@@ -6,11 +6,13 @@ elements against a grouped surface of N = Q * mu elements with Q combined
 reflection dimensions.
 """
 
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RicianLink, cascade_coefficients, sample_rician
+from .channel import RicianLink, cascade_coefficients, rician_from_normals
 from .grouping import combine_cascade, phase_partition_grouping
 from .mathkit import array_response, group_shrink_factor, laguerre_half, virtual_los_direction
 
@@ -119,18 +121,80 @@ def _ramp_links(n, inputs):
     return link_bi, link_iu
 
 
+# The Monte Carlo draws run ahead of their arithmetic on one helper thread
+# (numpy's normal fill releases the GIL), through a ring of RING_BLOCKS blocks
+# of at most DRAW_BLOCK_BYTES of float64 normals each (at least one trial).
+DRAW_BLOCK_BYTES = 2 ** 19
+RING_BLOCKS = 3
+
+
+def _check_trials(trials):
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
+def _cascade_draws(link_iu, link_bi, trials, rng):
+    """Yield conj(h_iu) * conj(h_bi) for each of `trials` joint draws of two Rician links.
+
+    The values equal the serial loop's conj(sample_rician(link_iu, rng)) *
+    conj(sample_rician(link_bi, rng)) bit for bit: per trial the stream holds
+    h_iu's real and imaginary parts, then h_bi's. A helper thread fills the
+    ring's blocks in that order while this generator maps the previous ones.
+    The helper touches only rng and the ring (no traced iegirs function), rng
+    is not touched here while it runs, and it is stopped and joined on every
+    exit. After the last trial rng is where the serial loop leaves it.
+    """
+    shape = link_iu.los.shape
+    per = max(1, DRAW_BLOCK_BYTES // (4 * link_iu.los.size * 8))
+    sizes = [per] * (trials // per) + ([trials % per] if trials % per else [])
+    ring = np.empty((RING_BLOCKS, per, 2, 2) + shape)
+    free, ready = threading.Semaphore(RING_BLOCKS), threading.Semaphore(0)
+    stop, failure = threading.Event(), []
+
+    def fill():
+        try:
+            for i, b in enumerate(sizes):
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=ring[i % RING_BLOCKS, :b])
+                ready.release()
+        except Exception as exc:
+            failure.append(exc)
+            ready.release()
+
+    stat_iu, scale_iu = link_iu.stat_component, link_iu.nlos_scale
+    stat_bi, scale_bi = link_bi.stat_component, link_bi.nlos_scale
+    helper = threading.Thread(target=fill, name="iegirs-normals", daemon=True)
+    helper.start()
+    try:
+        for i, b in enumerate(sizes):
+            ready.acquire()
+            if failure:
+                raise failure[0]
+            for z in ring[i % RING_BLOCKS, :b]:
+                yield (np.conj(rician_from_normals(stat_iu, scale_iu, z[0]))
+                       * np.conj(rician_from_normals(stat_bi, scale_bi, z[1])))
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+
+
 def simulate_grouped_cascades(inputs, trials, rng):
     """Monte Carlo draws of the combined grouped cascade, shape (trials, Q).
 
     The deterministic cascade component is the DELTA_RAMP phase ramp, and
     the grouping is the equal-arc phase partition for that ramp.
     """
+    _check_trials(trials)
     link_bi, link_iu = _ramp_links(inputs.N, inputs)
     grouping = phase_partition_grouping(DELTA_RAMP, inputs.N, inputs.Q)
     out = np.empty((trials, inputs.Q), dtype=complex)
-    for t in range(trials):
-        c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
-        out[t] = combine_cascade(grouping, c)
+    with closing(_cascade_draws(link_iu, link_bi, trials, rng)) as draws:
+        for t, c in enumerate(draws):
+            out[t] = combine_cascade(grouping, c)
     return out
 
 
@@ -142,11 +206,12 @@ def simulate_grouped_gain(inputs, trials, rng):
 
 def simulate_ungrouped_gain(q, inputs, trials, rng):
     """Mean simulated phase-aligned gain of an ungrouped q-element surface."""
+    _check_trials(trials)
     link_bi, link_iu = _ramp_links(q, inputs)
     gains = np.empty(trials)
-    for t in range(trials):
-        c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
-        gains[t] = np.abs(c).sum() ** 2
+    with closing(_cascade_draws(link_iu, link_bi, trials, rng)) as draws:
+        for t, c in enumerate(draws):
+            gains[t] = np.abs(c).sum() ** 2
     return float(np.mean(gains))
 
 

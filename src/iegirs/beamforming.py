@@ -575,9 +575,11 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
     h and its received statistics (_rx_stats) are formed once per iteration,
     at the new reflection vector: they give the closing objective and carry
     over as the next iteration's h, auxiliary input and opening objective,
-    and the last h gives the returned rate. Each carried value is the same
-    call on the same inputs that would recompute it, so every output is bit
-    for bit that of calling fp_objective after every block.
+    and the last h gives the returned rate. At Q = 0 the reflection block
+    leaves h unchanged, so the statistics after the precoder update close the
+    iteration. Each carried value is the same call on the same inputs that
+    would recompute it, so every output is bit for bit that of calling
+    fp_objective after every block.
     """
     q = c_hat.shape[1]
     v = v0
@@ -594,15 +596,17 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
         trace_steps.append(_fp_value(*stats, aux, weights))
         pm = update_precoder(aux, h, weights, p_max)
         w = pm.w
-        trace_steps.append(_fp_value(*_rx_stats(h, w, noise_power), aux, weights))
+        stats = _rx_stats(h, w, noise_power)
+        current = _fp_value(*stats, aux, weights)
+        trace_steps.append(current)
         if q > 0:
             v = update_rcv_mm(v, w, aux, c_hat, h_bu, weights,
                               max_inner=opts.mm_iters, tol=opts.mm_tol, work=work)
             rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu, weights)
             v = ReflectionVector(phases=np.angle(rotated))
-        h = effective_channels(v.values, c_hat, h_bu)
-        stats = _rx_stats(h, w, noise_power)
-        current = _fp_value(*stats, aux, weights)
+            h = effective_channels(v.values, c_hat, h_bu)
+            stats = _rx_stats(h, w, noise_power)
+            current = _fp_value(*stats, aux, weights)
         trace_steps.append(current)
         if it > 1 and abs(current - previous) <= opts.tol * max(1.0, abs(previous)):
             converged = True

@@ -53,14 +53,37 @@ class RicianLink:
         return self.delta * np.sqrt(1.0 / (1.0 + self.kappa))
 
 
+# fl(1/sqrt(2)): numpy's complex division by sqrt(2) multiplies by this
+# float, so scaling each part by it gives the same bits as dividing.
+INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _complex_from_normals(z):
+    """CN(0,1) entries (z[0] + 1j*z[1]) / sqrt(2) from a (2, ...) block of standard normals."""
+    out = np.empty(z.shape[1:], dtype=complex)
+    np.multiply(z[0], INV_SQRT2, out=out.real)
+    np.multiply(z[1], INV_SQRT2, out=out.imag)
+    return out
+
+
 def complex_normal(shape, rng):
-    """i.i.d. CN(0,1) samples (unit variance per complex entry)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """i.i.d. CN(0,1) samples (unit variance per complex entry).
+
+    One (2,) + shape draw consumes the stream in the order of drawing the
+    real parts, then the imaginary parts.
+    """
+    return _complex_from_normals(rng.standard_normal((2,) + tuple(shape)))
+
+
+def rician_from_normals(stat_component, nlos_scale, z):
+    """The Rician realization stat_component + nlos_scale * CN(0,1) from a (2, ...) normal block z."""
+    return stat_component + nlos_scale * _complex_from_normals(z)
 
 
 def sample_rician(link, rng):
     """One realization delta*(sqrt(k/(1+k))*los + sqrt(1/(1+k))*nlos)."""
-    return link.stat_component + link.nlos_scale * complex_normal(link.los.shape, rng)
+    return rician_from_normals(link.stat_component, link.nlos_scale,
+                               rng.standard_normal((2,) + link.los.shape))
 
 
 def cascade_coefficients(kappa_bi, kappa_iu):

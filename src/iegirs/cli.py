@@ -28,6 +28,13 @@ def _load_config(args):
     return cfg.replace(**overrides) if overrides else cfg
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _report_unconverged(rows):
     capped = sum(not r.solution.converged for r in rows)
     print(f"{capped} of {len(rows)} solves stopped at max_outer without converging")
@@ -109,7 +116,7 @@ def build_parser():
     ps = sub.add_parser("simulate", help="run all configured schemes on one scenario")
     ps.add_argument("--config", help="YAML scenario file (defaults if omitted)")
     ps.add_argument("--seed", type=int, help="override master seed")
-    ps.add_argument("--trials", type=int, help="override trial count")
+    ps.add_argument("--trials", type=_positive_int, help="override trial count")
     ps.add_argument("--out", default="results.csv", help="output CSV path")
     ps.add_argument("--full-scale", action="store_true", help="use N=10000 elements")
     ps.add_argument("--timings", action="store_true",
@@ -122,7 +129,7 @@ def build_parser():
     pw.add_argument("--values", required=True, help="comma-separated axis values")
     pw.add_argument("--config", help="YAML scenario file")
     pw.add_argument("--seed", type=int)
-    pw.add_argument("--trials", type=int)
+    pw.add_argument("--trials", type=_positive_int)
     pw.add_argument("--out", default="sweep.csv")
     pw.add_argument("--full-scale", action="store_true", help="use N=10000 elements")
     pw.add_argument("--timings", action="store_true")
@@ -131,7 +138,7 @@ def build_parser():
 
     pa = sub.add_parser("asymptotics", help="closed-form vs Monte Carlo validation table")
     pa.add_argument("--out", help="CSV path (stdout if omitted)")
-    pa.add_argument("--trials", type=int, default=100)
+    pa.add_argument("--trials", type=_positive_int, default=100)
     pa.add_argument("--seed", type=int, default=0)
     pa.set_defaults(fn=_cmd_asymptotics)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,13 @@ import pytest
 from scipy import stats
 
 import iegirs
+from iegirs import asymptotics
 from iegirs.asymptotics import (AsymptoticInputs, ieg_gain, combined_cascade_distribution,
                                 performance_loss, simulate_grouped_cascades,
                                 simulate_grouped_gain, simulate_ungrouped_gain, uirs_gain,
                                 validate_combined_cascade_monte_carlo, _kurtosis)
+from iegirs.channel import sample_rician
+from iegirs.grouping import combine_cascade, phase_partition_grouping
 from iegirs.mathkit import group_shrink_factor
 
 
@@ -146,6 +150,162 @@ class TestMonteCarloValidators:
         inp = AsymptoticInputs(N=32, Q=4, kappa_bi=1.0, kappa_iu=1.0)
         samples = simulate_grouped_cascades(inp, 7, np.random.default_rng(5))
         assert samples.shape == (7, 4)
+
+
+def _reference_grouped_cascades(inputs, trials, rng):
+    """Serial per-trial loop: two sample_rician draws, then the group sums."""
+    link_bi, link_iu = asymptotics._ramp_links(inputs.N, inputs)
+    grouping = phase_partition_grouping(asymptotics.DELTA_RAMP, inputs.N, inputs.Q)
+    out = np.empty((trials, inputs.Q), dtype=complex)
+    for t in range(trials):
+        c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
+        out[t] = combine_cascade(grouping, c)
+    return out
+
+
+def _reference_ungrouped_gain(q, inputs, trials, rng):
+    """Serial per-trial loop of the ungrouped phase-aligned gain."""
+    link_bi, link_iu = asymptotics._ramp_links(q, inputs)
+    gains = np.empty(trials)
+    for t in range(trials):
+        c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
+        gains[t] = np.abs(c).sum() ** 2
+    return float(np.mean(gains))
+
+
+def _trials_per_block(n):
+    return max(1, asymptotics.DRAW_BLOCK_BYTES // (4 * n * 8))
+
+
+# one n whose block holds many trials, one whose block holds a single trial
+PREFETCH_NS = (256, asymptotics.DRAW_BLOCK_BYTES // 32)
+
+
+def _trial_counts(n):
+    per = _trials_per_block(n)
+    return sorted({t for t in (1, per - 1, per, per + 1, 3 * per + 2) if t >= 1})
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name == "iegirs-normals"]
+
+
+def _assert_no_helper_left(before):
+    for t in _helper_threads():
+        t.join(timeout=5.0)
+    assert not _helper_threads()
+    assert threading.active_count() == before
+
+
+@pytest.fixture
+def short_switch_interval():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
+
+
+class TestPrefetchedDraws:
+    @pytest.mark.parametrize("n", PREFETCH_NS)
+    def test_grouped_cascades_match_serial_loop(self, n, short_switch_interval):
+        assert _trials_per_block(PREFETCH_NS[-1]) == 1
+        inp = AsymptoticInputs(N=n, Q=4, kappa_bi=1.0, kappa_iu=3.0)
+        for trials in _trial_counts(n):
+            rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+            out = simulate_grouped_cascades(inp, trials, rng)
+            ref = _reference_grouped_cascades(inp, trials, ref_rng)
+            assert out.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", PREFETCH_NS)
+    def test_ungrouped_gain_matches_serial_loop(self, n, short_switch_interval):
+        inp = AsymptoticInputs(N=n, Q=n, kappa_bi=0.5, kappa_iu=2.0)
+        for trials in _trial_counts(n):
+            rng, ref_rng = np.random.default_rng(100 + trials), np.random.default_rng(100 + trials)
+            assert simulate_ungrouped_gain(n, inp, trials, rng) == \
+                _reference_ungrouped_gain(n, inp, trials, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_concurrent_callers_keep_their_streams(self, short_switch_interval):
+        # more callers than cores, each with its own generator and helper
+        inp = AsymptoticInputs(N=256, Q=256, kappa_bi=1.0, kappa_iu=1.0)
+        trials = 3 * _trials_per_block(256) + 2
+        results = {}
+
+        def run(seed):
+            results[seed] = simulate_ungrouped_gain(256, inp, trials, np.random.default_rng(seed))
+
+        before = threading.active_count()
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        _assert_no_helper_left(before)
+        for seed in range(4):
+            assert results[seed] == _reference_ungrouped_gain(256, inp, trials,
+                                                              np.random.default_rng(seed))
+
+    def test_caller_exception_stops_helper(self, monkeypatch):
+        calls = []
+
+        def failing_combine(grouping, cascade):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("third trial")
+            return combine_cascade(grouping, cascade)
+
+        monkeypatch.setattr(asymptotics, "combine_cascade", failing_combine)
+        before = threading.active_count()
+        inp = AsymptoticInputs(N=256, Q=4)
+        with pytest.raises(RuntimeError, match="third trial"):
+            simulate_grouped_cascades(inp, 10 * _trials_per_block(256), np.random.default_rng(0))
+        _assert_no_helper_left(before)
+
+    def test_early_close_stops_helper(self):
+        before = threading.active_count()
+        link_bi, link_iu = asymptotics._ramp_links(256, AsymptoticInputs(N=256, Q=4))
+        draws = asymptotics._cascade_draws(link_iu, link_bi, 10 * _trials_per_block(256),
+                                           np.random.default_rng(0))
+        next(draws)
+        next(draws)
+        draws.close()
+        _assert_no_helper_left(before)
+
+    def test_helper_exception_reraised(self):
+        class BrokenGenerator:
+            def standard_normal(self, out):
+                raise FloatingPointError("draw failed")
+
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            simulate_ungrouped_gain(16, AsymptoticInputs(N=16, Q=16), 3, BrokenGenerator())
+        _assert_no_helper_left(before)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_trials_below_one_rejected(self, trials):
+        inp = AsymptoticInputs(N=16, Q=4)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="trials"):
+            simulate_grouped_cascades(inp, trials, rng)
+        with pytest.raises(ValueError, match="trials"):
+            simulate_ungrouped_gain(16, inp, trials, rng)
+        with pytest.raises(ValueError, match="trials"):
+            validate_combined_cascade_monte_carlo(inp, trials, rng)
+
+
+@pytest.mark.parametrize("command", [["asymptotics"], ["simulate"],
+                                     ["sweep", "--axis", "groups", "--values", "2"]])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_cli_rejects_trials_below_one(command, trials, capsys):
+    from iegirs.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def _loaded_after_cli_import(module):

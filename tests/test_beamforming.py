@@ -693,6 +693,17 @@ class TestLoopBitExact:
             assert not problem[0].flags.c_contiguous
         _assert_same_solve(out, _reference_solve_fp(*problem, opts))
 
+    def test_precoder_only_solve_forms_h_once(self, monkeypatch):
+        # at Q = 0 the reflection block leaves h unchanged, so the loop keeps
+        # the statistics after the precoder update instead of re-forming h
+        problem = _loop_problem("no_irs")
+        calls = []
+        original = bf.effective_channels
+        monkeypatch.setattr(bf, "effective_channels", lambda *a: calls.append(a) or original(*a))
+        out = solve_fp(*problem, SolverOptions(max_outer=60))
+        assert out.iterations > 2
+        assert len(calls) == 1
+
     def test_rcv_update_matches_reference(self):
         rng = np.random.default_rng(21)
         for q, max_inner in ((1, 3), (4, 50), (16, 0), (64, 30)):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from iegirs.channel import (ChannelSet, RicianLink, build_scenario,
-                            cascade_coefficients, cascaded_channel, near_square_factors,
-                            path_loss_amplitude, path_loss_db, sample_rician, upa_response)
+                            cascade_coefficients, cascaded_channel, complex_normal,
+                            near_square_factors, path_loss_amplitude, path_loss_db,
+                            rician_from_normals, sample_rician, upa_response)
 from iegirs.config import ScenarioConfig
 from iegirs.mathkit import array_response
 
@@ -68,6 +69,33 @@ class TestSampleRician:
             RicianLink(delta=-1.0, kappa=0.0, los=np.ones(2))
         with pytest.raises(ValueError):
             RicianLink(delta=1.0, kappa=-0.1, los=np.ones(2))
+
+
+def _reference_complex_normal(shape, rng):
+    """The two-draw form: real parts, then imaginary parts, divided by sqrt(2)."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+class TestComplexNormal:
+    @pytest.mark.parametrize("shape", [(), (7,), (4, 1024), (2048,)])
+    def test_matches_two_draw_reference(self, shape):
+        for seed in range(6):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            z = complex_normal(shape, rng)
+            ref = _reference_complex_normal(shape, ref_rng)
+            assert z.shape == ref.shape and z.dtype == ref.dtype
+            assert z.tobytes() == ref.tobytes()
+            assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_sample_rician_is_the_map_of_one_draw(self):
+        los = _phase_ramp_los((3, 5), np.random.default_rng(6))
+        link = RicianLink(delta=0.7, kappa=2.0, los=los)
+        h = sample_rician(link, np.random.default_rng(7))
+        ref = link.stat_component + link.nlos_scale * _reference_complex_normal(
+            los.shape, np.random.default_rng(7))
+        assert h.tobytes() == ref.tobytes()
+        z = np.random.default_rng(7).standard_normal((2, 3, 5))
+        assert rician_from_normals(link.stat_component, link.nlos_scale, z).tobytes() == h.tobytes()
 
 
 class TestCascadeDecompose:
