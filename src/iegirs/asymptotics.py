@@ -6,8 +6,6 @@ elements against a grouped surface of N = Q * mu elements with Q combined
 reflection dimensions.
 """
 
-import threading
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +27,8 @@ class AsymptoticInputs:
     kappa_iu: float = 1.0
 
     def __post_init__(self):
+        if not 1 <= self.Q <= self.N:
+            raise ValueError("group count Q must satisfy 1 <= Q <= N")
         if self.N % self.Q:
             raise ValueError("N must be an integer multiple of Q (equal group sizes)")
         if min(self.delta_bi, self.delta_iu, self.kappa_bi, self.kappa_iu) < 0:
@@ -121,65 +121,48 @@ def _ramp_links(n, inputs):
     return link_bi, link_iu
 
 
-# The Monte Carlo draws run ahead of their arithmetic on one helper thread
-# (numpy's normal fill releases the GIL), through a ring of RING_BLOCKS blocks
-# of at most DRAW_BLOCK_BYTES of float64 normals each (at least one trial).
+# The Monte Carlo draws run ahead of their arithmetic on one worker thread
+# (numpy's normal fill releases the GIL): DRAW_LOOKAHEAD blocks of at most
+# DRAW_BLOCK_BYTES of float64 normals each (at least one trial) are in flight
+# while the caller maps the block before them.
 DRAW_BLOCK_BYTES = 2 ** 19
-RING_BLOCKS = 3
+DRAW_LOOKAHEAD = 2
 
 
-def _check_trials(trials):
+def _map_cascade_blocks(link_iu, link_bi, trials, rng, reduce):
+    """[reduce(c) for c in blocks of conj(h_iu) * conj(h_bi) over `trials` joint draws].
+
+    c holds one row per trial and equals the serial loop's
+    conj(sample_rician(link_iu, rng)) * conj(sample_rician(link_bi, rng)) bit
+    for bit (conj(a) * conj(b) == conj(a * b) exactly). The worker draws the
+    blocks in the serial order and touches only rng and its buffer, which the
+    caller leaves alone meanwhile; after the last block rng is where the
+    serial loop leaves it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
     if trials < 1:
         raise ValueError("trials must be >= 1")
-
-
-def _cascade_draws(link_iu, link_bi, trials, rng):
-    """Yield conj(h_iu) * conj(h_bi) for each of `trials` joint draws of two Rician links.
-
-    The values equal the serial loop's conj(sample_rician(link_iu, rng)) *
-    conj(sample_rician(link_bi, rng)) bit for bit: per trial the stream holds
-    h_iu's real and imaginary parts, then h_bi's. A helper thread fills the
-    ring's blocks in that order while this generator maps the previous ones.
-    The helper touches only rng and the ring (no traced iegirs function), rng
-    is not touched here while it runs, and it is stopped and joined on every
-    exit. After the last trial rng is where the serial loop leaves it.
-    """
-    shape = link_iu.los.shape
-    per = max(1, DRAW_BLOCK_BYTES // (4 * link_iu.los.size * 8))
-    sizes = [per] * (trials // per) + ([trials % per] if trials % per else [])
-    ring = np.empty((RING_BLOCKS, per, 2, 2) + shape)
-    free, ready = threading.Semaphore(RING_BLOCKS), threading.Semaphore(0)
-    stop, failure = threading.Event(), []
-
-    def fill():
-        try:
-            for i, b in enumerate(sizes):
-                free.acquire()
-                if stop.is_set():
-                    return
-                rng.standard_normal(out=ring[i % RING_BLOCKS, :b])
-                ready.release()
-        except Exception as exc:
-            failure.append(exc)
-            ready.release()
-
+    per = min(trials, max(1, DRAW_BLOCK_BYTES // (4 * link_iu.los.size * 8)))
+    starts = range(0, trials, per)
+    buffers = np.empty((DRAW_LOOKAHEAD + 1, per, 2, 2) + link_iu.los.shape)
     stat_iu, scale_iu = link_iu.stat_component, link_iu.nlos_scale
     stat_bi, scale_bi = link_bi.stat_component, link_bi.nlos_scale
-    helper = threading.Thread(target=fill, name="iegirs-normals", daemon=True)
-    helper.start()
-    try:
-        for i, b in enumerate(sizes):
-            ready.acquire()
-            if failure:
-                raise failure[0]
-            for z in ring[i % RING_BLOCKS, :b]:
-                yield (np.conj(rician_from_normals(stat_iu, scale_iu, z[0]))
-                       * np.conj(rician_from_normals(stat_bi, scale_bi, z[1])))
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        helper.join()
+    out = []
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="iegirs-normals") as pool:
+        def draw(i):
+            block = buffers[i % len(buffers), :min(per, trials - starts[i])]
+            return pool.submit(rng.standard_normal, out=block)
+
+        draws = [draw(i) for i in range(min(DRAW_LOOKAHEAD, len(starts)))]
+        for i in range(len(starts)):
+            if i + DRAW_LOOKAHEAD < len(starts):
+                draws.append(draw(i + DRAW_LOOKAHEAD))
+            z_iu, z_bi = np.moveaxis(draws[i].result(), 0, 2)
+            c = rician_from_normals(stat_iu, scale_iu, z_iu)
+            c *= rician_from_normals(stat_bi, scale_bi, z_bi)
+            out.append(reduce(np.conj(c, out=c)))
+    return out
 
 
 def simulate_grouped_cascades(inputs, trials, rng):
@@ -188,14 +171,12 @@ def simulate_grouped_cascades(inputs, trials, rng):
     The deterministic cascade component is the DELTA_RAMP phase ramp, and
     the grouping is the equal-arc phase partition for that ramp.
     """
-    _check_trials(trials)
     link_bi, link_iu = _ramp_links(inputs.N, inputs)
     grouping = phase_partition_grouping(DELTA_RAMP, inputs.N, inputs.Q)
-    out = np.empty((trials, inputs.Q), dtype=complex)
-    with closing(_cascade_draws(link_iu, link_bi, trials, rng)) as draws:
-        for t, c in enumerate(draws):
-            out[t] = combine_cascade(grouping, c)
-    return out
+    sums = _map_cascade_blocks(link_iu, link_bi, trials, rng,
+                               lambda c: combine_cascade(grouping, c.T))
+    # C order: the last bits of the law statistics over trials depend on the layout
+    return np.ascontiguousarray(np.concatenate(sums, axis=1).T)
 
 
 def simulate_grouped_gain(inputs, trials, rng):
@@ -206,13 +187,10 @@ def simulate_grouped_gain(inputs, trials, rng):
 
 def simulate_ungrouped_gain(q, inputs, trials, rng):
     """Mean simulated phase-aligned gain of an ungrouped q-element surface."""
-    _check_trials(trials)
     link_bi, link_iu = _ramp_links(q, inputs)
-    gains = np.empty(trials)
-    with closing(_cascade_draws(link_iu, link_bi, trials, rng)) as draws:
-        for t, c in enumerate(draws):
-            gains[t] = np.abs(c).sum() ** 2
-    return float(np.mean(gains))
+    sums = _map_cascade_blocks(link_iu, link_bi, trials, rng, lambda c: np.abs(c).sum(axis=1))
+    # libm pow, as the scalar s ** 2; the array square differs in the last bit for some s
+    return float(np.mean(np.float_power(np.concatenate(sums), 2)))
 
 
 @dataclass

@@ -58,26 +58,15 @@ class RicianLink:
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _complex_from_normals(z):
-    """CN(0,1) entries (z[0] + 1j*z[1]) / sqrt(2) from a (2, ...) block of standard normals."""
-    out = np.empty(z.shape[1:], dtype=complex)
-    np.multiply(z[0], INV_SQRT2, out=out.real)
-    np.multiply(z[1], INV_SQRT2, out=out.imag)
-    return out
-
-
-def complex_normal(shape, rng):
-    """i.i.d. CN(0,1) samples (unit variance per complex entry).
-
-    One (2,) + shape draw consumes the stream in the order of drawing the
-    real parts, then the imaginary parts.
-    """
-    return _complex_from_normals(rng.standard_normal((2,) + tuple(shape)))
-
-
 def rician_from_normals(stat_component, nlos_scale, z):
-    """The Rician realization stat_component + nlos_scale * CN(0,1) from a (2, ...) normal block z."""
-    return stat_component + nlos_scale * _complex_from_normals(z)
+    """The Rician realization stat_component + nlos_scale * (z[0] + 1j*z[1]) / sqrt(2)
+    from a (2, ...) block z of standard normals."""
+    cn = np.empty(z.shape[1:], dtype=complex)
+    np.multiply(z[0], INV_SQRT2, out=cn.real)
+    np.multiply(z[1], INV_SQRT2, out=cn.imag)
+    cn *= nlos_scale
+    cn += stat_component
+    return cn
 
 
 def sample_rician(link, rng):

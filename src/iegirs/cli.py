@@ -81,11 +81,10 @@ def _cmd_asymptotics(args):
         closed = asym.ieg_gain(inputs)
         sim = asym.simulate_grouped_gain(inputs, args.trials, rng)
         rows.append(("grouped_gain", 4, 512, kappa, closed, sim, abs(sim - closed) / closed))
-        mean_pred, var_pred = asym.combined_cascade_distribution(inputs)
         report = asym.validate_combined_cascade_monte_carlo(inputs, trials=max(200, args.trials), rng=rng)
-        rows.append(("grouped_mean_modulus", 4, 512, kappa, float(np.abs(mean_pred[0])),
+        rows.append(("grouped_mean_modulus", 4, 512, kappa, float(np.abs(report.mean_pred[0])),
                      float(np.abs(report.mean_emp).mean()), report.modulus_err))
-        rows.append(("grouped_variance", 4, 512, kappa, var_pred,
+        rows.append(("grouped_variance", 4, 512, kappa, report.variance_pred,
                      float(report.variance_emp.mean()), report.variance_err))
     for kappa in (1.0, 10.0, 100.0):
         loss = asym.performance_loss(kappa, kappa, 10 ** 4)

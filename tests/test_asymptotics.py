@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -23,6 +24,15 @@ class TestInputs:
     def test_group_size_must_divide(self):
         with pytest.raises(ValueError):
             AsymptoticInputs(N=10, Q=4)
+
+    @pytest.mark.parametrize("n, q", [(8, 0), (0, 0), (0, 1), (-8, 4), (-8, -4), (8, -4), (4, 8)])
+    def test_group_count_outside_one_to_n_rejected(self, n, q):
+        with pytest.raises(ValueError, match="1 <= Q <= N"):
+            AsymptoticInputs(N=n, Q=q)
+
+    @pytest.mark.parametrize("n, q", [(1, 1), (8, 1), (8, 8)])
+    def test_group_count_bounds_accepted(self, n, q):
+        assert AsymptoticInputs(N=n, Q=q).mu == n // q
 
     def test_derived_quantities(self):
         inp = AsymptoticInputs(N=16, Q=4, kappa_bi=10.0, kappa_iu=10.0)
@@ -163,13 +173,18 @@ def _reference_grouped_cascades(inputs, trials, rng):
     return out
 
 
+def _reference_ungrouped_sums(q, inputs, trials, rng):
+    """Serial per-trial loop of the ungrouped sums ||cascade||_1, as np.float64 scalars."""
+    link_bi, link_iu = asymptotics._ramp_links(q, inputs)
+    return [np.abs(np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))).sum()
+            for _ in range(trials)]
+
+
 def _reference_ungrouped_gain(q, inputs, trials, rng):
     """Serial per-trial loop of the ungrouped phase-aligned gain."""
-    link_bi, link_iu = asymptotics._ramp_links(q, inputs)
     gains = np.empty(trials)
-    for t in range(trials):
-        c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
-        gains[t] = np.abs(c).sum() ** 2
+    for t, s in enumerate(_reference_ungrouped_sums(q, inputs, trials, rng)):
+        gains[t] = s ** 2
     return float(np.mean(gains))
 
 
@@ -187,7 +202,7 @@ def _trial_counts(n):
 
 
 def _helper_threads():
-    return [t for t in threading.enumerate() if t.name == "iegirs-normals"]
+    return [t for t in threading.enumerate() if t.name.startswith("iegirs-normals")]
 
 
 def _assert_no_helper_left(before):
@@ -255,25 +270,62 @@ class TestPrefetchedDraws:
         def failing_combine(grouping, cascade):
             calls.append(1)
             if len(calls) == 3:
-                raise RuntimeError("third trial")
+                raise RuntimeError("third block")
             return combine_cascade(grouping, cascade)
 
         monkeypatch.setattr(asymptotics, "combine_cascade", failing_combine)
         before = threading.active_count()
         inp = AsymptoticInputs(N=256, Q=4)
-        with pytest.raises(RuntimeError, match="third trial"):
+        with pytest.raises(RuntimeError, match="third block"):
             simulate_grouped_cascades(inp, 10 * _trials_per_block(256), np.random.default_rng(0))
         _assert_no_helper_left(before)
 
     def test_early_close_stops_helper(self):
-        before = threading.active_count()
+        # a reducer that stops after two blocks: the pool finishes the
+        # DRAW_LOOKAHEAD draws in flight, starts no other, and its worker is
+        # gone; `seen` shows the name lookup finds the worker while it runs
+        per = _trials_per_block(256)
         link_bi, link_iu = asymptotics._ramp_links(256, AsymptoticInputs(N=256, Q=4))
-        draws = asymptotics._cascade_draws(link_iu, link_bi, 10 * _trials_per_block(256),
-                                           np.random.default_rng(0))
-        next(draws)
-        next(draws)
-        draws.close()
+        rng = np.random.default_rng(0)
+        seen = []
+
+        def reduce(c):
+            seen.append(len(_helper_threads()))
+            if len(seen) == 2:
+                raise RuntimeError("second block")
+            return c
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second block"):
+            asymptotics._map_cascade_blocks(link_iu, link_bi, 10 * per, rng, reduce)
         _assert_no_helper_left(before)
+        assert seen == [1, 1]
+        ref_rng = np.random.default_rng(0)
+        ref_rng.standard_normal((2 + asymptotics.DRAW_LOOKAHEAD) * per * 4 * 256)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_law_report_matches_serial_loop_statistics(self, monkeypatch):
+        # the same statistics over the serial loop's C-ordered samples: a
+        # reordered layout of equal samples moves the last bits of the means
+        inp = AsymptoticInputs(N=256, Q=4, kappa_bi=2.0, kappa_iu=5.0)
+        trials = 3 * _trials_per_block(256) + 2
+        report = validate_combined_cascade_monte_carlo(inp, trials, np.random.default_rng(21))
+        monkeypatch.setattr(asymptotics, "simulate_grouped_cascades", _reference_grouped_cascades)
+        ref = validate_combined_cascade_monte_carlo(inp, trials, np.random.default_rng(21))
+        for field in dataclasses.fields(report):
+            got, want = getattr(report, field.name), getattr(ref, field.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
+    def test_ungrouped_gain_squares_like_the_scalar_loop(self):
+        # the serial loop squares each sum as a scalar, s ** 2; one of these
+        # sums has a scalar square that differs in the last bit from the array
+        # square, and over five trials that difference reaches the mean
+        inp = AsymptoticInputs(N=16, Q=16, kappa_bi=0.5, kappa_iu=2.0)
+        sums = np.array(_reference_ungrouped_sums(16, inp, 5, np.random.default_rng(468)))
+        assert any(s ** 2 != s2 for s, s2 in zip(sums, sums ** 2))
+        ref = _reference_ungrouped_gain(16, inp, 5, np.random.default_rng(468))
+        assert float(np.mean(sums ** 2)) != ref
+        assert simulate_ungrouped_gain(16, inp, 5, np.random.default_rng(468)) == ref
 
     def test_helper_exception_reraised(self):
         class BrokenGenerator:
@@ -329,3 +381,7 @@ class TestKurtosis:
 
     def test_cli_import_leaves_out_scipy_special(self):
         assert not _loaded_after_cli_import("scipy.special")
+
+    def test_cli_import_leaves_out_concurrent_futures(self):
+        # the Monte Carlo pool imports it on first use (about 10 ms, mostly logging)
+        assert not _loaded_after_cli_import("concurrent.futures")

@@ -336,7 +336,7 @@ class TestBenchmarkHooks:
 
     def test_monte_carlo_spans_nest_under_the_simulator(self):
         # the Tracer keeps one span stack per process, so the asymptotics
-        # draw helper thread must not call a traced function: every traced
+        # draw worker thread must not call a traced function: every traced
         # call of a Monte Carlo run comes from the calling thread
         from iegirs import asymptotics
         spans = _load_perfbench("spans")
@@ -344,15 +344,16 @@ class TestBenchmarkHooks:
         tracer.install()
         try:
             tracer.active = True
-            trials = 2 * (asymptotics.DRAW_BLOCK_BYTES // (4 * 64 * 8)) + 3
+            per = asymptotics.DRAW_BLOCK_BYTES // (4 * 64 * 8)
             asymptotics.simulate_grouped_cascades(asymptotics.AsymptoticInputs(N=64, Q=4),
-                                                  trials, np.random.default_rng(0))
+                                                  2 * per + 3, np.random.default_rng(0))
         finally:
             tracer.active = False
             tracer.uninstall()
         names = [tracer.names[span[0]] for span in tracer.spans]
         assert names[0] == "asymptotics.simulate_grouped_cascades"
-        assert names[1:] == ["grouping.combine_cascade"] * trials
+        # one combine_cascade per block of draws
+        assert names[1:] == ["grouping.combine_cascade"] * 3
         assert all(span[3] == 0 for span in tracer.spans[1:])
 
     def test_benchmark_rows_audit_clean(self, tmp_path):
