@@ -76,22 +76,29 @@ def _reference_complex_normal(shape, rng):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def _assert_one_draw_map(shape, seed):
+    # one (2,) + shape draw, read as the real parts and then the imaginary
+    # parts: the two-draw form bit for bit, and the stream ends where it does
+    los = _phase_ramp_los(shape, np.random.default_rng(seed))
+    link = RicianLink(delta=0.7, kappa=2.0, los=los)
+    rng, ref_rng = np.random.default_rng(7 + seed), np.random.default_rng(7 + seed)
+    h = sample_rician(link, rng)
+    ref = link.stat_component + link.nlos_scale * _reference_complex_normal(shape, ref_rng)
+    assert np.shape(h) == np.shape(ref) and h.dtype == ref.dtype
+    assert h.tobytes() == ref.tobytes()
+    assert rng.standard_normal() == ref_rng.standard_normal()
+    z = np.random.default_rng(7 + seed).standard_normal((2,) + shape)
+    assert rician_from_normals(link.stat_component, link.nlos_scale, z).tobytes() == h.tobytes()
+
+
 class TestComplexNormal:
+    @pytest.mark.parametrize("shape", [(), (7,), (4, 1024), (2048,)])
+    def test_matches_two_draw_reference(self, shape):
+        for seed in range(6):
+            _assert_one_draw_map(shape, seed)
+
     def test_sample_rician_is_the_map_of_one_draw(self):
-        # one (2,) + shape draw, read as the real parts and then the imaginary
-        # parts: the two-draw form bit for bit, and the stream ends where it does
-        for shape in [(3, 5), (), (7,), (4, 1024), (2048,)]:
-            for seed in range(6):
-                los = _phase_ramp_los(shape, np.random.default_rng(seed))
-                link = RicianLink(delta=0.7, kappa=2.0, los=los)
-                rng, ref_rng = np.random.default_rng(7 + seed), np.random.default_rng(7 + seed)
-                h = sample_rician(link, rng)
-                ref = link.stat_component + link.nlos_scale * _reference_complex_normal(shape, ref_rng)
-                assert np.shape(h) == np.shape(ref) and h.dtype == ref.dtype
-                assert h.tobytes() == ref.tobytes()
-                assert rng.standard_normal() == ref_rng.standard_normal()
-                z = np.random.default_rng(7 + seed).standard_normal((2,) + shape)
-                assert rician_from_normals(link.stat_component, link.nlos_scale, z).tobytes() == h.tobytes()
+        _assert_one_draw_map((3, 5), 0)
 
 
 class TestCascadeDecompose:
