@@ -191,7 +191,7 @@ def c08_precoder_update():
         weights = np.ones(k)
         aux = bf.update_auxiliaries(h, w, noise, weights)
         p_max = float(rng.uniform(0.05, 2.0))
-        pm = bf.update_precoder(aux, h, weights, p_max)
+        pm = bf.update_precoder(aux, h, p_max)
         if pm.power > p_max + 1e-9:
             return False, f"power {pm.power} exceeds budget {p_max}"
         if pm.lagrange > 0:
@@ -206,8 +206,8 @@ def c08_precoder_update():
         noise = float(rng.uniform(0.1, 1.0))
         aux = bf.update_auxiliaries(h, w, noise, np.ones(1))
         p_max = 0.5
-        pm = bf.update_precoder(aux, h, np.ones(1), p_max)
-        l0, z = bf.precoder_quadratic(aux, h, np.ones(1))
+        pm = bf.update_precoder(aux, h, p_max)
+        l0, z = bf.precoder_quadratic(aux, h)
         r = np.linspace(0.0, math.sqrt(p_max), 200001)
         vals = 2.0 * abs(z[0, 0]) * r - np.real(l0[0, 0]) * r ** 2
         r_star = r[np.argmax(vals)]
@@ -231,7 +231,7 @@ def c09_reflection_majorization():
         w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
         h = bf.effective_channels(np.ones(q), c_hat, h_bu)
         aux = bf.update_auxiliaries(h, w, 1.0, np.ones(k))
-        u, phi = bf.build_rcv_quadratic(w, aux, c_hat, h_bu, np.ones(k))
+        u, phi = bf.build_rcv_quadratic(w, aux, c_hat, h_bu)
         u = (u + u.conj().T) / 2
         lam = bf.top_eigenvalue(u)
         scale = max(1.0, float(np.linalg.norm(u)) + float(np.linalg.norm(phi)))
@@ -261,7 +261,7 @@ def c09_reflection_majorization():
         lin = 2 * np.real(np.conj(va) * phi[0] + np.conj(vb) * phi[1])
         f_grid = float(np.max(-quad - lin))
         start = bf.ReflectionVector(phases=np.angle(-phi))
-        v_mm = bf.update_rcv_mm(start, w, aux, c_hat, h_bu, np.ones(k), max_inner=200, tol=1e-14)
+        v_mm = bf.update_rcv_mm(start, w, aux, c_hat, h_bu, max_inner=200, tol=1e-14)
         f_mm = bf.rcv_objective(v_mm.values, u, phi)
         lipschitz = 2 * lam * math.sqrt(q) + 2 * float(np.linalg.norm(phi))
         tol_grid = lipschitz * (math.pi / res) * math.sqrt(2.0)

@@ -12,7 +12,6 @@ bits/s/Hz.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,61 +19,49 @@ from . import grouping as grp
 from .grouping import GroupingMatrix
 
 
-class AuxTerms(NamedTuple):
-    """Per-user terms of FPAuxiliaries under one weights vector (FPAuxiliaries.terms).
-
-    xi_sq is |xi|^2 by the array square and xi_sq_pow the same by scalar
-    float pow, as the per-user loops form it: the two differ in the last
-    bit for some values, and each consumer keeps the form it always used.
-    """
-
-    key: bytes                  # the weights, as bytes
-    two_alpha: np.ndarray       # 2 alpha, alpha = sqrt(weights (1 + varsigma))
-    alpha_xi: np.ndarray        # alpha xi
-    alpha_conj_xi: np.ndarray   # alpha conj(xi)
-    conj_xi: np.ndarray
-    xi_sq: np.ndarray
-    xi_sq_pow: tuple
-    fp_base: np.float64         # sum weights (log(1 + varsigma) - varsigma)
+def _checked_weights(weights, k):
+    """weights as a float array; ValueError unless it has shape (k,) and finite entries >= 0."""
+    weights = np.array(weights, dtype=float)
+    if weights.shape != (k,) or not all(0.0 <= x < math.inf for x in weights.tolist()):
+        raise ValueError(f"weights must have shape ({k},), one per user, with finite, "
+                         f"nonnegative entries; got {weights.tolist()}")
+    return weights
 
 
 @dataclass(frozen=True)
 class FPAuxiliaries:
-    """Ratio-transform auxiliaries: varsigma (K,) >= 0 and xi (K,) complex.
+    """Ratio-transform auxiliaries varsigma (K,) >= 0 and xi (K,) complex of
+    one weights vector (K,), finite and >= 0.
 
-    Immutable (its arrays are read-only copies), so the terms every block
-    of the alternating loop reads can be formed once: terms(weights) builds
-    them on first use and keeps them for the last weights seen.
+    Immutable (varsigma, xi and weights are read-only copies), so the
+    per-user terms every block update reads are formed once, here:
+    two_alpha = 2 alpha with alpha = sqrt(weights (1 + varsigma)), alpha_xi,
+    alpha_conj_xi, conj_xi, fp_base = sum weights (log(1 + varsigma) -
+    varsigma), and |xi|^2 as xi_sq by the array square and xi_sq_pow by
+    scalar float pow, as the per-user loops form it: the two differ in the
+    last bit for some values.
     """
 
     varsigma: np.ndarray
     xi: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
         varsigma = np.array(self.varsigma, dtype=float)
         xi = np.array(self.xi, dtype=complex)
         if (varsigma < 0).any() or not np.isfinite(varsigma).all():
             raise ValueError("varsigma must be finite and nonnegative")
-        varsigma.flags.writeable = False
-        xi.flags.writeable = False
-        object.__setattr__(self, "varsigma", varsigma)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "_terms", None)
-
-    def terms(self, weights):
-        """AuxTerms under weights, a float array; rebuilt only when the weights change."""
-        key = weights.tobytes()
-        t = self._terms
-        if t is None or t.key != key:
-            alpha = np.sqrt(weights * (1.0 + self.varsigma))
-            conj_xi = np.conj(self.xi)
-            mag = np.abs(self.xi)
-            t = AuxTerms(key=key, two_alpha=2.0 * alpha, alpha_xi=alpha * self.xi,
-                         alpha_conj_xi=alpha * conj_xi, conj_xi=conj_xi, xi_sq=mag ** 2,
-                         xi_sq_pow=tuple(m ** 2 for m in mag.tolist()),
-                         fp_base=(weights * (np.log1p(self.varsigma) - self.varsigma)).sum())
-            object.__setattr__(self, "_terms", t)
-        return t
+        weights = _checked_weights(self.weights, varsigma.size)
+        for a in (varsigma, xi, weights):
+            a.flags.writeable = False
+        alpha = np.sqrt(weights * (1.0 + varsigma))
+        conj_xi = np.conj(xi)
+        mag = np.abs(xi)
+        # past the frozen __setattr__, in one call: this runs once per outer iteration
+        self.__dict__.update(varsigma=varsigma, xi=xi, weights=weights, two_alpha=2.0 * alpha,
+                             alpha_xi=alpha * xi, alpha_conj_xi=alpha * conj_xi, conj_xi=conj_xi,
+                             xi_sq=mag ** 2, xi_sq_pow=tuple(m ** 2 for m in mag.tolist()),
+                             fp_base=(weights * (np.log1p(varsigma) - varsigma)).sum())
 
 
 @dataclass
@@ -159,19 +146,18 @@ def _rx_stats(h, w, noise_power):
     return omega, inr
 
 
-def _fp_value(omega, inr, aux, weights):
+def _fp_value(omega, inr, aux):
     """Internal alternating objective from the received statistics (_rx_stats)."""
-    t = aux.terms(weights)
     chi = inr + np.abs(omega) ** 2
-    val = t.fp_base + (t.two_alpha * np.real(t.conj_xi * omega)).sum()
-    val -= (t.xi_sq * chi).sum()
+    val = aux.fp_base + (aux.two_alpha * np.real(aux.conj_xi * omega)).sum()
+    val -= (aux.xi_sq * chi).sum()
     return float(val)
 
 
-def fp_objective(rcv_values, w, aux, c_hat, h_bu, noise_power, weights):
+def fp_objective(rcv_values, w, aux, c_hat, h_bu, noise_power):
     """Internal alternating objective (natural-log form) at the given point."""
     h = effective_channels(rcv_values, c_hat, h_bu)
-    return _fp_value(*_rx_stats(h, w, noise_power), aux, np.asarray(weights, dtype=float))
+    return _fp_value(*_rx_stats(h, w, noise_power), aux)
 
 
 def update_auxiliaries(h, w, noise_power, weights):
@@ -182,7 +168,7 @@ def update_auxiliaries(h, w, noise_power, weights):
     accumulated directly (never by subtracting the signal term) so the
     varsigma == SINR identity holds to machine precision.
     """
-    return _auxiliaries(*_rx_stats(h, w, noise_power), np.asarray(weights, dtype=float))
+    return _auxiliaries(*_rx_stats(h, w, noise_power), _checked_weights(weights, h.shape[0]))
 
 
 def _auxiliaries(omega, inr, weights):
@@ -198,14 +184,13 @@ def _auxiliaries(omega, inr, weights):
     xi = np.sqrt(weights) * a * np.exp(1j * np.angle(omega))
     b2 = b ** 2
     varsigma = (b2 + b * np.sqrt(b2 + 4.0)) / 2.0
-    return FPAuxiliaries(varsigma=varsigma, xi=xi)
+    return FPAuxiliaries(varsigma=varsigma, xi=xi, weights=weights)
 
 
-def precoder_quadratic(aux, h, weights):
+def precoder_quadratic(aux, h):
     """(L0, Z) of the precoder subproblem: maximize 2 Re tr(Z^H W) - sum w_k^H L0 w_k."""
-    t = aux.terms(np.asarray(weights, dtype=float))
-    z = t.alpha_xi[None, :] * h.T             # columns z_k = alpha_k xi_k h_k
-    l0 = np.einsum("k,km,kn->mn", t.xi_sq, h, np.conj(h))
+    z = aux.alpha_xi[None, :] * h.T           # columns z_k = alpha_k xi_k h_k
+    l0 = np.einsum("k,km,kn->mn", aux.xi_sq, h, np.conj(h))
     return (l0 + l0.conj().T) / 2.0, z
 
 
@@ -240,7 +225,7 @@ def _newton_multiplier(evals, r, p_max):
     return lam
 
 
-def update_precoder(aux, h, weights, p_max, tol=1e-6):
+def update_precoder(aux, h, p_max, *, tol=1e-6):
     """Power-constrained precoder update.
 
     Solves the regularized normal equations (L0 + lam I) w_k = z_k per user
@@ -266,7 +251,7 @@ def update_precoder(aux, h, weights, p_max, tol=1e-6):
     """
     if p_max <= 0:
         raise ValueError("power budget must be positive")
-    l0, z = precoder_quadratic(aux, h, weights)
+    l0, z = precoder_quadratic(aux, h)
     if not (np.isfinite(l0).all() and np.isfinite(z).all()):
         raise ValueError("non-finite precoder inputs")
     evals, vecs = np.linalg.eigh(l0)
@@ -339,7 +324,7 @@ def update_precoder(aux, h, weights, p_max, tol=1e-6):
     return PrecodingMatrix(w=vecs @ (c / (ev + hi)), p_max=p_max, lagrange=hi)
 
 
-def build_rcv_quadratic(w, aux, c_hat, h_bu, weights, work=None):
+def build_rcv_quadratic(w, aux, c_hat, h_bu, *, work=None):
     """Quadratic model (U, phi) of the reflection subproblem.
 
     The objective to maximize over unit-modulus v is -v^H U v - 2 Re{v^H phi};
@@ -358,7 +343,6 @@ def build_rcv_quadratic(w, aux, c_hat, h_bu, weights, work=None):
     into U in user order: a (K, Q, Q) stack is 4 MB at Q = 256.
     """
     k_users, q, _ = c_hat.shape
-    t = aux.terms(np.asarray(weights, dtype=float))
     if work is None:
         work = np.empty((2, q, q), dtype=complex)
     u, term = work
@@ -370,10 +354,10 @@ def build_rcv_quadratic(w, aux, c_hat, h_bu, weights, work=None):
     phi = np.zeros(q, dtype=complex)
     for k in range(k_users):
         np.matmul(a[k], c_conj_t[k], out=term)
-        term *= t.xi_sq_pow[k]
+        term *= aux.xi_sq_pow[k]
         u += term
-        phi += t.xi_sq_pow[k] * a_h[k]
-        phi -= t.alpha_conj_xi[k] * c_w[k]
+        phi += aux.xi_sq_pow[k] * a_h[k]
+        phi -= aux.alpha_conj_xi[k] * c_w[k]
     return u, phi
 
 
@@ -433,7 +417,7 @@ def _align_global_phase(v, phi):
     return -np.exp(1j * np.arctan2(s.imag, s.real)) * v
 
 
-def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
+def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
     """Exact line search along the shared-rotation direction (e^{ja} v, e^{ja} W).
 
     The reflected inner products are invariant under this rotation while the
@@ -447,21 +431,20 @@ def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
     per-user product (see build_rcv_quadratic), and g sums the users in
     order, so the angle keeps the bits of the per-user loop.
     """
-    t = aux.terms(np.asarray(weights, dtype=float))
     a = np.conj(rcv_values) @ (c_hat @ w)             # a[k]: reflected parts, all beams
     b = (np.conj(h_bu)[:, None, :] @ w)[:, 0]         # b[k]: direct parts, all beams
     cross = (np.conj(a) * b).sum(axis=1)
     g = 0.0 + 0.0j
     for k in range(h_bu.shape[0]):
-        g += t.alpha_conj_xi[k] * b[k, k]
-        g -= t.xi_sq_pow[k] * cross[k]
+        g += aux.alpha_conj_xi[k] * b[k, k]
+        g -= aux.xi_sq_pow[k] * cross[k]
     if g == 0:
         return rcv_values, w
     rot = np.exp(-1j * np.angle(g))
     return rot * rcv_values, rot * w
 
 
-def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner, tol, work=None):
+def update_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner, tol, work=None):
     """Reflection update by iterated majorization from the ReflectionVector rcv.
 
     Each step maximizes a tangent surrogate of the quadratic objective, so
@@ -471,7 +454,7 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner, tol, work=None):
     """
     if work is None:
         work = np.empty((2, c_hat.shape[1], c_hat.shape[1]), dtype=complex)
-    u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights, work=work)
+    u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, work=work)
     scratch = work[1]
     # the transposed skew conj(U) - U^T, so that its memory holds the
     # entries of U^H - U in the order np.linalg.norm once summed them
@@ -584,7 +567,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
     q = c_hat.shape[1]
     v = v0
     w = np.asarray(w0, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
+    weights = _checked_weights(weights, h_bu.shape[0])
     trace_steps = []
     work = np.empty((2, q, q), dtype=complex)   # the (Q, Q) buffers of every reflection update
     pm = aux = previous = None
@@ -593,20 +576,20 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
     stats = _rx_stats(h, w, noise_power)
     for it in range(1, opts.max_outer + 1):
         aux = _auxiliaries(*stats, weights)
-        trace_steps.append(_fp_value(*stats, aux, weights))
-        pm = update_precoder(aux, h, weights, p_max)
+        trace_steps.append(_fp_value(*stats, aux))
+        pm = update_precoder(aux, h, p_max)
         w = pm.w
         stats = _rx_stats(h, w, noise_power)
-        current = _fp_value(*stats, aux, weights)
+        current = _fp_value(*stats, aux)
         trace_steps.append(current)
         if q > 0:
-            v = update_rcv_mm(v, w, aux, c_hat, h_bu, weights,
+            v = update_rcv_mm(v, w, aux, c_hat, h_bu,
                               max_inner=opts.mm_iters, tol=opts.mm_tol, work=work)
-            rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu, weights)
+            rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu)
             v = ReflectionVector(phases=np.angle(rotated))
             h = effective_channels(v.values, c_hat, h_bu)
             stats = _rx_stats(h, w, noise_power)
-            current = _fp_value(*stats, aux, weights)
+            current = _fp_value(*stats, aux)
         trace_steps.append(current)
         if it > 1 and abs(current - previous) <= opts.tol * max(1.0, abs(previous)):
             converged = True
@@ -628,11 +611,11 @@ def _aggregate_arc_grouping(cascades_stat, h_bu_stat, weights, q):
     return _arc_from_phases(np.angle(_aggregate(cascades_stat, w_mf, weights)), q)
 
 
-def _arc_from_solved(cascades_stat, stat, weights, q):
+def _arc_from_solved(cascades_stat, stat, q):
     """Arc partition of the cascade phases under the statistical solve stat's
     precoders, each user's contribution rotated into its alignment frame."""
-    alpha_conj_xi = stat.aux.terms(np.asarray(weights, dtype=float)).alpha_conj_xi
-    return _arc_from_phases(np.angle(_aggregate(cascades_stat, stat.precoder.w, alpha_conj_xi)), q)
+    return _arc_from_phases(np.angle(_aggregate(cascades_stat, stat.precoder.w,
+                                                stat.aux.alpha_conj_xi)), q)
 
 
 def _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, warm=None):
@@ -694,7 +677,7 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
     # solved from the current best is skipped: its rate is known not to win.
     solved = set()
     for _ in range(3):
-        candidates = [_arc_from_solved(cascades_stat, best, weights, q)]
+        candidates = [_arc_from_solved(cascades_stat, best, q)]
         for k in range(k_users):
             ramp = cascades_stat[k] @ best.precoder.w[:, k]
             candidates.append(_arc_from_phases(np.angle(ramp), q))
@@ -732,7 +715,8 @@ def two_stage_solve(channels, q, opts=None, p_max=None, weights=None, grouping=N
     for key, value in (("p_max", p_max), ("weights", weights)):
         if value is None and key not in channels.meta:
             raise ValueError(f"no {key} given and none in channels.meta[{key!r}]")
-    weights = np.asarray(channels.meta["weights"] if weights is None else weights, dtype=float)
+    weights = _checked_weights(channels.meta["weights"] if weights is None else weights,
+                               channels.num_users)
     p_max = float(channels.meta["p_max"]) if p_max is None else p_max
     if not 1 <= q <= n:
         raise ValueError("need 1 <= Q <= N")

@@ -184,6 +184,8 @@ def sweep(axis, values, config, opts=None, out=None, record_timings=False, log=N
         raise ValueError(f"unknown sweep axis {axis!r}")
     if not len(values):
         raise ValueError("sweep needs at least one axis value")
+    if axis in ("groups", "elements") and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"the {axis} axis takes whole numbers, got {list(values)}")
     rows = []
     try:
         for value in values:

@@ -13,6 +13,13 @@ from iegirs.config import ScenarioConfig
 from iegirs.grouping import GroupingMatrix, adjacent_grouping, identity_grouping
 
 
+# weights of a K = 4 problem that are not (K,), finite and nonnegative
+BAD_WEIGHTS = pytest.mark.parametrize(
+    "weights", [[2.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0],
+                [np.inf, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0, 1.0]]],
+    ids=["one", "three", "negative", "nan", "inf", "2d"])
+
+
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
@@ -153,31 +160,44 @@ class TestUpdateAuxiliaries:
             weights = rng.uniform(0.5, 2.0, size=k)
             v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
             h = effective_channels(v, c_hat, h_bu)
-            aux0 = FPAuxiliaries(varsigma=rng.uniform(0, 3, size=k), xi=random_complex(rng, k))
-            f0 = fp_objective(v, w, aux0, c_hat, h_bu, 1.0, weights)
+            aux0 = FPAuxiliaries(varsigma=rng.uniform(0, 3, size=k), xi=random_complex(rng, k),
+                                 weights=weights)
+            f0 = fp_objective(v, w, aux0, c_hat, h_bu, 1.0)
             aux1 = update_auxiliaries(h, w, 1.0, weights)
-            f1 = fp_objective(v, w, aux1, c_hat, h_bu, 1.0, weights)
+            f1 = fp_objective(v, w, aux1, c_hat, h_bu, 1.0)
             assert f1 >= f0 - 1e-10 * max(1.0, abs(f0))
 
     def test_noise_guard(self):
         with pytest.raises(ValueError):
             update_auxiliaries(np.ones((1, 1)), np.ones((1, 1)), -1.0, np.ones(1))
 
+    @BAD_WEIGHTS
+    def test_bad_weights_named(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            FPAuxiliaries(varsigma=np.ones(4), xi=np.ones(4, dtype=complex), weights=weights)
+        h = random_complex(np.random.default_rng(27), (4, 2))
+        w0 = matched_precoder(h, 1.0)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
+            update_auxiliaries(h, w0, 1.0, weights)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
+            solve_fp(np.zeros((4, 0, 2), dtype=complex), h, 1.0, 1.0, weights,
+                     ReflectionVector(phases=np.zeros(0)), w0, SolverOptions())
+
 
 class TestUpdatePrecoder:
     def test_zero_targets_give_zero_beams(self):
-        aux = FPAuxiliaries(varsigma=np.zeros(2), xi=np.zeros(2, dtype=complex))
+        aux = FPAuxiliaries(varsigma=np.zeros(2), xi=np.zeros(2, dtype=complex), weights=np.ones(2))
         h = np.ones((2, 3), dtype=complex)
-        pm = update_precoder(aux, h, np.ones(2), 1.0)
+        pm = update_precoder(aux, h, 1.0)
         assert np.all(pm.w == 0)
         assert pm.lagrange == 0.0
 
     def test_scalar_interior_solution(self):
         # single user, single antenna, loose budget: w = zeta / L
         h = np.array([[2.0 + 0.0j]])
-        aux = FPAuxiliaries(varsigma=np.array([1.0]), xi=np.array([0.25 + 0.0j]))
-        pm = update_precoder(aux, h, np.ones(1), p_max=100.0)
-        l0, z = precoder_quadratic(aux, h, np.ones(1))
+        aux = FPAuxiliaries(varsigma=np.array([1.0]), xi=np.array([0.25 + 0.0j]), weights=np.ones(1))
+        pm = update_precoder(aux, h, p_max=100.0)
+        l0, z = precoder_quadratic(aux, h)
         assert abs(pm.w[0, 0] - z[0, 0] / l0[0, 0]) <= 1e-12
         assert pm.lagrange == 0.0
 
@@ -188,7 +208,7 @@ class TestUpdatePrecoder:
             h = random_complex(rng, (k, m), 5.0)
             w_prev = random_complex(rng, (m, k))
             aux = update_auxiliaries(h, w_prev, 1e-3, np.ones(k))
-            pm = update_precoder(aux, h, np.ones(k), p_max=1e-4)
+            pm = update_precoder(aux, h, p_max=1e-4)
             assert pm.power <= 1e-4 + 1e-9
             if pm.lagrange > 0:
                 assert abs(pm.power - 1e-4) <= 1e-6 * 1e-4
@@ -200,15 +220,15 @@ class TestUpdatePrecoder:
             h = random_complex(rng, (k, m))
             w_prev = matched_precoder(h, 0.5)
             aux = update_auxiliaries(h, w_prev, 0.1, np.ones(k))
-            l0, z = precoder_quadratic(aux, h, np.ones(k))
-            pm = update_precoder(aux, h, np.ones(k), p_max=0.5)
+            l0, z = precoder_quadratic(aux, h)
+            pm = update_precoder(aux, h, p_max=0.5)
             assert (precoder_objective(pm.w, l0, z)
                     >= precoder_objective(w_prev, l0, z) - 1e-10)
 
     def test_budget_guard(self):
-        aux = FPAuxiliaries(varsigma=np.zeros(1), xi=np.zeros(1, dtype=complex))
+        aux = FPAuxiliaries(varsigma=np.zeros(1), xi=np.zeros(1, dtype=complex), weights=np.ones(1))
         with pytest.raises(ValueError):
-            update_precoder(aux, np.ones((1, 1)), np.ones(1), 0.0)
+            update_precoder(aux, np.ones((1, 1)), 0.0)
 
     def test_power_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -219,14 +239,14 @@ class TestUpdatePrecoder:
         h = random_complex(rng, (2, 2), 5.0)
         aux = update_auxiliaries(h, random_complex(rng, (2, 2)), 1e-3, np.ones(2))
         with pytest.raises(RuntimeError):    # tol = 0 demands the budget to the last bit
-            update_precoder(aux, h, np.ones(2), p_max=1e-4, tol=0.0)
+            update_precoder(aux, h, p_max=1e-4, tol=0.0)
 
 
-def _bisection_multiplier(aux, h, weights, p_max):
+def _bisection_multiplier(aux, h, p_max):
     """Reference search: bracket doubling from max(1, top eigenvalue), then
     bisection from [0, hi] down to adjacent floats (at most 200 halvings).
     Returns (lam, w, power_at) for a binding budget."""
-    l0, z = precoder_quadratic(aux, h, weights)
+    l0, z = precoder_quadratic(aux, h)
     evals, vecs = np.linalg.eigh(l0)
     evals = np.maximum(evals, 0.0)
     c = vecs.conj().T @ z
@@ -250,8 +270,8 @@ def _bisection_multiplier(aux, h, weights, p_max):
     return hi, vecs @ (c / (evals[:, None] + hi)), power_at
 
 
-def _unconstrained_power(aux, h, weights):
-    l0, z = precoder_quadratic(aux, h, weights)
+def _unconstrained_power(aux, h):
+    l0, z = precoder_quadratic(aux, h)
     return float(np.sum(np.abs(np.linalg.solve(l0, z)) ** 2))
 
 
@@ -263,15 +283,15 @@ def _bit_exact_cases():
             h = random_complex(rng, (k, m), 10 ** rng.uniform(-6, 2))
             p_max = 10 ** rng.uniform(-4, 1)
             w_prev = random_complex(rng, (m, k), np.sqrt(p_max / k))
-            aux = update_auxiliaries(h, w_prev, 10 ** rng.uniform(-14, 0), np.ones(k))
-            cases.append((aux, h, rng.uniform(0.5, 2.0, size=k), p_max))
+            a = update_auxiliaries(h, w_prev, 10 ** rng.uniform(-14, 0), np.ones(k))
+            aux = FPAuxiliaries(varsigma=a.varsigma, xi=a.xi, weights=rng.uniform(0.5, 2.0, size=k))
+            cases.append((aux, h, p_max))
     # budgets just below the unconstrained power, where the multiplier is tiny
     for k, m in [(1, 1), (2, 2), (3, 3)]:
         for rel in (1e-3, 1e-6, 1e-9):
             h = random_complex(rng, (k, m))
             aux = update_auxiliaries(h, random_complex(rng, (m, k)), 0.1, np.ones(k))
-            weights = np.ones(k)
-            cases.append((aux, h, weights, _unconstrained_power(aux, h, weights) * (1.0 - rel)))
+            cases.append((aux, h, _unconstrained_power(aux, h) * (1.0 - rel)))
     return cases
 
 
@@ -281,16 +301,16 @@ BIT_EXACT_CASES = _bit_exact_cases()
 class TestPrecoderBitExact:
     """The Newton-started search lands on the float the plain bisection finds."""
 
-    @pytest.mark.parametrize("aux,h,weights,p_max", BIT_EXACT_CASES,
+    @pytest.mark.parametrize("aux,h,p_max", BIT_EXACT_CASES,
                              ids=[f"case{i}" for i in range(len(BIT_EXACT_CASES))])
-    def test_matches_reference_bisection(self, aux, h, weights, p_max):
-        pm = update_precoder(aux, h, weights, p_max)
+    def test_matches_reference_bisection(self, aux, h, p_max):
+        pm = update_precoder(aux, h, p_max)
         if pm.lagrange == 0.0:
             # unconstrained fit: rank-deficient L0 (K < M) has unbounded
             # free power only along directions z never touches
             assert pm.power <= p_max
             return
-        lam, w, power_at = _bisection_multiplier(aux, h, weights, p_max)
+        lam, w, power_at = _bisection_multiplier(aux, h, p_max)
         assert pm.lagrange == lam
         assert np.array_equal(pm.w, w)
         assert power_at(lam) <= p_max < power_at(np.nextafter(lam, 0.0))
@@ -301,6 +321,26 @@ class TestPrecoderBitExact:
         assert ((1, 1), True) in shapes
         assert any(s[0] < s[1] and b for s, b in shapes)     # rank-deficient L0
         assert sum(bound) >= 0.8 * len(BIT_EXACT_CASES)
+
+    @pytest.mark.parametrize("estimate", [lambda e: 0.0, lambda e: np.inf, lambda e: 1e300,
+                                          lambda e: 1.3 * e, lambda e: 0.5 * e],
+                             ids=["zero", "inf", "1e300", "x1.3", "x0.5"])
+    def test_bad_newton_estimate_lands_on_reference(self, estimate, monkeypatch):
+        # 0 and inf take the doubling fallback over lo = 0; 1e300 walks down
+        # without crossing the root, so lo stays 0; x1.3 crosses it on the way
+        # down; x0.5 walks up without crossing and falls back to doubling
+        newton = bf._newton_multiplier
+        monkeypatch.setattr(bf, "_newton_multiplier", lambda *a: estimate(newton(*a)))
+        bound = 0
+        for aux, h, p_max in BIT_EXACT_CASES[::7]:
+            with np.errstate(over="ignore"):            # power_at(1e300) squares to inf
+                pm = update_precoder(aux, h, p_max)
+            if pm.lagrange == 0.0:
+                continue
+            bound += 1
+            lam, w, _ = _bisection_multiplier(aux, h, p_max)
+            assert pm.lagrange == lam and np.array_equal(pm.w, w)
+        assert bound >= 10
 
 
 def _random_rcv_instance(rng, k=3, m=2, q=4, direct_scale=0.3):
@@ -343,9 +383,9 @@ class TestReflectionUpdate:
     def test_single_group_reaches_grid_optimum_quickly(self):
         rng = np.random.default_rng(7)
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=1)
-        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, np.ones(3))
+        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
         out = update_rcv_mm(ReflectionVector(phases=np.array([1.0])), w, aux, c_hat, h_bu,
-                            np.ones(3), max_inner=2, tol=1e-10)
+                            max_inner=2, tol=1e-10)
         grid = np.exp(1j * np.linspace(0, 2 * np.pi, 10 ** 4, endpoint=False))
         vals = [rcv_objective(np.array([g]), u, phi) for g in grid]
         assert rcv_objective(out.values, u, phi) >= max(vals) - 1e-6 * max(1.0, abs(max(vals)))
@@ -353,7 +393,7 @@ class TestReflectionUpdate:
     def test_surrogate_bound_and_tangency(self):
         rng = np.random.default_rng(8)
         c_hat, h_bu, w, aux = _random_rcv_instance(rng)
-        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, np.ones(3))
+        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
         u = (u + u.conj().T) / 2
         lam = float(np.linalg.eigvalsh(u)[-1])
         v_t = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
@@ -368,7 +408,7 @@ class TestReflectionUpdate:
     def test_objective_monotone_per_step(self):
         rng = np.random.default_rng(9)
         c_hat, h_bu, w, aux = _random_rcv_instance(rng)
-        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, np.ones(3))
+        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
         u = (u + u.conj().T) / 2
         lam = float(np.linalg.eigvalsh(u)[-1])
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
@@ -382,11 +422,10 @@ class TestReflectionUpdate:
     def test_four_group_fixed_point_matches_grid(self):
         rng = np.random.default_rng(10)
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=4)
-        weights = np.ones(3)
-        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights)
+        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
         u = (u + u.conj().T) / 2
         out = update_rcv_mm(ReflectionVector(phases=np.angle(-phi)), w, aux, c_hat, h_bu,
-                            weights, max_inner=300, tol=1e-14)
+                            max_inner=300, tol=1e-14)
         f_mm = rcv_objective(out.values, u, phi)
 
         res = 64
@@ -419,7 +458,7 @@ class TestReflectionUpdate:
 
         monkeypatch.setattr(bf, "build_rcv_quadratic", bad_quadratic)
         with pytest.raises(ValueError):
-            update_rcv_mm(ReflectionVector(phases=np.zeros(2)), w, aux, c_hat, h_bu, np.ones(3),
+            update_rcv_mm(ReflectionVector(phases=np.zeros(2)), w, aux, c_hat, h_bu,
                           max_inner=50, tol=1e-10)
 
 
@@ -512,6 +551,20 @@ class TestSolveLoop:
         with pytest.raises(ValueError, match=missing):
             two_stage_solve(ch, 2)
 
+    @BAD_WEIGHTS
+    @pytest.mark.parametrize("stage1", ["arc-search", "given-grouping"])
+    def test_bad_weights_named(self, weights, stage1):
+        # rejected up front: not an IndexError in stage 1, nor a sqrt warning
+        # followed by a failure downstream
+        cfg = ScenarioConfig(N=16, Q=2, seed=5)
+        ch = build_scenario(cfg, np.random.default_rng(5))
+        grouping = adjacent_grouping(16, 2) if stage1 == "given-grouping" else None
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
+            two_stage_solve(ch, 2, weights=weights, grouping=grouping)
+        ch.meta["weights"] = weights
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
+            two_stage_solve(ch, 2, grouping=grouping)
+
     def test_q_bounds(self):
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
         ch = build_scenario(cfg, np.random.default_rng(5))
@@ -543,13 +596,11 @@ class TestSolveLoop:
         c_hat = np.stack([combine_cascade(res.grouping, ch.cascade(k)) for k in range(3)])
         h = effective_channels(res.rcv.values, c_hat, ch.h_bu)
         aux = update_auxiliaries(h, res.precoder.w, ch.noise_power, weights)
-        base = fp_objective(res.rcv.values, res.precoder.w, aux, c_hat, ch.h_bu,
-                            ch.noise_power, weights)
+        base = fp_objective(res.rcv.values, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
         rng = np.random.default_rng(0)
         for _ in range(1000):
             v = np.exp(1j * (res.rcv.phases + 1e-3 * rng.standard_normal(4)))
-            probed = fp_objective(v, res.precoder.w, aux, c_hat, ch.h_bu,
-                                  ch.noise_power, weights)
+            probed = fp_objective(v, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
             assert probed <= base + 1e-9 * max(1.0, abs(base))
 
 
@@ -568,9 +619,9 @@ def _reference_combine(grouping, cascade):
     return out[:, 0] if vector_in else out
 
 
-def _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights):
+def _reference_rcv_quadratic(w, aux, c_hat, h_bu):
     """(U, phi) with every product and scaling in a fresh temporary."""
-    alpha = np.sqrt(np.asarray(weights, dtype=float) * (1.0 + aux.varsigma))
+    alpha = np.sqrt(aux.weights * (1.0 + aux.varsigma))
     ww = w @ w.conj().T
     u = np.zeros((c_hat.shape[1],) * 2, dtype=complex)
     phi = np.zeros(c_hat.shape[1], dtype=complex)
@@ -582,9 +633,9 @@ def _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights):
     return u, phi
 
 
-def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
+def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
     """Shared-rotation line search with every product formed per user."""
-    alpha = np.sqrt(np.asarray(weights, dtype=float) * (1.0 + aux.varsigma))
+    alpha = np.sqrt(aux.weights * (1.0 + aux.varsigma))
     g = 0.0 + 0.0j
     for k in range(h_bu.shape[0]):
         a_row = np.conj(rcv_values) @ (c_hat[k] @ w)
@@ -597,9 +648,9 @@ def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu, weights):
     return rot * rcv_values, rot * w
 
 
-def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, weights, max_inner=50, tol=1e-10):
+def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
     """Reflection update that forms U, its symmetrization and U v anew in every step."""
-    u, phi = _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights)
+    u, phi = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
     u = (u + u.conj().T) / 2.0
     lam = bf.top_eigenvalue(u)
     v = np.exp(1j * rcv.phases)
@@ -626,17 +677,16 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
         vals = np.exp(1j * v.phases)
         h = effective_channels(vals, c_hat, h_bu)
         aux = update_auxiliaries(h, w, noise_power, weights)
-        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power, weights))
-        pm = update_precoder(aux, h, weights, p_max)
+        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power))
+        pm = update_precoder(aux, h, p_max)
         w = pm.w
-        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power, weights))
+        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power))
         if c_hat.shape[1] > 0:
-            v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, weights,
-                                  max_inner=opts.mm_iters, tol=opts.mm_tol)
+            v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=opts.mm_iters, tol=opts.mm_tol)
             rotated, w = _reference_joint_phase_rotation(np.exp(1j * v.phases), w, aux, c_hat,
-                                                         h_bu, weights)
+                                                         h_bu)
             v = ReflectionVector(phases=np.angle(rotated))
-        current = fp_objective(np.exp(1j * v.phases), w, aux, c_hat, h_bu, noise_power, weights)
+        current = fp_objective(np.exp(1j * v.phases), w, aux, c_hat, h_bu, noise_power)
         steps.append(current)
         trace.append(current)
         if it > 1 and abs(trace[-1] - trace[-2]) <= opts.tol * max(1.0, abs(trace[-2])):
@@ -709,7 +759,7 @@ class TestLoopBitExact:
         for q, max_inner in ((1, 3), (4, 50), (16, 0), (64, 30)):
             c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=q)
             rcv = ReflectionVector(phases=rng.uniform(0.0, 2 * np.pi, q))
-            args = (rcv, w, aux, c_hat, h_bu, np.ones(3))
+            args = (rcv, w, aux, c_hat, h_bu)
             new = update_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
             ref = _reference_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
             assert np.array_equal(new.phases, ref.phases)
@@ -721,8 +771,8 @@ class TestLoopBitExact:
         for k, m, q in shapes:
             c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=k, m=m, q=q)
             for stack in _strided_stacks(c_hat):
-                u, phi = build_rcv_quadratic(w, aux, stack, h_bu, np.ones(k))
-                u_ref, phi_ref = _reference_rcv_quadratic(w, aux, stack, h_bu, np.ones(k))
+                u, phi = build_rcv_quadratic(w, aux, stack, h_bu)
+                u_ref, phi_ref = _reference_rcv_quadratic(w, aux, stack, h_bu)
                 assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
 
     def test_hermitian_check_norms_match_linalg(self):
@@ -746,7 +796,9 @@ class TestLoopBitExact:
                     c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=k, m=m, q=q)
                     v = np.exp(1j * rng.uniform(0.0, 2 * np.pi, q))
                     for stack in _strided_stacks(c_hat):
-                        args = (v, w, aux, stack, h_bu, rng.uniform(0.5, 2.0, k))
+                        aux_w = FPAuxiliaries(varsigma=aux.varsigma, xi=aux.xi,
+                                              weights=rng.uniform(0.5, 2.0, k))
+                        args = (v, w, aux_w, stack, h_bu)
                         v_new, w_new = bf.joint_phase_rotation(*args)
                         v_ref, w_ref = _reference_joint_phase_rotation(*args)
                         assert np.array_equal(v_new, v_ref) and np.array_equal(w_new, w_ref)
@@ -761,34 +813,35 @@ class TestLoopBitExact:
         rng = np.random.default_rng(24)
         c_hat, h_bu, w, _ = _random_rcv_instance(rng, k=3, m=2, q=6)
         aux = FPAuxiliaries(varsigma=np.array([0.7, 1.3, 0.2]),
-                            xi=np.array([xi0, 0.3 - 0.8j, -0.5 + 0.1j]))
-        weights = np.array([1.0, 0.5, 2.0])
-        assert aux.terms(weights).xi_sq_pow[0] == 0.8472001102896298
-        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, weights)
-        u_ref, phi_ref = _reference_rcv_quadratic(w, aux, c_hat, h_bu, weights)
+                            xi=np.array([xi0, 0.3 - 0.8j, -0.5 + 0.1j]),
+                            weights=np.array([1.0, 0.5, 2.0]))
+        assert aux.xi_sq_pow[0] == 0.8472001102896298
+        u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
+        u_ref, phi_ref = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
         assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
         v = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 6))
-        got = bf.joint_phase_rotation(v, w, aux, c_hat, h_bu, weights)
-        ref = _reference_joint_phase_rotation(v, w, aux, c_hat, h_bu, weights)
+        got = bf.joint_phase_rotation(v, w, aux, c_hat, h_bu)
+        ref = _reference_joint_phase_rotation(v, w, aux, c_hat, h_bu)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
-    def test_aux_terms_follow_the_weights(self):
+    def test_aux_owns_its_weights(self):
         rng = np.random.default_rng(25)
-        c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=3, m=2, q=4)
-        weights = np.ones(3)
-        for new_weights in (np.array([1.0, 2.0, 0.5]), np.array([3.0, 1.0, 1.0]), np.ones(3)):
-            weights[:] = new_weights                    # the same array, changed in place
-            fresh = FPAuxiliaries(varsigma=aux.varsigma, xi=aux.xi)
-            assert np.array_equal(aux.terms(weights).two_alpha,
-                                  2.0 * np.sqrt(new_weights * (1.0 + aux.varsigma)))
-            for fn in (lambda a: build_rcv_quadratic(w, a, c_hat, h_bu, weights),
-                       lambda a: precoder_quadratic(a, h_bu, weights)):
-                for got, ref in zip(fn(aux), fn(fresh)):
-                    assert np.array_equal(got, ref)
-            stats = bf._rx_stats(h_bu, w, 0.1)
-            assert bf._fp_value(*stats, aux, weights) == bf._fp_value(*stats, fresh, weights)
-        with pytest.raises(ValueError):
-            aux.xi[0] = 0.0                             # read-only: the terms cannot go stale
+        c_hat, h_bu, w, base = _random_rcv_instance(rng, k=3, m=2, q=4)
+        weights = np.array([1.0, 2.0, 0.5])
+        aux = FPAuxiliaries(varsigma=base.varsigma, xi=base.xi, weights=weights)
+        weights[:] = 3.0                                # the caller's array, changed afterwards
+        fresh = FPAuxiliaries(varsigma=base.varsigma, xi=base.xi, weights=[1.0, 2.0, 0.5])
+        assert np.array_equal(aux.weights, [1.0, 2.0, 0.5])
+        assert np.array_equal(aux.two_alpha, 2.0 * np.sqrt(aux.weights * (1.0 + aux.varsigma)))
+        for fn in (lambda a: build_rcv_quadratic(w, a, c_hat, h_bu),
+                   lambda a: precoder_quadratic(a, h_bu)):
+            for got, ref in zip(fn(aux), fn(fresh)):
+                assert np.array_equal(got, ref)
+        stats = bf._rx_stats(h_bu, w, 0.1)
+        assert bf._fp_value(*stats, aux) == bf._fp_value(*stats, fresh)
+        for arr in (aux.varsigma, aux.xi, aux.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0                            # read-only: the terms cannot go stale
 
     @pytest.mark.parametrize("stage1", ["arc-search", "phase-partition"])
     def test_two_stage_solve_matches_reference(self, stage1, monkeypatch):
@@ -843,7 +896,7 @@ def _reference_arc_search(channels, q, opts, weights, p_max):
         if best is None or stat.wsr_bits > best.wsr_bits:
             best = stat
     for _ in range(3):
-        candidates = [bf._arc_from_solved(cascades_stat, best, weights, q)]
+        candidates = [bf._arc_from_solved(cascades_stat, best, q)]
         for k in range(k_users):
             ramp = cascades_stat[k] @ best.precoder.w[:, k]
             candidates.append(bf._arc_from_phases(np.angle(ramp), q))

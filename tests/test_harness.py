@@ -237,6 +237,23 @@ class TestSweepAndAggregate:
         agg = (tmp_path / "sweep_agg.csv").read_text().strip().splitlines()
         assert len(agg) == 1 + 1 and agg[1].startswith("no_irs,groups,1.0,2,")
 
+    @pytest.mark.parametrize("axis, values", [("groups", [2.5]), ("groups", [1, 2.5]),
+                                              ("elements", [16, 32.5]), ("groups", [float("nan")]),
+                                              ("elements", [float("inf")])])
+    def test_count_axis_rejects_fractions_before_any_trial(self, axis, values, tmp_path,
+                                                           monkeypatch):
+        # Q and N are counts: int() would solve Q = 2 and label its rows 2.5
+        runs = []
+        monkeypatch.setattr(harness, "run_monte_carlo", lambda *a, **kw: runs.append(a) or [])
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match=axis):
+            sweep(axis, values, _tiny_config(schemes=("no_irs",)), out=str(out))
+        assert runs == [] and not out.exists()
+        with pytest.raises(ValueError, match=axis):
+            cli_main(["sweep", "--axis", axis, "--values", ",".join(map(str, values)),
+                      "--out", str(out), "--quiet"])
+        assert runs == [] and not out.exists()
+
 
 class TestCli:
     def _write_config(self, tmp_path):
