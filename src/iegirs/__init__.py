@@ -7,8 +7,7 @@ from .beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector, Solv
 from .channel import ChannelSet, RicianLink, build_scenario, path_loss_db
 from .config import ScenarioConfig
 from .grouping import (GroupingMatrix, adjacent_grouping, combine_cascade, count_groupings,
-                       identity_grouping, phase_partition_grouping, relaxed_qp_grouping,
-                       validate)
+                       phase_partition_grouping, relaxed_qp_grouping)
 from .harness import TrialResult, run_monte_carlo, run_scheme, sweep
 from .mathkit import array_response, group_shrink_factor, laguerre_half, virtual_los_direction
 

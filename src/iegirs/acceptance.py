@@ -9,7 +9,6 @@ and tests/test_acceptance.py both drive this module.
 
 import math
 import os
-import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -280,7 +279,7 @@ def c10_alternating_convergence():
     for seed in range(20):
         cfg = ScenarioConfig(N=1024, Q=4, M=4, K=4, scenario="obscured", seed=seed)
         ch = build_scenario(cfg, np.random.default_rng(seed))
-        res = bf.two_stage_solve(ch, 4)
+        res = bf.two_stage_solve(ch, 4, cfg.power_watts, cfg.weights)
         ts = res.trace_steps
         rel = np.diff(ts) / np.maximum(1.0, np.abs(ts[:-1]))
         worst = min(worst, float(rel.min()))
@@ -360,12 +359,8 @@ class CheckResult:
     seconds: float
 
 
-def run(names=None, stream="stdout"):
-    """Run selected (default: all) acceptance criteria, one line each.
-
-    stream: "stdout" (late-bound), None for silent, or any writable file.
-    """
-    out = sys.stdout if stream == "stdout" else stream
+def run(names=None):
+    """Run selected (default: all) acceptance criteria, one PASS/FAIL line each on stdout."""
     selected = set(names) if names else None
     results = []
     for name, fn in CRITERIA:
@@ -375,7 +370,5 @@ def run(names=None, stream="stdout"):
         passed, detail = fn()
         dt = time.perf_counter() - t0
         results.append(CheckResult(name=name, passed=passed, detail=detail, seconds=dt))
-        if out is not None:
-            tag = "PASS" if passed else "FAIL"
-            print(f"{tag}  {name} ({dt:.1f}s): {detail}", file=out)
+        print(f"{'PASS' if passed else 'FAIL'}  {name} ({dt:.1f}s): {detail}")
     return results

@@ -486,14 +486,17 @@ def _frobenius(x):
     return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
+# inner majorization steps per reflection update, and their relative stopping tolerance
+MM_ITERS = 30
+MM_TOL = 1e-9
+
+
 @dataclass
 class SolverOptions:
-    """Knobs for the two-stage solver."""
+    """Outer-loop stopping rule of the alternating solve: relative change tol, at most max_outer."""
 
     tol: float = 1e-6
     max_outer: int = 200
-    mm_iters: int = 30
-    mm_tol: float = 1e-9
 
 
 @dataclass
@@ -583,8 +586,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
         current = _fp_value(*stats, aux)
         trace_steps.append(current)
         if q > 0:
-            v = update_rcv_mm(v, w, aux, c_hat, h_bu,
-                              max_inner=opts.mm_iters, tol=opts.mm_tol, work=work)
+            v = update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=MM_ITERS, tol=MM_TOL, work=work)
             rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu)
             v = ReflectionVector(phases=np.angle(rotated))
             h = effective_channels(v.values, c_hat, h_bu)
@@ -698,26 +700,21 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
     return best, cascades_stat
 
 
-def two_stage_solve(channels, q, opts=None, p_max=None, weights=None, grouping=None):
+def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
     """End-to-end solve: statistical grouping, then alternating beamforming.
 
     Stage 1 picks the grouping from statistical CSI by the arc search; a
     given grouping (a GroupingMatrix of the N elements into q groups) is
     used as it is instead. Stage 2 runs the alternating loop on the grouped
     instantaneous cascades until the internal objective's relative change
-    drops below opts.tol or opts.max_outer is reached. p_max and weights
-    default to channels.meta["p_max"] and channels.meta["weights"]. Returns
+    drops below opts.tol or opts.max_outer is reached. p_max is the power
+    budget (W) and weights the per-user rate weights, shape (K,). Returns
     the stage-2 SolveResult with its grouping set; its trace_steps never
     decrease by more than rounding noise.
     """
     opts = opts or SolverOptions()
     n = channels.num_elements
-    for key, value in (("p_max", p_max), ("weights", weights)):
-        if value is None and key not in channels.meta:
-            raise ValueError(f"no {key} given and none in channels.meta[{key!r}]")
-    weights = _checked_weights(channels.meta["weights"] if weights is None else weights,
-                               channels.num_users)
-    p_max = float(channels.meta["p_max"]) if p_max is None else p_max
+    weights = _checked_weights(weights, channels.num_users)
     if not 1 <= q <= n:
         raise ValueError("need 1 <= Q <= N")
 
@@ -728,9 +725,6 @@ def two_stage_solve(channels, q, opts=None, p_max=None, weights=None, grouping=N
         if (grouping.num_elements, grouping.num_groups) != (n, q):
             raise ValueError(f"grouping of {grouping.num_elements} elements into "
                              f"{grouping.num_groups} groups, need {n} into {q}")
-        report = grp.validate(grouping)
-        if report is not None:
-            raise ValueError(f"invalid grouping: {report}")
         g, cascades_stat = grouping, _stat_cascades(channels)
         w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
 

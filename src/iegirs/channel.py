@@ -215,8 +215,6 @@ def build_scenario(config, rng):
         "users": users,
         "delta_iu": np.array([lk.delta for lk in links_iu]),
         "delta_bu": np.array([lk.delta for lk in links_bu]),
-        "p_max": config.power_watts,
-        "weights": tuple(config.weights),
     }
     return ChannelSet(
         h_bi=h_bi, h_iu=h_iu, h_bu=h_bu,

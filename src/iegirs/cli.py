@@ -18,14 +18,8 @@ from .config import ScenarioConfig
 
 def _load_config(args):
     cfg = ScenarioConfig.from_yaml(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        overrides["trials"] = args.trials
-    if getattr(args, "full_scale", False):
-        overrides["N"] = 10000
-    return cfg.replace(**overrides) if overrides else cfg
+    overrides = {"seed": args.seed, "trials": args.trials, "N": 10000 if args.full_scale else None}
+    return cfg.replace(**{key: value for key, value in overrides.items() if value is not None})
 
 
 def _positive_int(text):
@@ -112,27 +106,25 @@ def build_parser():
                                 description="Element-grouped IRS simulations and validation")
     sub = p.add_subparsers(dest="command", required=True)
 
-    ps = sub.add_parser("simulate", help="run all configured schemes on one scenario")
-    ps.add_argument("--config", help="YAML scenario file (defaults if omitted)")
-    ps.add_argument("--seed", type=int, help="override master seed")
-    ps.add_argument("--trials", type=_positive_int, help="override trial count")
+    # the scenario options that simulate and sweep share
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--config", help="YAML scenario file (defaults if omitted)")
+    scene.add_argument("--seed", type=int, help="override master seed")
+    scene.add_argument("--trials", type=_positive_int, help="override trial count")
+    scene.add_argument("--full-scale", action="store_true", help="use N=10000 elements")
+    scene.add_argument("--timings", action="store_true",
+                       help="record wall-clock runtimes in the CSV (breaks byte reproducibility)")
+    scene.add_argument("--quiet", action="store_true")
+
+    ps = sub.add_parser("simulate", parents=[scene],
+                        help="run all configured schemes on one scenario")
     ps.add_argument("--out", default="results.csv", help="output CSV path")
-    ps.add_argument("--full-scale", action="store_true", help="use N=10000 elements")
-    ps.add_argument("--timings", action="store_true",
-                    help="record wall-clock runtimes in the CSV (breaks byte reproducibility)")
-    ps.add_argument("--quiet", action="store_true")
     ps.set_defaults(fn=_cmd_simulate)
 
-    pw = sub.add_parser("sweep", help="Monte Carlo sweep over one axis")
+    pw = sub.add_parser("sweep", parents=[scene], help="Monte Carlo sweep over one axis")
     pw.add_argument("--axis", required=True, choices=("groups", "elements", "distance", "power"))
     pw.add_argument("--values", required=True, help="comma-separated axis values")
-    pw.add_argument("--config", help="YAML scenario file")
-    pw.add_argument("--seed", type=int)
-    pw.add_argument("--trials", type=_positive_int)
-    pw.add_argument("--out", default="sweep.csv")
-    pw.add_argument("--full-scale", action="store_true", help="use N=10000 elements")
-    pw.add_argument("--timings", action="store_true")
-    pw.add_argument("--quiet", action="store_true")
+    pw.add_argument("--out", default="sweep.csv", help="output CSV path")
     pw.set_defaults(fn=_cmd_sweep)
 
     pa = sub.add_parser("asymptotics", help="closed-form vs Monte Carlo validation table")

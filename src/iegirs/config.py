@@ -1,11 +1,16 @@
 """Scenario configuration: one dataclass describing a full simulation scene."""
 
+import numbers
 from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
 SCHEMES = ("ieg", "aeg", "uirs_q", "random_rcv", "no_irs")
 SCENARIOS = ("obscured", "unobscured")
+# keys of the nested YAML layout (to_dict)
+_SECTIONS = {"system": ("M", "K", "N", "Q"), "geometry": ("bs", "irs", "user_center", "user_radius"),
+             "kappas": ("bi", "iu", "bu")}
+_TOP_KEYS = (*_SECTIONS, "power_dbm", "noise_dbm", "scenario", "weights", "trials", "seed", "schemes")
 
 
 @dataclass
@@ -37,6 +42,12 @@ class ScenarioConfig:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
+        for name in ("M", "K", "N", "Q", "trials"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not float(value).is_integer():
+                raise ValueError(f"{name} must be a whole number, got {value!r}")
+            setattr(self, name, int(value))
         if not 1 <= self.Q <= self.N:
             raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
         if self.M < 1 or self.K < 1:
@@ -69,19 +80,24 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        """Build from a nested mapping (the YAML layout below)."""
+        """Build from a nested mapping (the YAML layout of to_dict); ValueError on unknown keys."""
+        for where, known, given in [("top-level", _TOP_KEYS, raw),
+                                    *((s, keys, raw.get(s) or {}) for s, keys in _SECTIONS.items())]:
+            unknown = [k for k in given if k not in known]
+            if unknown:
+                raise ValueError(f"unknown {where} keys {unknown}; known: {list(known)}")
         kw = {}
-        sys_ = raw.get("system", {})
+        sys_ = raw.get("system") or {}
         for key in ("M", "K", "N", "Q"):
             if key in sys_:
                 kw[key] = sys_[key]
-        geo = raw.get("geometry", {})
+        geo = raw.get("geometry") or {}
         for src, dst in (("bs", "bs_pos"), ("irs", "irs_pos"), ("user_center", "user_center")):
             if src in geo:
                 kw[dst] = tuple(float(v) for v in geo[src])
         if "user_radius" in geo:
             kw["user_radius"] = float(geo["user_radius"])
-        kap = raw.get("kappas", {})
+        kap = raw.get("kappas") or {}
         for src, dst in (("bi", "kappa_bi"), ("iu", "kappa_iu"), ("bu", "kappa_bu")):
             if src in kap:
                 kw[dst] = float(kap[src])

@@ -1,26 +1,31 @@
-"""Grouping-matrix construction, validation, and combination.
+"""Grouping-matrix construction and combination.
 
 A grouping assigns each of the N reflector elements to exactly one of Q
 groups (every group non-empty); elements of a group share one reflection
 phase. Constructors: equal-arc partitions (arc_grouping, which stage 1 of
 beamforming.two_stage_solve searches over), adjacent blocks (the aeg
-scheme's grouping), the identity, and a relaxed quadratic program driven by
-statistical CSI, a library constructor that the solver does not call.
+scheme's grouping, the identity at Q == N), and a relaxed quadratic program
+driven by statistical CSI, a library constructor that the solver does not
+call.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, factorial
 
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupingMatrix:
     """Assignment of N elements to groups labelled 1..num_groups.
 
-    The binary Q x N matrix form is materialised on demand by matrix().
-    repairs counts elements that were reassigned to fix empty groups.
+    Valid by construction: every label lies in [1, num_groups] (a binary
+    matrix), the assignment encoding puts each element in exactly one group,
+    and every group is non-empty; otherwise ValueError. assignment is a
+    read-only int copy. The binary Q x N matrix form is materialised on
+    demand by matrix(). repairs counts elements that were reassigned to fix
+    empty groups.
     """
 
     assignment: np.ndarray
@@ -29,7 +34,16 @@ class GroupingMatrix:
     converged: bool = True
 
     def __post_init__(self):
-        self.assignment = np.asarray(self.assignment, dtype=int)
+        a = np.array(self.assignment, dtype=int)
+        q = self.num_groups
+        bad = np.where((a < 1) | (a > q))[0]
+        if bad.size:
+            raise ValueError(f"element {bad[0]} has label {a[bad[0]]} outside [1, {q}]")
+        empty = np.where(np.bincount(a - 1, minlength=q) == 0)[0]
+        if empty.size:
+            raise ValueError(f"group {empty[0] + 1} is empty")
+        a.flags.writeable = False
+        object.__setattr__(self, "assignment", a)
 
     @property
     def num_elements(self):
@@ -42,25 +56,6 @@ class GroupingMatrix:
 
     def group_sizes(self):
         return np.bincount(self.assignment - 1, minlength=self.num_groups)
-
-
-def validate(grouping):
-    """Check the three grouping constraints; None if valid, else a report.
-
-    Checked in order: entries are valid group labels (binary matrix), each
-    element belongs to exactly one group (guaranteed by the assignment
-    encoding), and every group is non-empty.
-    """
-    a = grouping.assignment
-    q = grouping.num_groups
-    bad = np.where((a < 1) | (a > q))[0]
-    if bad.size:
-        return f"element {bad[0]} has label {a[bad[0]]} outside [1, {q}]"
-    sizes = np.bincount(a - 1, minlength=q)
-    empty = np.where(sizes == 0)[0]
-    if empty.size:
-        return f"group {empty[0] + 1} is empty"
-    return None
 
 
 def count_groupings(n, q):
@@ -88,11 +83,6 @@ def adjacent_grouping(n, q):
     for label, block in enumerate(np.array_split(np.arange(n), q), start=1):
         assignment[block] = label
     return GroupingMatrix(assignment=assignment, num_groups=q)
-
-
-def identity_grouping(n):
-    """One element per group (ungrouped surface)."""
-    return GroupingMatrix(assignment=np.arange(1, n + 1), num_groups=n)
 
 
 _ARC_QUANTUM = 2.0 ** 40
@@ -181,7 +171,7 @@ def project_columns_to_simplex(g):
     return np.maximum(g - tau[None, :], 0.0)
 
 
-def grouping_objective(g, cascades_stat, h_bu_stat, w_stat, v_stat, aux, weights):
+def grouping_objective(g, cascades_stat, h_bu_stat, w_stat, v_stat, aux):
     """Statistical alignment-minus-interference value of a grouping.
 
     g may be a GroupingMatrix or a relaxed Q x N array. Larger is better:
@@ -189,7 +179,7 @@ def grouping_objective(g, cascades_stat, h_bu_stat, w_stat, v_stat, aux, weights
     while holding cross-beam leakage down.
     """
     gm = g.matrix() if isinstance(g, GroupingMatrix) else np.asarray(g, dtype=float)
-    alpha = np.sqrt(np.asarray(weights) * (1.0 + aux.varsigma))
+    alpha = aux.two_alpha / 2.0
     t = np.conj(v_stat) @ gm                                   # (N,)
     total = 0.0
     for k in range(cascades_stat.shape[0]):
@@ -238,7 +228,7 @@ def _round_with_margin_repair(g_relaxed, q):
     return assignment, repairs
 
 
-def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q, weights=None,
+def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q,
                         rho=1.0, max_rounds=20, pg_steps=15, tol=1e-8, extra_starts=()):
     """Grouping from the relaxed statistical program.
 
@@ -255,26 +245,22 @@ def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q, weight
     cascades_stat: (K, N, M) statistical per-element cascades; h_bu_stat:
     (K, M) statistical direct links; w_stat: (M, K) statistical beams;
     v_stat: (Q,) unit-modulus statistical reflection values; aux: statistical
-    ratio auxiliaries (varsigma, xi).
+    ratio auxiliaries (varsigma, xi and their weights).
     """
     k_users, n, _ = cascades_stat.shape
     if not 1 <= q <= n:
         raise ValueError("need 1 <= q <= n")
-    if weights is None:
-        weights = np.ones(k_users)
-    weights = np.asarray(weights, dtype=float)
-    alpha = np.sqrt(weights * (1.0 + aux.varsigma))
-    xi = np.asarray(aux.xi)
+    alpha, xi = aux.two_alpha / 2.0, aux.xi
     proj = np.stack([cascades_stat[k] @ w_stat for k in range(k_users)])
     d_rows = np.stack([np.conj(h_bu_stat[k]) @ w_stat for k in range(k_users)])
 
-    aggregate = np.einsum("k,knk->n", alpha * np.conj(xi), proj)
+    aggregate = np.einsum("k,knk->n", aux.alpha_conj_xi, proj)
     starts = [adjacent_grouping(n, q)]
     starts.append(arc_grouping(np.mod(-np.angle(aggregate) / (2 * np.pi), 1.0), q))
     starts.extend(extra_starts)
 
     def binary_obj(gm):
-        return grouping_objective(gm, cascades_stat, h_bu_stat, w_stat, v_stat, aux, weights)
+        return grouping_objective(gm, cascades_stat, h_bu_stat, w_stat, v_stat, aux)
 
     g = max(starts, key=binary_obj).matrix()
     converged = False
@@ -307,6 +293,4 @@ def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q, weight
 
     assignment, repairs = _round_with_margin_repair(g, q)
     rounded = GroupingMatrix(assignment=assignment, num_groups=q, repairs=repairs, converged=converged)
-    best = max(starts + [rounded], key=binary_obj)
-    best.converged = converged
-    return best
+    return replace(max(starts + [rounded], key=binary_obj), converged=converged)

@@ -105,8 +105,7 @@ def run_scheme(scheme, channels, config, rng, opts=None):
     frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
     if scheme in ("ieg", "aeg"):
         grouping = grp.adjacent_grouping(channels.num_elements, q) if scheme == "aeg" else None
-        res = bf.two_stage_solve(channels, q, opts=opts, p_max=p_max, weights=weights,
-                                 grouping=grouping)
+        res = bf.two_stage_solve(channels, q, p_max, weights, opts=opts, grouping=grouping)
     else:
         c_hat, h_bu_eff = scheme_problem(scheme, channels, q, frozen=frozen)
         v0 = bf.ReflectionVector(phases=np.zeros(c_hat.shape[1]))

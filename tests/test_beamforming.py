@@ -10,7 +10,7 @@ from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector
                                 update_rcv_mm, wsr)
 from iegirs.channel import ChannelSet, build_scenario
 from iegirs.config import ScenarioConfig
-from iegirs.grouping import GroupingMatrix, adjacent_grouping, identity_grouping
+from iegirs.grouping import GroupingMatrix, adjacent_grouping
 
 
 # weights of a K = 4 problem that are not (K,), finite and nonnegative
@@ -469,15 +469,16 @@ class TestSolveLoop:
         h_bu = direct * random_complex(rng, (k, m))
         return ChannelSet(h_bi=h_bi, h_iu=h_iu, h_bu=h_bu,
                           h_bi_stat=h_bi * 0.1, h_iu_stat=h_iu * 0.1, h_bu_stat=h_bu * 0.1,
-                          noise_power=1e-2, meta={"p_max": 1.0, "weights": (1.0,) * k})
+                          noise_power=1e-2, meta={})
 
     def test_phase_alignment_at_full_resolution(self):
         # ungrouped single-user link without a direct path: the converged
         # reflection collects the full l1 mass of the cascade
         rng = np.random.default_rng(12)
         ch = self._manual_channelset(rng)
-        res = two_stage_solve(ch, ch.num_elements, opts=SolverOptions(tol=1e-12, max_outer=500),
-                              grouping=identity_grouping(ch.num_elements))
+        n = ch.num_elements
+        res = two_stage_solve(ch, n, 1.0, (1.0,), opts=SolverOptions(tol=1e-12, max_outer=500),
+                              grouping=adjacent_grouping(n, n))
         c = np.conj(ch.h_iu[0]) * np.conj(ch.h_bi[0])
         achieved = abs(np.vdot(res.rcv.values, c))
         assert abs(achieved - np.abs(c).sum()) <= 1e-6 * np.abs(c).sum()
@@ -485,7 +486,7 @@ class TestSolveLoop:
     def test_trace_monotone_and_power_feasible(self):
         cfg = ScenarioConfig(N=128, Q=4, M=3, K=3, seed=2)
         ch = build_scenario(cfg, np.random.default_rng(2))
-        res = two_stage_solve(ch, 4, p_max=cfg.power_watts)
+        res = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights)
         steps = res.trace_steps
         rel = np.diff(steps) / np.maximum(1.0, np.abs(steps[:-1]))
         assert rel.min() >= -1e-8
@@ -494,8 +495,10 @@ class TestSolveLoop:
     def test_adjacent_at_full_groups_equals_identity(self):
         cfg = ScenarioConfig(N=16, Q=16, M=2, K=2, seed=3)
         ch = build_scenario(cfg, np.random.default_rng(3))
-        res_adj = two_stage_solve(ch, 16, grouping=adjacent_grouping(16, 16))
-        res_idn = two_stage_solve(ch, 16, grouping=identity_grouping(16))
+        res_adj = two_stage_solve(ch, 16, cfg.power_watts, cfg.weights,
+                                  grouping=adjacent_grouping(16, 16))
+        res_idn = two_stage_solve(ch, 16, cfg.power_watts, cfg.weights,
+                                  grouping=GroupingMatrix(assignment=np.arange(1, 17), num_groups=16))
         assert np.array_equal(res_adj.grouping.assignment, res_idn.grouping.assignment)
         assert res_adj.wsr_bits == res_idn.wsr_bits
 
@@ -505,7 +508,7 @@ class TestSolveLoop:
         rng = np.random.default_rng(13)
         ch = self._manual_channelset(rng, n=8, direct=0.5)
         q = 2
-        res = two_stage_solve(ch, q, opts=SolverOptions(tol=1e-12, max_outer=400),
+        res = two_stage_solve(ch, q, 1.0, (1.0,), opts=SolverOptions(tol=1e-12, max_outer=400),
                               grouping=adjacent_grouping(8, q))
         from iegirs.grouping import combine_cascade
         c_hat = combine_cascade(adjacent_grouping(8, q), np.conj(ch.h_iu[0])[:, None] * np.conj(ch.h_bi).T)
@@ -543,13 +546,10 @@ class TestSolveLoop:
     @pytest.mark.parametrize("given, missing", [({"weights": (1.0,)}, "p_max"),
                                                  ({"p_max": 1.0}, "weights")])
     def test_missing_budget_or_weights_named(self, given, missing):
+        # both are required arguments, with no fallback to ChannelSet.meta
         ch = self._manual_channelset(np.random.default_rng(15), n=8)
-        ch.meta = {}
-        with pytest.raises(ValueError, match=missing):
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{missing}'"):
             two_stage_solve(ch, 2, **given)
-        ch.meta = {k: v for k, v in {"p_max": 1.0, "weights": (1.0,)}.items() if k != missing}
-        with pytest.raises(ValueError, match=missing):
-            two_stage_solve(ch, 2)
 
     @BAD_WEIGHTS
     @pytest.mark.parametrize("stage1", ["arc-search", "given-grouping"])
@@ -560,28 +560,30 @@ class TestSolveLoop:
         ch = build_scenario(cfg, np.random.default_rng(5))
         grouping = adjacent_grouping(16, 2) if stage1 == "given-grouping" else None
         with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
-            two_stage_solve(ch, 2, weights=weights, grouping=grouping)
-        ch.meta["weights"] = weights
-        with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
-            two_stage_solve(ch, 2, grouping=grouping)
+            two_stage_solve(ch, 2, cfg.power_watts, weights, grouping=grouping)
 
     def test_q_bounds(self):
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
         ch = build_scenario(cfg, np.random.default_rng(5))
         with pytest.raises(ValueError):
-            two_stage_solve(ch, 0)
+            two_stage_solve(ch, 0, cfg.power_watts, cfg.weights)
         with pytest.raises(ValueError):
-            two_stage_solve(ch, 17)
+            two_stage_solve(ch, 17, cfg.power_watts, cfg.weights)
 
-    @pytest.mark.parametrize("grouping", [adjacent_grouping(16, 3), adjacent_grouping(15, 2),
-                                          GroupingMatrix(assignment=[1] * 15 + [3], num_groups=2),
-                                          GroupingMatrix(assignment=[1] * 16, num_groups=2)],
-                             ids=["num_groups", "num_elements", "bad_label", "empty_group"])
-    def test_fixed_grouping_checked(self, grouping):
+    @pytest.mark.parametrize("assignment, q, message", [
+        (adjacent_grouping(16, 3).assignment, 3, "of 16 elements into 3 groups, need 16 into 2"),
+        (adjacent_grouping(15, 2).assignment, 2, "of 15 elements into 2 groups, need 16 into 2"),
+        ([1] * 15 + [3], 2, r"^element 15 has label 3 outside \[1, 2\]$"),
+        ([1] * 16, 2, "^group 2 is empty$")],
+        ids=["num_groups", "num_elements", "bad_label", "empty_group"])
+    def test_fixed_grouping_checked(self, assignment, q, message):
+        # labels and empty groups are refused when the grouping is built, its
+        # shape when two_stage_solve receives it
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
         ch = build_scenario(cfg, np.random.default_rng(5))
-        with pytest.raises(ValueError):
-            two_stage_solve(ch, 2, grouping=grouping)
+        with pytest.raises(ValueError, match=message):
+            two_stage_solve(ch, 2, cfg.power_watts, cfg.weights,
+                            grouping=GroupingMatrix(assignment=assignment, num_groups=q))
 
     def test_stationary_under_reflection_probes(self):
         # at convergence no small unit-modulus perturbation of the reflection
@@ -589,7 +591,7 @@ class TestSolveLoop:
         from iegirs.grouping import combine_cascade
         cfg = ScenarioConfig(N=128, Q=4, M=3, K=3, seed=2)
         ch = build_scenario(cfg, np.random.default_rng(2))
-        res = two_stage_solve(ch, 4, p_max=cfg.power_watts,
+        res = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights,
                               opts=SolverOptions(tol=1e-10, max_outer=400))
         assert res.converged
         weights = np.ones(3)
@@ -682,7 +684,7 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
         w = pm.w
         steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power))
         if c_hat.shape[1] > 0:
-            v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=opts.mm_iters, tol=opts.mm_tol)
+            v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=bf.MM_ITERS, tol=bf.MM_TOL)
             rotated, w = _reference_joint_phase_rotation(np.exp(1j * v.phases), w, aux, c_hat,
                                                          h_bu)
             v = ReflectionVector(phases=np.angle(rotated))
@@ -701,7 +703,7 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
 
 def _loop_problem(case):
     """(c_hat, h_bu, noise, p_max, weights, v0, w0) of a seeded scene."""
-    from iegirs.grouping import adjacent_grouping, combine_cascade, identity_grouping
+    from iegirs.grouping import adjacent_grouping, combine_cascade
     n, q = {"no_irs": (64, 4), "identity": (64, 64), "uirs_q": (256, 16), "q64": (256, 64)}[case]
     cfg = ScenarioConfig(N=n, Q=q, seed=8)
     ch = build_scenario(cfg, np.random.default_rng(40 + q))
@@ -716,7 +718,7 @@ def _loop_problem(case):
         vu = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2 * np.pi, n - q))
         h_bu = h_bu + np.einsum("knm,n->km", cascades[:, q:].conj(), vu)
     else:
-        g = identity_grouping(n) if q == n else adjacent_grouping(n, q)
+        g = adjacent_grouping(n, q)
         c_hat = np.stack([combine_cascade(g, c) for c in cascades])
     v0 = ReflectionVector(phases=np.random.default_rng(5).uniform(0.0, 2 * np.pi, c_hat.shape[1]))
     w0 = matched_precoder(effective_channels(v0.values, c_hat, h_bu), cfg.power_watts)
@@ -854,10 +856,10 @@ class TestLoopBitExact:
         if stage1 == "phase-partition":
             grouping = bf._aggregate_arc_grouping(bf._stat_cascades(ch), ch.h_bu_stat,
                                                   np.asarray(cfg.weights, dtype=float), 4)
-        new = two_stage_solve(ch, 4, p_max=cfg.power_watts, grouping=grouping)
+        new = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights, grouping=grouping)
         monkeypatch.setattr(bf, "solve_fp", _reference_solve_fp)
         monkeypatch.setattr(grp, "combine_cascade", _reference_combine)
-        ref = two_stage_solve(ch, 4, p_max=cfg.power_watts, grouping=grouping)
+        ref = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights, grouping=grouping)
         _assert_same_two_stage(new, ref)
 
 
@@ -922,7 +924,7 @@ def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relax
     best, cascades_stat = _reference_arc_search(channels, q, opts, weights, p_max)
     relaxed_calls.append(q)
     refined = grp.relaxed_qp_grouping(cascades_stat, channels.h_bu_stat, best.precoder.w,
-                                      best.rcv.values, best.aux, q, weights=weights,
+                                      best.rcv.values, best.aux, q,
                                       rho=1.0, max_rounds=20, pg_steps=15,
                                       extra_starts=(best.grouping,))
     if not np.array_equal(refined.assignment, best.grouping.assignment):
@@ -933,7 +935,7 @@ def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relax
 
 
 def _stage1_scene(case):
-    """(channels, Q, p_max) of trial t of a seeded scene (c11's seed and layout).
+    """(channels, Q, p_max, weights) of trial t of a seeded scene (c11's seed and layout).
 
     Where a trial among the first eight has one, t is a trial whose grouping
     a per-user arc (or, at 30 dBm, a later search round) decides. In
@@ -950,28 +952,28 @@ def _stage1_scene(case):
                  "30dBm_t3": (3, dict(N=256, power_dbm=30.0))}[case]
     cfg = ScenarioConfig(**{"Q": 4, "seed": 11, **kw})
     rng = np.random.default_rng(trial_seed_sequence(cfg.seed, trial).spawn(1)[0])
-    return build_scenario(cfg, rng), cfg.Q, cfg.power_watts
+    return build_scenario(cfg, rng), cfg.Q, cfg.power_watts, cfg.weights
 
 
 class TestStage1BitExact:
     @pytest.mark.parametrize("case", ["c11_n256", "c11_n1024", "q2", "q16", "unobscured",
                                       "kappa0.1", "kappa10", "30dBm"])
     def test_matches_relaxed_refinement_reference(self, case, monkeypatch):
-        ch, q, p_max = _stage1_scene(case)
-        new = two_stage_solve(ch, q, p_max=p_max)
+        ch, q, p_max, weights = _stage1_scene(case)
+        new = two_stage_solve(ch, q, p_max, weights)
         calls = []
 
         def reference(channels, q, opts, weights, p_max):
             return _reference_grouping_from_statistics(channels, q, opts, weights, p_max, calls)
 
         monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
-        ref = two_stage_solve(ch, q, p_max=p_max)
+        ref = two_stage_solve(ch, q, p_max, weights)
         assert calls == [q]
         _assert_same_two_stage(new, ref)
 
     @pytest.mark.parametrize("case, skipped", [("c11_n256", 2), ("q2", 2), ("30dBm_t3", 0)])
     def test_repeat_candidates_skipped(self, case, skipped, monkeypatch):
-        ch, q, p_max = _stage1_scene(case)
+        ch, q, p_max, weights = _stage1_scene(case)
         solves = []
         solve = bf._statistical_solve
 
@@ -980,11 +982,11 @@ class TestStage1BitExact:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(bf, "_statistical_solve", counted)
-        new = two_stage_solve(ch, q, p_max=p_max)
+        new = two_stage_solve(ch, q, p_max, weights)
         n_new = len(solves)
 
         monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
-        ref = two_stage_solve(ch, q, p_max=p_max)
+        ref = two_stage_solve(ch, q, p_max, weights)
         # the reference solves the repeats and, before the arc seed, adjacent blocks
         assert len(solves) - n_new == n_new + skipped + 1
         _assert_same_two_stage(new, ref)
@@ -994,10 +996,10 @@ class TestStage1BitExact:
         # moves the last bits of this scene's rate
         cfg = ScenarioConfig(N=8, Q=8, seed=0)
         ch = build_scenario(cfg, np.random.default_rng(0))
-        new = two_stage_solve(ch, 8, p_max=cfg.power_watts)
+        new = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
 
         monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
-        ref = two_stage_solve(ch, 8, p_max=cfg.power_watts)
+        ref = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
         _assert_same_two_stage(new, ref)
 
 

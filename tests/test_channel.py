@@ -234,6 +234,41 @@ class TestScenarioConfig:
         loaded = ScenarioConfig.from_yaml(path)
         assert loaded == cfg
 
+    def test_dict_roundtrip(self):
+        cfg = ScenarioConfig(N=256, Q=8, M=3, K=3, bs_pos=(1.0, 2.0, 3.0), user_radius=4.0,
+                             kappa_bi=2.0, kappa_iu=3.0, kappa_bu=0.5, scenario="unobscured",
+                             weights=(3.0, 0.5, 1.0), trials=7, seed=42, schemes=("ieg", "no_irs"))
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"system": {"q": 8}}, r"unknown system keys \['q'\]"),
+        ({"kapas": {"bi": 5}}, r"unknown top-level keys \['kapas'\]"),
+        ({"power": 30}, r"unknown top-level keys \['power'\]"),
+        ({"geometry": {"irs_pos": [1.0, 0.0, 8.0]}}, r"unknown geometry keys \['irs_pos'\]"),
+        ({"kappas": {"bi": 2.0, "ub": 2.0}}, r"unknown kappas keys \['ub'\]"),
+    ], ids=["system", "top-level-section", "top-level", "geometry", "kappas"])
+    def test_unknown_keys_rejected(self, raw, message):
+        # a misspelt key would otherwise leave its default in place without a word
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig.from_dict(raw)
+
+    def test_whole_number_sizes_stored_as_ints(self):
+        cfg = ScenarioConfig.from_dict({"system": {"M": 2.0, "K": np.int64(2), "N": 64.0, "Q": 4.0},
+                                        "trials": 3.0})
+        assert [(type(v), v) for v in (cfg.M, cfg.K, cfg.N, cfg.Q, cfg.trials)] == \
+            [(int, 2), (int, 2), (int, 64), (int, 4), (int, 3)]
+        assert cfg == ScenarioConfig(M=2, K=2, N=64, Q=4, trials=3)
+
+    @pytest.mark.parametrize("key, value", [("N", 1024.5), ("Q", 2.5), ("M", float("nan")),
+                                            ("K", "2"), ("trials", 2.5), ("trials", True)])
+    def test_fractional_sizes_rejected(self, key, value):
+        # unchecked, N = 1024.5 died in near_square_factors and Q = 2.5 in a numpy cast
+        with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+            ScenarioConfig(**{key: value})
+        raw = {"trials": value} if key == "trials" else {"system": {key: value}}
+        with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+            ScenarioConfig.from_dict(raw)
+
     def test_budget_ordering_enforced(self):
         with pytest.raises(ValueError):
             ScenarioConfig(N=4, Q=8)

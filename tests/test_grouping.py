@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,8 +8,8 @@ from iegirs import beamforming as bf
 from iegirs import grouping as grp
 from iegirs.channel import cascade_coefficients
 from iegirs.grouping import (GroupingMatrix, adjacent_grouping, combine_cascade, count_groupings,
-                             grouping_objective, identity_grouping, phase_partition_grouping,
-                             project_columns_to_simplex, relaxed_qp_grouping, validate)
+                             grouping_objective, phase_partition_grouping,
+                             project_columns_to_simplex, relaxed_qp_grouping)
 from iegirs.mathkit import array_response, group_shrink_factor
 
 
@@ -32,19 +33,35 @@ def brute_force_partition_count(n, q):
 
 
 class TestValidate:
+    """The three grouping constraints, checked when a GroupingMatrix is built."""
+
     def test_ok(self):
-        assert validate(GroupingMatrix(assignment=[1, 1, 2, 2], num_groups=2)) is None
+        g = GroupingMatrix(assignment=[1, 1, 2, 2], num_groups=2)
+        assert g.assignment.dtype == int and g.group_sizes().tolist() == [2, 2]
 
     def test_empty_group_reported(self):
-        msg = validate(GroupingMatrix(assignment=[1, 1, 1, 1], num_groups=2))
-        assert msg is not None and "group 2" in msg
+        with pytest.raises(ValueError, match="^group 2 is empty$"):
+            GroupingMatrix(assignment=[1, 1, 1, 1], num_groups=2)
 
     def test_identity_ok(self):
-        assert validate(identity_grouping(5)) is None
+        g = GroupingMatrix(assignment=np.arange(1, 6), num_groups=5)
+        assert np.array_equal(g.matrix(), np.eye(5))
 
     def test_label_out_of_range(self):
-        msg = validate(GroupingMatrix(assignment=[1, 3], num_groups=2))
-        assert msg is not None and "label" in msg
+        with pytest.raises(ValueError, match=r"^element 1 has label 3 outside \[1, 2\]$"):
+            GroupingMatrix(assignment=[1, 3], num_groups=2)
+        with pytest.raises(ValueError, match=r"^element 0 has label 0 outside \[1, 2\]$"):
+            GroupingMatrix(assignment=[0, 1, 2], num_groups=2)
+
+    def test_callers_array_is_copied_and_assignment_read_only(self):
+        labels = np.array([1, 2, 2, 1])
+        g = GroupingMatrix(assignment=labels, num_groups=2)
+        labels[:] = 1                                   # would empty group 2 if shared
+        assert g.assignment.tolist() == [1, 2, 2, 1]
+        with pytest.raises(ValueError):
+            g.assignment[0] = 2                         # read-only: an edit cannot skip the checks
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.assignment = np.ones(4, dtype=int)
 
     def test_matrix_form(self):
         g = GroupingMatrix(assignment=[2, 1, 2], num_groups=2)
@@ -83,7 +100,6 @@ class TestCountGroupings:
 class TestPhasePartition:
     def test_degenerate_ramp_is_repaired(self):
         g = phase_partition_grouping(0.0, 6, 2)
-        assert validate(g) is None
         assert g.repairs >= 1
 
     def test_small_example(self):
@@ -117,7 +133,7 @@ class TestCombineCascade:
     def test_identity_grouping_is_noop(self):
         rng = np.random.default_rng(4)
         c = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        assert np.array_equal(combine_cascade(identity_grouping(5), c), c)
+        assert np.array_equal(combine_cascade(adjacent_grouping(5, 5), c), c)
 
     def test_single_group_sums_columns(self):
         rng = np.random.default_rng(5)
@@ -127,9 +143,9 @@ class TestCombineCascade:
 
     def test_matches_matrix_product(self):
         rng = np.random.default_rng(6)
-        g = GroupingMatrix(assignment=rng.integers(1, 4, size=12), num_groups=3)
-        if validate(g) is not None:
-            g = adjacent_grouping(12, 3)
+        assignment = rng.integers(1, 4, size=12)
+        g = GroupingMatrix(assignment=assignment, num_groups=3) \
+            if np.unique(assignment).size == 3 else adjacent_grouping(12, 3)
         c = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
         assert np.allclose(combine_cascade(g, c), g.matrix() @ c)
 
@@ -270,9 +286,9 @@ class TestRelaxedProgram:
     def test_refines_phase_partition_single_user(self):
         for seed in range(50):
             cascades, h_bu, w, v, aux, partition, _ = _single_user_statistical_instance(seed)
-            result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, 4, weights=np.ones(1))
-            val_res = grouping_objective(result, cascades, h_bu, w, v, aux, np.ones(1))
-            val_ref = grouping_objective(partition, cascades, h_bu, w, v, aux, np.ones(1))
+            result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, 4)
+            val_res = grouping_objective(result, cascades, h_bu, w, v, aux)
+            val_ref = grouping_objective(partition, cascades, h_bu, w, v, aux)
             assert val_res >= val_ref - 1e-9 * abs(val_ref)
 
     def test_never_worse_than_adjacent(self):
@@ -285,16 +301,57 @@ class TestRelaxedProgram:
             v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
             h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
             aux = bf.update_auxiliaries(h, w, 1e-2, np.ones(k))
-            result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q, weights=np.ones(k))
-            assert validate(result) is None
-            val_res = grouping_objective(result, cascades, h_bu, w, v, aux, np.ones(k))
-            val_adj = grouping_objective(adjacent_grouping(n, q), cascades, h_bu, w, v, aux, np.ones(k))
+            result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q)
+            assert result.group_sizes().min() >= 1
+            val_res = grouping_objective(result, cascades, h_bu, w, v, aux)
+            val_adj = grouping_objective(adjacent_grouping(n, q), cascades, h_bu, w, v, aux)
             assert val_res >= val_adj - 1e-9 * max(1.0, abs(val_adj))
+
+    def test_extra_starts_left_untouched(self):
+        # the winning start comes back as a copy carrying this run's flag;
+        # the caller's own object keeps its converged = False
+        rng = np.random.default_rng(11)
+        k, n, m, q = 2, 32, 2, 3
+        cascades = (rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))) * 0.1
+        h_bu = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) * 0.05
+        w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
+        h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
+        aux = bf.update_auxiliaries(h, w, 1e-2, np.ones(k))
+        best = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q)
+        start = GroupingMatrix(assignment=best.assignment, num_groups=q, converged=False)
+        result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q, extra_starts=(start,))
+        assert result.converged and np.array_equal(result.assignment, start.assignment)
+        assert start.converged is False
+
+    def test_objective_uses_the_auxiliaries_weights(self):
+        # alpha = sqrt(weights (1 + varsigma)) of the aux's own weights: on this
+        # K = 3, N = 16, Q = 4 scene all-ones weights would read -11.976
+        rng = np.random.default_rng(25)
+        k, n, m, q = 3, 16, 2, 4
+        cascades = (rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))) * 0.1
+        h_bu = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) * 0.05
+        w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
+        v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
+        weights = np.array([3.0, 0.5, 1.0])
+        h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
+        aux = bf.update_auxiliaries(h, w, 1e-2, weights)
+        g = adjacent_grouping(n, q)
+        value = grouping_objective(g, cascades, h_bu, w, v, aux)
+        # oracle: the same objective in matrix form
+        rows = np.einsum("n,knm,mj->kj", np.conj(v) @ g.matrix(), cascades, w)
+        u = rows + np.conj(h_bu) @ w
+        alpha = np.sqrt(weights * (1.0 + aux.varsigma))
+        expected = (2.0 * alpha * np.real(np.conj(aux.xi) * np.diagonal(rows))).sum() \
+            - (np.abs(aux.xi) ** 2 * (np.abs(u) ** 2).sum(axis=1)).sum()
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert round(value, 3) == -9.520
+        ones = bf.FPAuxiliaries(varsigma=aux.varsigma, xi=aux.xi, weights=np.ones(k))
+        assert round(grouping_objective(g, cascades, h_bu, w, v, ones), 3) == -11.976
 
     def test_projected_gradient_is_monotone_at_fixed_direction(self):
         cascades, h_bu, w, v, aux, partition, _ = _single_user_statistical_instance(99)
-        weights = np.ones(1)
-        alpha = np.sqrt(weights * (1.0 + aux.varsigma))
+        alpha = aux.two_alpha / 2.0
         proj = np.stack([cascades[0] @ w])
         d_rows = np.stack([np.conj(h_bu[0]) @ w])
         g = partition.matrix()
@@ -324,7 +381,7 @@ class TestRelaxedProgram:
                               [0.0, 0.0, 0.0, 0.0]])
         assignment, repairs = grp._round_with_margin_repair(g_relaxed, 3)
         g = GroupingMatrix(assignment=assignment, num_groups=3, repairs=repairs)
-        assert validate(g) is None
+        assert g.group_sizes().min() >= 1
         assert repairs == 2
         # empty groups are filled by the smallest-margin columns, label order:
         # column 3 (margin 0) fills group 2, column 2 (margin 0.04) group 3

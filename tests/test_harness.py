@@ -9,9 +9,9 @@ import yaml
 from iegirs import harness
 from iegirs.beamforming import SolverOptions, two_stage_solve
 from iegirs.channel import ChannelSet, build_scenario
-from iegirs.cli import main as cli_main
+from iegirs.cli import build_parser, main as cli_main
 from iegirs.config import SCHEMES, ScenarioConfig, trial_seed_sequence
-from iegirs.grouping import identity_grouping
+from iegirs.grouping import GroupingMatrix
 from iegirs.harness import (aggregate, recompute_wsr, rows_to_csv_text, run_monte_carlo,
                             run_scheme, sweep, write_csv)
 
@@ -75,7 +75,7 @@ class TestRunScheme:
         res_aeg = run_scheme("aeg", ch, cfg, np.random.default_rng(4))
         res_idn = two_stage_solve(ch, 16, p_max=cfg.power_watts,
                                   weights=np.asarray(cfg.weights, dtype=float),
-                                  grouping=identity_grouping(16))
+                                  grouping=GroupingMatrix(assignment=np.arange(1, 17), num_groups=16))
         assert res_aeg.wsr_bits == res_idn.wsr_bits
         assert np.array_equal(res_aeg.solution.grouping.assignment, res_idn.grouping.assignment)
 
@@ -321,6 +321,41 @@ class TestCli:
         rc = cli_main(["validate"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_whole_number_floats_in_yaml(self, tmp_path):
+        # YAML "Q: 2.0" is Q = 2: the same CSV bytes as the int spelling
+        raw = _tiny_config(schemes=("aeg", "no_irs")).to_dict()
+        texts = []
+        for spelling in (int, float):
+            raw["system"] = {k: spelling(v) for k, v in raw["system"].items()}
+            raw["trials"] = spelling(raw["trials"])
+            cfg_path, out = tmp_path / "scene.yaml", tmp_path / f"{spelling.__name__}.csv"
+            cfg_path.write_text(yaml.safe_dump(raw))
+            assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+            texts.append(out.read_bytes())
+        assert "Q: 2.0" in cfg_path.read_text() and texts[0] == texts[1]
+        raw["system"]["N"] = 32.5
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match="N must be a whole number, got 32.5"):
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        raw = _tiny_config().to_dict()
+        raw["power"] = 30
+        cfg_path = tmp_path / "scene.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match="power"):
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+
+    def test_simulate_and_sweep_share_scene_options(self):
+        shared = ["--config", "scene.yaml", "--seed", "3", "--trials", "2", "--full-scale",
+                  "--timings", "--quiet"]
+        sim = build_parser().parse_args(["simulate", *shared])
+        swp = build_parser().parse_args(["sweep", "--axis", "groups", "--values", "2", *shared])
+        keys = ("config", "seed", "trials", "full_scale", "timings", "quiet")
+        assert [getattr(sim, k) for k in keys] == [getattr(swp, k) for k in keys] \
+            == ["scene.yaml", 3, 2, True, True, True]
+        assert (sim.out, swp.out) == ("results.csv", "sweep.csv")
 
     def test_full_scale_flag(self, tmp_path):
         cfg = _tiny_config(schemes=("no_irs",), trials=1)
