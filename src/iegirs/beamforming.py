@@ -551,12 +551,13 @@ def heuristic_rcv(c_hat_stat, w_stat, weights):
     return ReflectionVector(phases=np.angle(_aggregate(c_hat_stat, w_stat, weights)))
 
 
-def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
+def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     """Alternating ratio-transform loop at a fixed grouping, from (v0, w0).
 
     c_hat: (K, Q, M) grouped cascades; Q may be 0, which turns this into a
     precoder-only solve. v0 is a ReflectionVector, w0 the (M, K) starting
-    beams. Returns a SolveResult with grouping None.
+    beams, by default the matched filter to the effective channels at v0.
+    Returns a SolveResult with grouping None.
 
     h and its received statistics (_rx_stats) are formed once per iteration,
     at the new reflection vector: they give the closing objective and carry
@@ -569,13 +570,13 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
     """
     q = c_hat.shape[1]
     v = v0
-    w = np.asarray(w0, dtype=complex)
     weights = _checked_weights(weights, h_bu.shape[0])
     trace_steps = []
     work = np.empty((2, q, q), dtype=complex)   # the (Q, Q) buffers of every reflection update
     pm = aux = previous = None
     converged, it = False, 0
     h = effective_channels(v.values, c_hat, h_bu)
+    w = matched_precoder(h, p_max) if w0 is None else np.asarray(w0, dtype=complex)
     stats = _rx_stats(h, w, noise_power)
     for it in range(1, opts.max_outer + 1):
         aux = _auxiliaries(*stats, weights)
@@ -607,12 +608,6 @@ def _arc_from_phases(phases, q):
     return grp.arc_grouping(np.mod(-np.asarray(phases) / (2 * np.pi), 1.0), q)
 
 
-def _aggregate_arc_grouping(cascades_stat, h_bu_stat, weights, q):
-    """Equal-arc partition of the weighted aggregate statistical cascade phase."""
-    w_mf = stat_matched_beams(cascades_stat, h_bu_stat)
-    return _arc_from_phases(np.angle(_aggregate(cascades_stat, w_mf, weights)), q)
-
-
 def _arc_from_solved(cascades_stat, stat, q):
     """Arc partition of the cascade phases under the statistical solve stat's
     precoders, each user's contribution rotated into its alignment frame."""
@@ -620,41 +615,32 @@ def _arc_from_solved(cascades_stat, stat, q):
                                                 stat.aux.alpha_conj_xi)), q)
 
 
-def _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, warm=None):
+def _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, w_align, w0=None):
     """Solve the alternating loop on the deterministic channels at grouping g.
 
-    warm optionally carries an incumbent statistical SolveResult, whose beams
-    start the solve: solving every candidate grouping from the same warm
-    point isolates the grouping's own contribution from the nonconvex
-    multi-user solve's run-to-run spread. Returns the SolveResult, its
-    grouping set to g.
+    The solve starts from the heuristic reflection aligned to the beams
+    w_align and from the beams w0 (solve_fp's matched start if None). A
+    warm start passes the incumbent's beams as both: solving every candidate
+    grouping from the same warm point isolates the grouping's own
+    contribution from the nonconvex multi-user solve's run-to-run spread.
+    Returns the SolveResult, its grouping set to g.
     """
     c_hat_stat = grp.combine_cascades(g, cascades_stat)
-    if warm is not None:
-        w0 = warm.precoder.w
-        v0 = heuristic_rcv(c_hat_stat, w0, weights)
-    else:
-        w_mf = stat_matched_beams(cascades_stat, channels.h_bu_stat)
-        v0 = heuristic_rcv(c_hat_stat, w_mf, weights)
-        w0 = matched_precoder(effective_channels(v0.values, c_hat_stat, channels.h_bu_stat), p_max)
-    stat = solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power,
-                    p_max=p_max, weights=weights, v0=v0, w0=w0, opts=opts)
+    v0 = heuristic_rcv(c_hat_stat, w_align, weights)
+    stat = solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power, p_max, weights,
+                    v0, opts, w0)
     stat.grouping = g
     return stat
 
 
-def _stat_cascades(channels):
-    """Statistical per-element cascades of all users, shape (K, N, M)."""
-    return np.stack([channels.cascade_stat(k) for k in range(channels.num_users)])
-
-
-def _grouping_from_statistics(channels, q, opts, weights, p_max):
+def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_max):
     """Stage-1 arc search on statistical CSI.
 
-    Returns (statistical SolveResult of the chosen grouping, stacked
-    statistical cascades); the grouping is the result's. It solves the
-    alternating loop on the deterministic channels at one seed grouping, the
-    beam-domain arc partition of the aggregate cascade phase, then ranks
+    cascades_stat is the (K, N, M) stack of statistical cascades and w_mf
+    their matched beams (stat_matched_beams). Returns the statistical
+    SolveResult of the chosen grouping. It solves the alternating loop on
+    the deterministic channels at one seed grouping, the beam-domain arc
+    partition of the aggregate cascade phase under w_mf, then ranks
     candidate arcs by warm-started statistical solves and keeps any that
     raises the statistical rate, for up to three rounds. At Q == N, where
     every grouping relabels the identity, the seed is adjacent blocks (the
@@ -662,13 +648,11 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
     order of its sums, so only its last bits would differ.
     """
     n = channels.num_elements
-    k_users = channels.num_users
-    cascades_stat = _stat_cascades(channels)
     if q == n:
         g = grp.adjacent_grouping(n, q)
     else:
-        g = _aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
-    best = _statistical_solve(channels, cascades_stat, g, weights, p_max, opts)
+        g = _arc_from_phases(np.angle(_aggregate(cascades_stat, w_mf, weights)), q)
+    best = _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, w_mf)
 
     # candidate arcs, all ranked by warm-started statistical solves: the
     # mixed-user fixed point (regroup under the solved precoders) plus one
@@ -676,28 +660,30 @@ def _grouping_from_statistics(channels, q, opts, weights, p_max):
     # cross-user compromise when the direct links already carry the rest).
     # A solve is deterministic in (candidate, warm state), and one that did
     # not raise the best rate left best as it was, so an assignment already
-    # solved from the current best is skipped: its rate is known not to win.
-    solved = set()
+    # solved from the current best, or the best's own, is skipped: its rate
+    # is known not to win. solved holds exactly those assignments.
+    solved = {g.assignment.tobytes()}
     for _ in range(3):
         candidates = [_arc_from_solved(cascades_stat, best, q)]
-        for k in range(k_users):
+        for k in range(channels.num_users):
             ramp = cascades_stat[k] @ best.precoder.w[:, k]
             candidates.append(_arc_from_phases(np.angle(ramp), q))
         improved = False
         for candidate in candidates:
             key = candidate.assignment.tobytes()
-            if key in solved or np.array_equal(candidate.assignment, best.grouping.assignment):
+            if key in solved:
                 continue
+            w_best = best.precoder.w
             stat = _statistical_solve(channels, cascades_stat, candidate, weights, p_max, opts,
-                                      warm=best)
+                                      w_best, w_best)
             solved.add(key)
             if stat.wsr_bits > best.wsr_bits:
                 best = stat
                 improved = True
-                solved.clear()
+                solved = {key}
         if not improved:
             break
-    return best, cascades_stat
+    return best
 
 
 def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
@@ -717,20 +703,19 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
     weights = _checked_weights(weights, channels.num_users)
     if not 1 <= q <= n:
         raise ValueError("need 1 <= Q <= N")
+    if grouping is not None and (grouping.num_elements, grouping.num_groups) != (n, q):
+        raise ValueError(f"grouping of {grouping.num_elements} elements into "
+                         f"{grouping.num_groups} groups, need {n} into {q}")
 
-    if grouping is None:
-        stat, cascades_stat = _grouping_from_statistics(channels, q, opts, weights, p_max)
+    cascades_stat = np.stack([channels.cascade_stat(k) for k in range(channels.num_users)])
+    w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
+    g = grouping
+    if g is None:
+        stat = _grouping_from_statistics(channels, cascades_stat, w_stat, q, opts, weights, p_max)
         g, w_stat = stat.grouping, stat.precoder.w
-    else:
-        if (grouping.num_elements, grouping.num_groups) != (n, q):
-            raise ValueError(f"grouping of {grouping.num_elements} elements into "
-                             f"{grouping.num_groups} groups, need {n} into {q}")
-        g, cascades_stat = grouping, _stat_cascades(channels)
-        w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
 
     c_hat = grp.combine_cascades(g, [channels.cascade(k) for k in range(channels.num_users)])
     v0 = heuristic_rcv(grp.combine_cascades(g, cascades_stat), w_stat, weights)
-    w0 = matched_precoder(effective_channels(v0.values, c_hat, channels.h_bu), p_max)
-    res = solve_fp(c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, w0, opts)
+    res = solve_fp(c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, opts)
     res.grouping = g
     return res

@@ -1,5 +1,6 @@
 """Scenario configuration: one dataclass describing a full simulation scene."""
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 import numpy as np
@@ -11,6 +12,9 @@ SCENARIOS = ("obscured", "unobscured")
 _SECTIONS = {"system": ("M", "K", "N", "Q"), "geometry": ("bs", "irs", "user_center", "user_radius"),
              "kappas": ("bi", "iu", "bu")}
 _TOP_KEYS = (*_SECTIONS, "power_dbm", "noise_dbm", "scenario", "weights", "trials", "seed", "schemes")
+# fields stored as ints, refused unless whole numbers; fields stored as floats, refused unless finite
+_WHOLE = ("M", "K", "N", "Q", "trials", "seed")
+_REAL = ("user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm")
 
 
 @dataclass
@@ -42,12 +46,14 @@ class ScenarioConfig:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
-        for name in ("M", "K", "N", "Q", "trials"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not float(value).is_integer():
-                raise ValueError(f"{name} must be a whole number, got {value!r}")
-            setattr(self, name, int(value))
+        for names, kind, ok, what in ((_WHOLE, int, float.is_integer, "a whole number"),
+                                      (_REAL, float, math.isfinite, "a finite real number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                        or not ok(float(value)):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+                setattr(self, name, kind(value))
         if not 1 <= self.Q <= self.N:
             raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
         if self.M < 1 or self.K < 1:
@@ -86,24 +92,15 @@ class ScenarioConfig:
             unknown = [k for k in given if k not in known]
             if unknown:
                 raise ValueError(f"unknown {where} keys {unknown}; known: {list(known)}")
-        kw = {}
-        sys_ = raw.get("system") or {}
-        for key in ("M", "K", "N", "Q"):
-            if key in sys_:
-                kw[key] = sys_[key]
-        geo = raw.get("geometry") or {}
+        sys_, geo, kap = (raw.get(s) or {} for s in _SECTIONS)
+        kw = {**sys_, **{f"kappa_{key}": value for key, value in kap.items()}}
         for src, dst in (("bs", "bs_pos"), ("irs", "irs_pos"), ("user_center", "user_center")):
             if src in geo:
                 kw[dst] = tuple(float(v) for v in geo[src])
         if "user_radius" in geo:
-            kw["user_radius"] = float(geo["user_radius"])
-        kap = raw.get("kappas") or {}
-        for src, dst in (("bi", "kappa_bi"), ("iu", "kappa_iu"), ("bu", "kappa_bu")):
-            if src in kap:
-                kw[dst] = float(kap[src])
-        for key in ("power_dbm", "noise_dbm", "scenario", "trials", "seed"):
-            if key in raw:
-                kw[key] = raw[key]
+            kw["user_radius"] = geo["user_radius"]
+        kw.update({key: raw[key] for key in ("power_dbm", "noise_dbm", "scenario", "trials", "seed")
+                   if key in raw})
         if "weights" in raw:
             kw["weights"] = tuple(float(v) for v in raw["weights"])
         if "schemes" in raw:

@@ -109,8 +109,7 @@ def run_scheme(scheme, channels, config, rng, opts=None):
     else:
         c_hat, h_bu_eff = scheme_problem(scheme, channels, q, frozen=frozen)
         v0 = bf.ReflectionVector(phases=np.zeros(c_hat.shape[1]))
-        w0 = bf.matched_precoder(bf.effective_channels(v0.values, c_hat, h_bu_eff), p_max)
-        res = bf.solve_fp(c_hat, h_bu_eff, channels.noise_power, p_max, weights, v0, w0, opts)
+        res = bf.solve_fp(c_hat, h_bu_eff, channels.noise_power, p_max, weights, v0, opts)
 
     if len(res.rcv) != expected:
         raise RuntimeError(f"{scheme} exposes {len(res.rcv)} real-time dims, expected {expected}")
@@ -173,7 +172,7 @@ def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,
     return rows
 
 
-def sweep(axis, values, config, opts=None, out=None, record_timings=False, log=None):
+def sweep(axis, values, config, out=None, record_timings=False, log=None):
     """Monte Carlo runs across one swept axis; returns all trial rows.
 
     If out is given, the rows of every finished axis value reach it even if a
@@ -197,8 +196,7 @@ def sweep(axis, values, config, opts=None, out=None, record_timings=False, log=N
                 cfg = config.replace(irs_pos=irs)
             else:
                 cfg = config.replace(power_dbm=float(value))
-            rows.extend(run_monte_carlo(cfg, axis=axis, axis_value=float(value), opts=opts,
-                                        log=log))
+            rows.extend(run_monte_carlo(cfg, axis=axis, axis_value=float(value), log=log))
     finally:
         if out is not None and rows:
             write_csv(rows, out, timings=record_timings)

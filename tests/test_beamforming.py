@@ -181,7 +181,7 @@ class TestUpdateAuxiliaries:
             update_auxiliaries(h, w0, 1.0, weights)
         with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
             solve_fp(np.zeros((4, 0, 2), dtype=complex), h, 1.0, 1.0, weights,
-                     ReflectionVector(phases=np.zeros(0)), w0, SolverOptions())
+                     ReflectionVector(phases=np.zeros(0)), SolverOptions(), w0)
 
 
 class TestUpdatePrecoder:
@@ -536,7 +536,7 @@ class TestSolveLoop:
         c_hat = np.zeros((k, 0, m), dtype=complex)
         w0 = matched_precoder(h_bu, 1.0)
         res = solve_fp(c_hat, h_bu, 1e-2, 1.0, np.ones(k), ReflectionVector(phases=np.zeros(0)),
-                       w0, SolverOptions())
+                       SolverOptions(), w0)
         assert res.converged
         assert len(res.rcv) == 0 and res.grouping is None
         steps = res.trace_steps
@@ -667,11 +667,17 @@ def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
     return ReflectionVector(phases=np.angle(v))
 
 
-def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
+def _matched_start(v0, c_hat, h_bu, p_max):
+    """Start beams formed outside solve_fp: the matched filter to the effective channels at v0."""
+    return matched_precoder(effective_channels(np.exp(1j * v0.phases), c_hat, h_bu), p_max)
+
+
+def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     """Alternating loop that re-evaluates every quantity after every block,
-    and the rate at the end from a fresh effective channel."""
+    and the rate at the end from a fresh effective channel; w0 defaults to
+    _matched_start."""
     v = v0
-    w = np.asarray(w0, dtype=complex)
+    w = _matched_start(v0, c_hat, h_bu, p_max) if w0 is None else np.asarray(w0, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     trace, steps = [], []
     pm, aux, converged, it = None, None, False, 0
@@ -702,7 +708,7 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, w0, opts):
 
 
 def _loop_problem(case):
-    """(c_hat, h_bu, noise, p_max, weights, v0, w0) of a seeded scene."""
+    """(c_hat, h_bu, noise, p_max, weights, v0) of a seeded scene."""
     from iegirs.grouping import adjacent_grouping, combine_cascade
     n, q = {"no_irs": (64, 4), "identity": (64, 64), "uirs_q": (256, 16), "q64": (256, 64)}[case]
     cfg = ScenarioConfig(N=n, Q=q, seed=8)
@@ -721,8 +727,7 @@ def _loop_problem(case):
         g = adjacent_grouping(n, q)
         c_hat = np.stack([combine_cascade(g, c) for c in cascades])
     v0 = ReflectionVector(phases=np.random.default_rng(5).uniform(0.0, 2 * np.pi, c_hat.shape[1]))
-    w0 = matched_precoder(effective_channels(v0.values, c_hat, h_bu), cfg.power_watts)
-    return c_hat, h_bu, ch.noise_power, cfg.power_watts, weights, v0, w0
+    return c_hat, h_bu, ch.noise_power, cfg.power_watts, weights, v0
 
 
 def _assert_same_solve(a, b):
@@ -745,16 +750,33 @@ class TestLoopBitExact:
             assert not problem[0].flags.c_contiguous
         _assert_same_solve(out, _reference_solve_fp(*problem, opts))
 
+    @pytest.mark.parametrize("case", ["no_irs", "q64", "uirs_q"])
+    def test_default_start_is_matched_filter(self, case):
+        # omitting w0 starts from the matched filter to the effective
+        # channels at v0, bit for bit as a caller once formed it
+        problem = _loop_problem(case)
+        c_hat, h_bu, _, p_max, _, v0 = problem
+        w0 = matched_precoder(effective_channels(v0.values, c_hat, h_bu), p_max)
+        opts = SolverOptions(max_outer=60)
+        default, given = solve_fp(*problem, opts), solve_fp(*problem, opts, w0)
+        assert default.iterations > 2
+        _assert_same_solve(default, given)
+
     def test_precoder_only_solve_forms_h_once(self, monkeypatch):
         # at Q = 0 the reflection block leaves h unchanged, so the loop keeps
-        # the statistics after the precoder update instead of re-forming h
+        # the statistics after the precoder update instead of re-forming h;
+        # the default start is the matched filter to that same h
         problem = _loop_problem("no_irs")
+        c_hat, h_bu, _, p_max, _, v0 = problem
+        w0 = _matched_start(v0, c_hat, h_bu, p_max)
         calls = []
         original = bf.effective_channels
         monkeypatch.setattr(bf, "effective_channels", lambda *a: calls.append(a) or original(*a))
-        out = solve_fp(*problem, SolverOptions(max_outer=60))
-        assert out.iterations > 2
-        assert len(calls) == 1
+        for start in (w0, None):
+            calls.clear()
+            out = solve_fp(*problem, SolverOptions(max_outer=60), start)
+            assert out.iterations > 2
+            assert len(calls) == 1
 
     def test_rcv_update_matches_reference(self):
         rng = np.random.default_rng(21)
@@ -854,8 +876,7 @@ class TestLoopBitExact:
         ch = build_scenario(cfg, np.random.default_rng(9))
         grouping = None
         if stage1 == "phase-partition":
-            grouping = bf._aggregate_arc_grouping(bf._stat_cascades(ch), ch.h_bu_stat,
-                                                  np.asarray(cfg.weights, dtype=float), 4)
+            grouping = _reference_arc_seed(ch, np.asarray(cfg.weights, dtype=float), 4)
         new = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights, grouping=grouping)
         monkeypatch.setattr(bf, "solve_fp", _reference_solve_fp)
         monkeypatch.setattr(grp, "combine_cascade", _reference_combine)
@@ -881,57 +902,94 @@ def _assert_same_two_stage(a, b):
 # Stage 1 against the arc search followed by the relaxed-program refinement
 
 
-def _reference_arc_search(channels, q, opts, weights, p_max):
-    """The arc search that solves every candidate, repeats included.
+def _reference_stat_inputs(channels):
+    """Stacked statistical cascades (K, N, M) and their matched beams."""
+    cascades_stat = np.stack([channels.cascade_stat(k) for k in range(channels.num_users)])
+    return cascades_stat, bf.stat_matched_beams(cascades_stat, channels.h_bu_stat)
 
-    Returns (statistical SolveResult of the chosen grouping, stacked
-    statistical cascades), as _grouping_from_statistics does.
+
+def _reference_arc_seed(channels, weights, q):
+    """Equal-arc partition of the weighted aggregate statistical cascade phase."""
+    cascades_stat, w_mf = _reference_stat_inputs(channels)
+    return bf._arc_from_phases(np.angle(bf._aggregate(cascades_stat, w_mf, weights)), q)
+
+
+def _reference_statistical_solve(channels, g, weights, p_max, opts, incumbent=None):
+    """Statistical solve at g from a start formed here, passed to solve_fp as w0.
+
+    Without an incumbent the start is the heuristic reflection under the
+    matched beams and the matched precoder at that reflection; with one, the
+    heuristic reflection under the incumbent's beams and those beams.
     """
     from iegirs import grouping as grp
-    n = channels.num_elements
-    k_users = channels.num_users
-    cascades_stat = np.stack([channels.cascade_stat(k) for k in range(k_users)])
-    arc = bf._aggregate_arc_grouping(cascades_stat, channels.h_bu_stat, weights, q)
+    cascades_stat, w_mf = _reference_stat_inputs(channels)
+    c_hat_stat = grp.combine_cascades(g, cascades_stat)
+    if incumbent is None:
+        v0 = bf.heuristic_rcv(c_hat_stat, w_mf, weights)
+        w0 = _matched_start(v0, c_hat_stat, channels.h_bu_stat, p_max)
+    else:
+        w0 = incumbent.precoder.w
+        v0 = bf.heuristic_rcv(c_hat_stat, w0, weights)
+    stat = bf.solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power, p_max, weights, v0,
+                       opts, w0)
+    stat.grouping = g
+    return stat
+
+
+def _check_stat_inputs(channels, cascades_stat, w_mf):
+    """The stage-1 inputs two_stage_solve formed once equal the reference's own."""
+    own_cascades, own_beams = _reference_stat_inputs(channels)
+    assert np.array_equal(cascades_stat, own_cascades) and np.array_equal(w_mf, own_beams)
+
+
+def _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max):
+    """The arc search that solves every candidate, repeats included, from
+    starts it forms itself. Returns the statistical SolveResult of the
+    chosen grouping, as _grouping_from_statistics does."""
+    from iegirs import grouping as grp
+    _check_stat_inputs(channels, cascades_stat, w_mf)
     best = None
-    for seed_g in (grp.adjacent_grouping(n, q), arc):
-        stat = bf._statistical_solve(channels, cascades_stat, seed_g, weights, p_max, opts)
+    for seed_g in (grp.adjacent_grouping(channels.num_elements, q),
+                   _reference_arc_seed(channels, weights, q)):
+        stat = _reference_statistical_solve(channels, seed_g, weights, p_max, opts)
         if best is None or stat.wsr_bits > best.wsr_bits:
             best = stat
     for _ in range(3):
         candidates = [bf._arc_from_solved(cascades_stat, best, q)]
-        for k in range(k_users):
+        for k in range(channels.num_users):
             ramp = cascades_stat[k] @ best.precoder.w[:, k]
             candidates.append(bf._arc_from_phases(np.angle(ramp), q))
         improved = False
         for candidate in candidates:
             if np.array_equal(candidate.assignment, best.grouping.assignment):
                 continue
-            stat = bf._statistical_solve(channels, cascades_stat, candidate, weights,
-                                         p_max, opts, warm=best)
+            stat = _reference_statistical_solve(channels, candidate, weights, p_max, opts,
+                                                incumbent=best)
             if stat.wsr_bits > best.wsr_bits:
                 best = stat
                 improved = True
         if not improved:
             break
-    return best, cascades_stat
+    return best
 
 
-def _reference_grouping_from_statistics(channels, q, opts, weights, p_max, relaxed_calls):
+def _reference_grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_max,
+                                        relaxed_calls):
     """Arc search, then up to one relaxed-program refinement kept only if it
     raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
     15 projected-gradient steps, the incumbent as an extra start)."""
     from iegirs import grouping as grp
-    best, cascades_stat = _reference_arc_search(channels, q, opts, weights, p_max)
+    best = _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max)
     relaxed_calls.append(q)
-    refined = grp.relaxed_qp_grouping(cascades_stat, channels.h_bu_stat, best.precoder.w,
-                                      best.rcv.values, best.aux, q,
+    refined = grp.relaxed_qp_grouping(_reference_stat_inputs(channels)[0], channels.h_bu_stat,
+                                      best.precoder.w, best.rcv.values, best.aux, q,
                                       rho=1.0, max_rounds=20, pg_steps=15,
                                       extra_starts=(best.grouping,))
     if not np.array_equal(refined.assignment, best.grouping.assignment):
-        stat = bf._statistical_solve(channels, cascades_stat, refined, weights, p_max, opts)
+        stat = _reference_statistical_solve(channels, refined, weights, p_max, opts)
         if stat.wsr_bits > best.wsr_bits:
             best = stat
-    return best, cascades_stat
+    return best
 
 
 def _stage1_scene(case):
@@ -963,8 +1021,8 @@ class TestStage1BitExact:
         new = two_stage_solve(ch, q, p_max, weights)
         calls = []
 
-        def reference(channels, q, opts, weights, p_max):
-            return _reference_grouping_from_statistics(channels, q, opts, weights, p_max, calls)
+        def reference(*args):
+            return _reference_grouping_from_statistics(*args, calls)
 
         monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
         ref = two_stage_solve(ch, q, p_max, weights)
@@ -975,19 +1033,20 @@ class TestStage1BitExact:
     def test_repeat_candidates_skipped(self, case, skipped, monkeypatch):
         ch, q, p_max, weights = _stage1_scene(case)
         solves = []
-        solve = bf._statistical_solve
+        solve = bf.solve_fp
 
         def counted(*args, **kwargs):
             solves.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(bf, "_statistical_solve", counted)
+        monkeypatch.setattr(bf, "solve_fp", counted)
         new = two_stage_solve(ch, q, p_max, weights)
         n_new = len(solves)
 
         monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
         ref = two_stage_solve(ch, q, p_max, weights)
-        # the reference solves the repeats and, before the arc seed, adjacent blocks
+        # each run ends with one stage-2 solve; the reference also solves the
+        # repeats and, before the arc seed, adjacent blocks
         assert len(solves) - n_new == n_new + skipped + 1
         _assert_same_two_stage(new, ref)
 

@@ -254,19 +254,54 @@ class TestScenarioConfig:
 
     def test_whole_number_sizes_stored_as_ints(self):
         cfg = ScenarioConfig.from_dict({"system": {"M": 2.0, "K": np.int64(2), "N": 64.0, "Q": 4.0},
-                                        "trials": 3.0})
-        assert [(type(v), v) for v in (cfg.M, cfg.K, cfg.N, cfg.Q, cfg.trials)] == \
-            [(int, 2), (int, 2), (int, 64), (int, 4), (int, 3)]
-        assert cfg == ScenarioConfig(M=2, K=2, N=64, Q=4, trials=3)
+                                        "trials": 3.0, "seed": 7.0})
+        assert [(type(v), v) for v in (cfg.M, cfg.K, cfg.N, cfg.Q, cfg.trials, cfg.seed)] == \
+            [(int, 2), (int, 2), (int, 64), (int, 4), (int, 3), (int, 7)]
+        assert cfg == ScenarioConfig(M=2, K=2, N=64, Q=4, trials=3, seed=7)
+        assert type(ScenarioConfig(seed=np.float64(3.0)).seed) is int
 
     @pytest.mark.parametrize("key, value", [("N", 1024.5), ("Q", 2.5), ("M", float("nan")),
-                                            ("K", "2"), ("trials", 2.5), ("trials", True)])
+                                            ("K", "2"), ("trials", 2.5), ("trials", True),
+                                            ("seed", 2.5), ("seed", "2"), ("seed", True),
+                                            ("seed", float("inf"))])
     def test_fractional_sizes_rejected(self, key, value):
-        # unchecked, N = 1024.5 died in near_square_factors and Q = 2.5 in a numpy cast
+        # unchecked, N = 1024.5 died in near_square_factors and Q = 2.5 in a
+        # numpy cast, and seed = 2.5 ran silently as seed 2
         with pytest.raises(ValueError, match=f"{key} must be a whole number"):
             ScenarioConfig(**{key: value})
-        raw = {"trials": value} if key == "trials" else {"system": {key: value}}
+        raw = {key: value} if key in ("trials", "seed") else {"system": {key: value}}
         with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+            ScenarioConfig.from_dict(raw)
+
+    def test_real_fields_stored_as_floats(self):
+        cfg = ScenarioConfig(user_radius=3, kappa_bi=np.int64(5), kappa_iu=np.float32(0.5),
+                             kappa_bu=2, power_dbm=10, noise_dbm=-90)
+        loaded = ScenarioConfig.from_dict({"geometry": {"user_radius": 3},
+                                           "kappas": {"bi": np.int64(5), "iu": 0.5, "bu": 2},
+                                           "power_dbm": 10, "noise_dbm": -90})
+        for c in (cfg, loaded):
+            values = [getattr(c, key) for key in ("user_radius", "kappa_bi", "kappa_iu",
+                                                  "kappa_bu", "power_dbm", "noise_dbm")]
+            assert [type(v) for v in values] == [float] * 6
+            assert values == [3.0, 5.0, 0.5, 2.0, 10.0, -90.0]
+        assert cfg == loaded
+
+    @pytest.mark.parametrize("key", ["user_radius", "kappa_bi", "kappa_iu", "kappa_bu",
+                                     "power_dbm", "noise_dbm"])
+    @pytest.mark.parametrize("value", ["10", float("nan"), float("inf"), True, None],
+                             ids=["str", "nan", "inf", "bool", "none"])
+    def test_non_real_fields_rejected(self, key, value):
+        # unchecked, power_dbm = "10" died later with a TypeError in
+        # power_watts, and kappa_bi = "5" was stored as the string
+        with pytest.raises(ValueError, match=f"^{key} must be a finite real number"):
+            ScenarioConfig(**{key: value})
+        if key == "user_radius":
+            raw = {"geometry": {key: value}}
+        elif key.startswith("kappa_"):
+            raw = {"kappas": {key[len("kappa_"):]: value}}
+        else:
+            raw = {key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be a finite real number"):
             ScenarioConfig.from_dict(raw)
 
     def test_budget_ordering_enforced(self):

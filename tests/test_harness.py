@@ -339,6 +339,34 @@ class TestCli:
         with pytest.raises(ValueError, match="N must be a whole number, got 32.5"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
 
+    def test_seed_whole_number_in_yaml(self, tmp_path):
+        # YAML "seed: 2.0" is seed 2, byte for byte; "seed: 2.5" no longer
+        # runs silently as seed 2
+        raw = _tiny_config(schemes=("aeg", "no_irs"), trials=1).to_dict()
+        cfg_path = tmp_path / "scene.yaml"
+        texts = []
+        for seed in (2, 2.0):
+            raw["seed"] = seed
+            cfg_path.write_text(yaml.safe_dump(raw))
+            out = tmp_path / f"{type(seed).__name__}.csv"
+            assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+            texts.append(out.read_bytes())
+        assert "seed: 2.0" in cfg_path.read_text() and texts[0] == texts[1]
+        raw["seed"] = 2.5
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match="seed must be a whole number, got 2.5"):
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+
+    def test_quoted_power_in_yaml_rejected(self, tmp_path):
+        # a quoted power_dbm is refused when the config loads, not by a
+        # TypeError in power_watts once the run has started
+        raw = _tiny_config(schemes=("no_irs",)).to_dict()
+        raw["power_dbm"] = "10"
+        cfg_path = tmp_path / "scene.yaml"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match="power_dbm must be a finite real number, got '10'"):
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+
     def test_unknown_config_key_rejected(self, tmp_path):
         raw = _tiny_config().to_dict()
         raw["power"] = 30
