@@ -93,7 +93,7 @@ class PrecodingMatrix:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=complex)
-        if self.power > self.p_max + 1e-9:
+        if self.power > self.p_max * (1 + 1e-9):
             raise ValueError(f"precoder power {self.power} exceeds budget {self.p_max}")
 
     @property

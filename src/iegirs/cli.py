@@ -10,7 +10,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from . import asymptotics as asym
 from . import harness
 from .config import ScenarioConfig
@@ -94,6 +93,8 @@ def _cmd_asymptotics(args):
 
 
 def _cmd_validate(args):
+    from . import acceptance        # imported here: only validate runs the suite (about 10 ms)
+
     names = args.only.split(",") if args.only else None
     results = acceptance.run(names=names)
     failed = [r for r in results if not r.passed]

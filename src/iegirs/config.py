@@ -4,7 +4,6 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 import numpy as np
-import yaml
 
 SCHEMES = ("ieg", "aeg", "uirs_q", "random_rcv", "no_irs")
 SCENARIOS = ("obscured", "unobscured")
@@ -15,6 +14,8 @@ _TOP_KEYS = (*_SECTIONS, "power_dbm", "noise_dbm", "scenario", "weights", "trial
 # fields stored as ints, refused unless whole numbers; fields stored as floats, refused unless finite
 _WHOLE = ("M", "K", "N", "Q", "trials", "seed")
 _REAL = ("user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm")
+# fields refused when negative (a signed radius mirrors the users through the centre)
+_NONNEGATIVE = ("user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "seed")
 
 
 @dataclass
@@ -54,6 +55,9 @@ class ScenarioConfig:
                         or not ok(float(value)):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
                 setattr(self, name, kind(value))
+        for name in _NONNEGATIVE:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not 1 <= self.Q <= self.N:
             raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
         if self.M < 1 or self.K < 1:
@@ -109,6 +113,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, path):
+        import yaml                     # imported here: only YAML configs need it (about 20 ms)
+
         with open(path) as fh:
             raw = yaml.safe_load(fh) or {}
         return cls.from_dict(raw)

@@ -360,13 +360,39 @@ def test_cli_rejects_trials_below_one(command, trials, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+def _run_fresh(code, check=True):
+    """Run code in a fresh interpreter that imports this checkout's iegirs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(iegirs.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=check, env=env)
+
+
 def _loaded_after_cli_import(module):
     """Whether a fresh interpreter holds module after `import iegirs.cli`."""
     code = f"import sys, iegirs.cli; print({module!r} in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(iegirs.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    return out.stdout.strip() == "True"
+    return _run_fresh(code).stdout.strip() == "True"
+
+
+class TestCliImportSet:
+    def test_cli_import_leaves_out_yaml(self):
+        # ScenarioConfig.from_yaml imports it on the first YAML read (about 20 ms)
+        assert not _loaded_after_cli_import("yaml")
+
+    def test_cli_import_leaves_out_acceptance(self):
+        # only validate imports the suite (about 10 ms compiling from source)
+        assert not _loaded_after_cli_import("iegirs.acceptance")
+
+    def test_cli_import_loads_asymptotics(self):
+        # perfbench's tracer (perfbench/spans.py, Tracer.install) reads
+        # sys.modules["iegirs.asymptotics"] right after `import iegirs.cli`
+        assert _loaded_after_cli_import("iegirs.asymptotics")
+
+    def test_validate_from_cold_import(self):
+        # the suite loads on demand inside a fresh interpreter, as for the `iegirs` script
+        code = "import sys; from iegirs.cli import main; sys.exit(main(['validate', '--only', 'c05']))"
+        out = _run_fresh(code, check=False)
+        assert out.returncode == 0, out.stderr
+        assert "1/1 acceptance criteria passed" in out.stdout
 
 
 class TestKurtosis:

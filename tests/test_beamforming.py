@@ -234,6 +234,15 @@ class TestUpdatePrecoder:
         with pytest.raises(ValueError):
             PrecodingMatrix(w=np.ones((2, 2)), p_max=1.0)
 
+    @pytest.mark.parametrize("p_max", [1e-4, 1.0, 1e7])
+    def test_power_invariant_slack_is_relative(self, p_max):
+        # an absolute 1e-9 W slack refused a binding precoder that met a
+        # 10 MW budget to rounding; 1e-6 over the budget is refused at any scale
+        w = np.full((2, 2), np.sqrt(p_max / 4))
+        assert PrecodingMatrix(w=w * np.sqrt(1 + 1e-12), p_max=p_max).power > p_max
+        with pytest.raises(ValueError, match="exceeds budget"):
+            PrecodingMatrix(w=w * np.sqrt(1 + 1e-6), p_max=p_max)
+
     def test_missed_budget_raises(self):
         rng = np.random.default_rng(4)
         h = random_complex(rng, (2, 2), 5.0)

@@ -304,6 +304,27 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^{key} must be a finite real number"):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [("user_radius", -2.0), ("seed", -1), ("kappa_bi", -1.0),
+                                            ("kappa_iu", -0.5), ("kappa_bu", -1e-12)])
+    def test_negative_fields_rejected(self, key, value):
+        # unchecked, user_radius = -2 mirrored the users through the centre
+        # without a word, seed = -1 died in SeedSequence and kappa_bi = -1 in RicianLink
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got {value!r}"):
+            ScenarioConfig(**{key: value})
+        if key == "user_radius":
+            raw = {"geometry": {key: value}}
+        elif key.startswith("kappa_"):
+            raw = {"kappas": {key[len("kappa_"):]: value}}
+        else:
+            raw = {key: value}
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0"):
+            ScenarioConfig.from_dict(raw)
+
+    def test_zero_radius_seed_and_kappas_accepted(self):
+        cfg = ScenarioConfig(user_radius=0, seed=0, kappa_bi=0, kappa_iu=0, kappa_bu=0)
+        assert (cfg.user_radius, cfg.seed, cfg.kappa_bi, cfg.kappa_iu, cfg.kappa_bu) \
+            == (0.0, 0, 0.0, 0.0, 0.0)
+
     def test_budget_ordering_enforced(self):
         with pytest.raises(ValueError):
             ScenarioConfig(N=4, Q=8)

@@ -69,6 +69,14 @@ class TestRunScheme:
         assert lines[0] == ",".join(harness.CSV_HEADER)
         assert [len(line.split(",")) for line in lines] == [len(harness.CSV_HEADER)] * 4
 
+    def test_high_power_budget_runs(self):
+        # at 100 dBm a binding precoder meets its 10 MW budget only to rounding,
+        # which an absolute 1e-9 W slack refused in stage 1
+        cfg = ScenarioConfig(N=16, Q=4, power_dbm=100.0, trials=3, schemes=("ieg", "aeg", "no_irs"))
+        rows = run_monte_carlo(cfg)
+        assert len(rows) == 9
+        assert all(r.solution.precoder.power <= cfg.power_watts * (1 + 1e-9) for r in rows)
+
     def test_adjacent_at_full_groups_equals_ungrouped(self):
         cfg = _tiny_config(N=16, Q=16)
         ch = build_scenario(cfg, np.random.default_rng(3))
@@ -366,6 +374,25 @@ class TestCli:
         cfg_path.write_text(yaml.safe_dump(raw))
         with pytest.raises(ValueError, match="power_dbm must be a finite real number, got '10'"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+
+    @pytest.mark.parametrize("section, key, value, field", [
+        ("geometry", "user_radius", -2.0, "user_radius"), (None, "seed", -1, "seed"),
+        ("kappas", "bi", -1.0, "kappa_bi")])
+    def test_negative_values_in_yaml_rejected_before_any_trial(self, tmp_path, section, key,
+                                                              value, field):
+        # user_radius = -2 ran silently with mirrored users; seed = -1 and
+        # kappa_bi = -1 died inside the first trial with messages naming no field
+        raw = _tiny_config(schemes=("aeg",), trials=1).to_dict()
+        (raw[section] if section else raw)[key] = value
+        cfg_path, out = tmp_path / "scene.yaml", tmp_path / "o.csv"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0, got {value!r}"):
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+        assert not out.exists()
+
+    def test_seed_override_below_zero_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+            cli_main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o.csv"), "--quiet"])
 
     def test_unknown_config_key_rejected(self, tmp_path):
         raw = _tiny_config().to_dict()
