@@ -203,7 +203,7 @@ def _newton_multiplier(evals, r, p_max):
     of the root, so the iterates rise monotonically to it.
 
     Returns 0.0 where the scalar arithmetic breaks down (a zero or
-    overflowing power), which sends the caller to its fallback bracket.
+    overflowing power), which sends the caller to its other start.
     """
     terms = [(e, ri) for e, ri in zip(evals.tolist(), r.tolist()) if ri > 0.0]
     lam = max(0.0, max((ri / p_max) ** 0.5 - e for e, ri in terms))
@@ -240,11 +240,12 @@ def update_precoder(aux, h, p_max, *, tol=1e-6):
     lo < hi with power_at(lo) > p_max >= power_at(hi), bisected down to
     adjacent floats, ends with hi on it. The bracket starts at a Newton
     estimate of the root (_newton_multiplier, scalar arithmetic whose
-    rounding does not matter) and probes about 1, 4, 16, ... ulps from it
-    until power_at confirms both ends, about 4 evaluations in all; failing
-    that, hi is doubled from max(1, top eigenvalue) over lo = 0. That
-    fallback alone was the earlier search (about 57 evaluations), and both
-    return the same float, so the beams are bit-identical to it.
+    rounding does not matter), or at max(1, top eigenvalue) if that is not
+    in (0, inf), and probes about 1, 4, 16, ... ulps from it on the side of
+    the boundary, about 4 evaluations from a Newton start. A walk down that
+    reaches a step of 1 keeps lo = 0; a walk up grows its step until a probe
+    lands at or under the budget, as one must, since power_at is 0 at inf.
+    So every start ends on the float of a plain bisection from [0, hi].
 
     The returned power never exceeds p_max; a binding solution that misses
     it by more than tol * p_max raises RuntimeError.
@@ -276,37 +277,25 @@ def update_precoder(aux, h, p_max, *, tol=1e-6):
     def power_at(lam):
         return float((c2 / (ev + lam) ** 2).sum())
 
-    lo, hi = 0.0, None
     est = _newton_multiplier(evals, c2.sum(axis=1), p_max)
-    if 0.0 < est < np.inf:
-        # probe about 1, 4, 16, ... ulps from the estimate, on the side where
-        # the boundary lies, until a probe lands past it
-        p_est = power_at(est)
-        up = p_est > p_max
-        if up:
-            lo = est
+    if not 0.0 < est < np.inf:
+        est = max(1.0, float(evals.max()))
+    # probe about 1, 4, 16, ... ulps from est, on the side where the
+    # boundary lies, until a probe lands past it
+    p_est = power_at(est)
+    up = p_est > p_max
+    lo, hi, p_hi = (est, None, None) if up else (0.0, est, p_est)
+    delta = 2.0 ** -52
+    while up or delta < 1.0:
+        cand = est * (1.0 + delta if up else 1.0 - delta)
+        p_cand = power_at(cand)
+        if p_cand > p_max:
+            lo = cand
         else:
-            hi, p_hi = est, p_est
-        delta = 2.0 ** -52
-        while delta < 1.0:
-            cand = est * (1.0 + delta if up else 1.0 - delta)
-            p_cand = power_at(cand)
-            if p_cand > p_max:
-                lo = cand
-            else:
-                hi, p_hi = cand, p_cand
-            if up != (p_cand > p_max):
-                break
-            delta *= 4.0
-    if hi is None:
-        hi = max(1.0, float(evals.max()))
-        for _ in range(600):
-            p_hi = power_at(hi)
-            if p_hi <= p_max:
-                break
-            hi *= 2.0
-        else:
-            raise ValueError("failed to bracket the power constraint")
+            hi, p_hi = cand, p_cand
+        if up != (p_cand > p_max):
+            break
+        delta *= 4.0
     # collapse the bracket to adjacent floats: far tighter than tol, and it
     # keeps the alternating objective monotone to rounding precision
     while True:

@@ -133,7 +133,6 @@ class ChannelSet:
     h_iu_stat: np.ndarray
     h_bu_stat: np.ndarray
     noise_power: float
-    meta: dict
 
     def __post_init__(self):
         if self.noise_power <= 0:
@@ -211,16 +210,10 @@ def build_scenario(config, rng):
     h_iu = np.stack([sample_rician(lk, rng) for lk in links_iu])
     h_bu = np.stack([sample_rician(lk, rng) for lk in links_bu])
 
-    meta = {
-        "users": users,
-        "delta_iu": np.array([lk.delta for lk in links_iu]),
-        "delta_bu": np.array([lk.delta for lk in links_bu]),
-    }
     return ChannelSet(
         h_bi=h_bi, h_iu=h_iu, h_bu=h_bu,
         h_bi_stat=link_bi.stat_component,
         h_iu_stat=np.stack([lk.stat_component for lk in links_iu]),
         h_bu_stat=np.stack([lk.stat_component for lk in links_bu]),
         noise_power=config.noise_watts,
-        meta=meta,
     )

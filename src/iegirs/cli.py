@@ -49,7 +49,10 @@ def _cmd_simulate(args):
 
 def _cmd_sweep(args):
     cfg = _load_config(args)
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ValueError(f"--values takes comma-separated numbers, got {args.values!r}") from None
     rows = harness.sweep(args.axis, values, cfg, out=args.out, record_timings=args.timings,
                          log=None if args.quiet else sys.stderr)
     if not args.quiet:
@@ -61,6 +64,8 @@ def _cmd_sweep(args):
 def _cmd_asymptotics(args):
     import csv
 
+    if args.seed < 0:       # as ScenarioConfig refuses it for simulate and sweep
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rows = [("quantity", "Q", "mu", "kappa", "closed_form", "monte_carlo", "rel_err")]
     for kappa in (0.0, 1.0, 10.0):

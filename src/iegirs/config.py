@@ -7,15 +7,21 @@ import numpy as np
 
 SCHEMES = ("ieg", "aeg", "uirs_q", "random_rcv", "no_irs")
 SCENARIOS = ("obscured", "unobscured")
-# keys of the nested YAML layout (to_dict)
-_SECTIONS = {"system": ("M", "K", "N", "Q"), "geometry": ("bs", "irs", "user_center", "user_radius"),
-             "kappas": ("bi", "iu", "bu")}
-_TOP_KEYS = (*_SECTIONS, "power_dbm", "noise_dbm", "scenario", "weights", "trials", "seed", "schemes")
+# the YAML layout of to_dict and from_dict: top-level key -> field, or section -> {key: field}
+_LAYOUT = {"system": {"M": "M", "K": "K", "N": "N", "Q": "Q"},
+           "geometry": {"bs": "bs_pos", "irs": "irs_pos", "user_center": "user_center",
+                        "user_radius": "user_radius"},
+           "kappas": {"bi": "kappa_bi", "iu": "kappa_iu", "bu": "kappa_bu"},
+           **{key: key for key in ("power_dbm", "noise_dbm", "scenario", "weights", "trials",
+                                   "seed", "schemes")}}
+# fields written as lists and read back as tuples, of floats but for schemes
+_TUPLES = ("bs_pos", "irs_pos", "user_center", "weights", "schemes")
 # fields stored as ints, refused unless whole numbers; fields stored as floats, refused unless finite
 _WHOLE = ("M", "K", "N", "Q", "trials", "seed")
 _REAL = ("user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm")
-# fields refused when negative (a signed radius mirrors the users through the centre)
-_NONNEGATIVE = ("user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "seed")
+# lower bounds of fields (a negative radius would mirror the users through the centre)
+_AT_LEAST = {"user_radius": 0, "kappa_bi": 0, "kappa_iu": 0, "kappa_bu": 0, "seed": 0,
+             "M": 1, "K": 1, "trials": 1}
 
 
 @dataclass
@@ -55,17 +61,13 @@ class ScenarioConfig:
                         or not ok(float(value)):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
                 setattr(self, name, kind(value))
-        for name in _NONNEGATIVE:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name, low in _AT_LEAST.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
         if not 1 <= self.Q <= self.N:
             raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
-        if self.M < 1 or self.K < 1:
-            raise ValueError("M and K must be >= 1")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.weights is None:
             self.weights = tuple(1.0 for _ in range(self.K))
         if len(self.weights) != self.K:
@@ -76,6 +78,9 @@ class ScenarioConfig:
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; choose from {SCHEMES}")
+        repeated = [s for s in dict.fromkeys(self.schemes) if self.schemes.count(s) > 1]
+        if repeated:
+            raise ValueError(f"schemes {repeated} repeat; list each scheme once")
 
     @property
     def power_watts(self):
@@ -91,24 +96,17 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw):
         """Build from a nested mapping (the YAML layout of to_dict); ValueError on unknown keys."""
-        for where, known, given in [("top-level", _TOP_KEYS, raw),
-                                    *((s, keys, raw.get(s) or {}) for s, keys in _SECTIONS.items())]:
+        kw = {}
+        for where, known, given in [("top-level", _LAYOUT, raw), *((s, keys, raw.get(s) or {})
+                                    for s, keys in _LAYOUT.items() if isinstance(keys, dict))]:
             unknown = [k for k in given if k not in known]
             if unknown:
                 raise ValueError(f"unknown {where} keys {unknown}; known: {list(known)}")
-        sys_, geo, kap = (raw.get(s) or {} for s in _SECTIONS)
-        kw = {**sys_, **{f"kappa_{key}": value for key, value in kap.items()}}
-        for src, dst in (("bs", "bs_pos"), ("irs", "irs_pos"), ("user_center", "user_center")):
-            if src in geo:
-                kw[dst] = tuple(float(v) for v in geo[src])
-        if "user_radius" in geo:
-            kw["user_radius"] = geo["user_radius"]
-        kw.update({key: raw[key] for key in ("power_dbm", "noise_dbm", "scenario", "trials", "seed")
-                   if key in raw})
-        if "weights" in raw:
-            kw["weights"] = tuple(float(v) for v in raw["weights"])
-        if "schemes" in raw:
-            kw["schemes"] = tuple(raw["schemes"])
+            kw.update((field, given[key]) for key, field in known.items()
+                      if isinstance(field, str) and key in given)
+        for field in _TUPLES:
+            if field in kw:
+                kw[field] = tuple(v if field == "schemes" else float(v) for v in kw[field])
         return cls(**kw)
 
     @classmethod
@@ -120,23 +118,9 @@ class ScenarioConfig:
         return cls.from_dict(raw)
 
     def to_dict(self):
-        return {
-            "system": {"M": self.M, "K": self.K, "N": self.N, "Q": self.Q},
-            "geometry": {
-                "bs": list(self.bs_pos),
-                "irs": list(self.irs_pos),
-                "user_center": list(self.user_center),
-                "user_radius": self.user_radius,
-            },
-            "kappas": {"bi": self.kappa_bi, "iu": self.kappa_iu, "bu": self.kappa_bu},
-            "power_dbm": self.power_dbm,
-            "noise_dbm": self.noise_dbm,
-            "scenario": self.scenario,
-            "weights": list(self.weights),
-            "trials": self.trials,
-            "seed": self.seed,
-            "schemes": list(self.schemes),
-        }
+        value = {f: list(v) if f in _TUPLES else v for f, v in vars(self).items()}
+        return {key: {k: value[f] for k, f in entry.items()} if isinstance(entry, dict)
+                else value[entry] for key, entry in _LAYOUT.items()}
 
 
 def trial_seed_sequence(master_seed, trial):

@@ -331,13 +331,15 @@ class TestPrecoderBitExact:
         assert any(s[0] < s[1] and b for s, b in shapes)     # rank-deficient L0
         assert sum(bound) >= 0.8 * len(BIT_EXACT_CASES)
 
-    @pytest.mark.parametrize("estimate", [lambda e: 0.0, lambda e: np.inf, lambda e: 1e300,
-                                          lambda e: 1.3 * e, lambda e: 0.5 * e],
-                             ids=["zero", "inf", "1e300", "x1.3", "x0.5"])
+    @pytest.mark.parametrize("estimate", [lambda e: 0.0, lambda e: np.inf, lambda e: np.nan,
+                                          lambda e: 1e300, lambda e: 1.3 * e, lambda e: 0.5 * e,
+                                          lambda e: 1e-6 * e],
+                             ids=["zero", "inf", "nan", "1e300", "x1.3", "x0.5", "x1e-6"])
     def test_bad_newton_estimate_lands_on_reference(self, estimate, monkeypatch):
-        # 0 and inf take the doubling fallback over lo = 0; 1e300 walks down
-        # without crossing the root, so lo stays 0; x1.3 crosses it on the way
-        # down; x0.5 walks up without crossing and falls back to doubling
+        # 0, inf and nan start the walk from max(1, top eigenvalue); 1e300
+        # walks down without crossing the root, so lo stays 0; x1.3 crosses it
+        # on the way down; x0.5 and x1e-6 walk up, past a step of 1 for
+        # x1e-6, until a probe lands at or under the budget
         newton = bf._newton_multiplier
         monkeypatch.setattr(bf, "_newton_multiplier", lambda *a: estimate(newton(*a)))
         bound = 0
@@ -478,7 +480,7 @@ class TestSolveLoop:
         h_bu = direct * random_complex(rng, (k, m))
         return ChannelSet(h_bi=h_bi, h_iu=h_iu, h_bu=h_bu,
                           h_bi_stat=h_bi * 0.1, h_iu_stat=h_iu * 0.1, h_bu_stat=h_bu * 0.1,
-                          noise_power=1e-2, meta={})
+                          noise_power=1e-2)
 
     def test_phase_alignment_at_full_resolution(self):
         # ungrouped single-user link without a direct path: the converged
@@ -555,7 +557,7 @@ class TestSolveLoop:
     @pytest.mark.parametrize("given, missing", [({"weights": (1.0,)}, "p_max"),
                                                  ({"p_max": 1.0}, "weights")])
     def test_missing_budget_or_weights_named(self, given, missing):
-        # both are required arguments, with no fallback to ChannelSet.meta
+        # both are required arguments, with no fallback read from the channels
         ch = self._manual_channelset(np.random.default_rng(15), n=8)
         with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{missing}'"):
             two_stage_solve(ch, 2, **given)

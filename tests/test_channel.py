@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from iegirs.channel import (ChannelSet, RicianLink, build_scenario,
                             cascade_coefficients, cascaded_channel,
                             near_square_factors, path_loss_amplitude, path_loss_db,
                             rician_from_normals, sample_rician, upa_response)
-from iegirs.config import ScenarioConfig
+from iegirs.config import _LAYOUT, ScenarioConfig
 from iegirs.mathkit import array_response
 
 
@@ -175,21 +179,22 @@ class TestGeometryHelpers:
 
 
 class TestBuildScenario:
+    # user_radius = 0 puts every user at user_center, so each distance is
+    # known; at kappa = 1 every entry of a *_stat array has modulus delta/sqrt(2)
     def test_obscured_direct_link_uses_nlos(self):
-        cfg = ScenarioConfig(N=64, Q=4, M=2, K=2, scenario="obscured", seed=0)
+        cfg = ScenarioConfig(N=64, Q=4, M=2, K=2, scenario="obscured", seed=0, user_radius=0.0)
         ch = build_scenario(cfg, np.random.default_rng(0))
-        bs = np.asarray(cfg.bs_pos)
-        for k in range(cfg.K):
-            d = np.linalg.norm(ch.meta["users"][k] - bs)
-            assert abs(ch.meta["delta_bu"][k] - path_loss_amplitude("nlos", d)) <= 1e-18
-            assert ch.meta["delta_bu"][k] < path_loss_amplitude("los", d)
+        d = np.linalg.norm(np.subtract(cfg.user_center, cfg.bs_pos))
+        mods = np.abs(ch.h_bu_stat)
+        assert np.allclose(mods, path_loss_amplitude("nlos", d) * np.sqrt(0.5), rtol=1e-12, atol=0)
+        assert (mods < path_loss_amplitude("los", d) * np.sqrt(0.5)).all()
 
     def test_unobscured_direct_link_uses_los(self):
-        cfg = ScenarioConfig(N=64, Q=4, M=2, K=2, scenario="unobscured", seed=0)
+        cfg = ScenarioConfig(N=64, Q=4, M=2, K=2, scenario="unobscured", seed=0, user_radius=0.0)
         ch = build_scenario(cfg, np.random.default_rng(0))
-        bs = np.asarray(cfg.bs_pos)
-        d = np.linalg.norm(ch.meta["users"][0] - bs)
-        assert abs(ch.meta["delta_bu"][0] - path_loss_amplitude("los", d)) <= 1e-18
+        d = np.linalg.norm(np.subtract(cfg.user_center, cfg.bs_pos))
+        assert np.allclose(np.abs(ch.h_bu_stat), path_loss_amplitude("los", d) * np.sqrt(0.5),
+                           rtol=1e-12, atol=0)
 
     def test_default_rician_factors(self):
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=1)
@@ -203,12 +208,12 @@ class TestBuildScenario:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_statistical_twin_structure(self):
-        cfg = ScenarioConfig(N=36, Q=4, M=2, K=2, seed=1)
+        cfg = ScenarioConfig(N=36, Q=4, M=2, K=2, seed=1, user_radius=0.0)
         ch = build_scenario(cfg, np.random.default_rng(1))
         # kappa = 1: deterministic component has constant modulus delta/sqrt(2)
-        for k in range(cfg.K):
-            mods = np.abs(ch.h_iu_stat[k])
-            assert np.allclose(mods, ch.meta["delta_iu"][k] * np.sqrt(0.5))
+        d = np.linalg.norm(np.subtract(cfg.user_center, cfg.irs_pos))
+        assert np.allclose(np.abs(ch.h_iu_stat), path_loss_amplitude("los", d) * np.sqrt(0.5),
+                           rtol=1e-12, atol=0)
         assert np.linalg.matrix_rank(ch.h_bi_stat, tol=1e-12 * np.abs(ch.h_bi_stat).max()) == 1
 
     def test_coincident_geometry_rejected(self):
@@ -221,7 +226,7 @@ class TestBuildScenario:
         with pytest.raises(ValueError):
             ChannelSet(h_bi=np.ones((1, 2)), h_iu=np.ones((1, 2)), h_bu=np.ones((1, 1)),
                        h_bi_stat=np.ones((1, 2)), h_iu_stat=np.ones((1, 2)),
-                       h_bu_stat=np.ones((1, 1)), noise_power=0.0, meta={})
+                       h_bu_stat=np.ones((1, 1)), noise_power=0.0)
 
 
 class TestScenarioConfig:
@@ -239,6 +244,30 @@ class TestScenarioConfig:
                              kappa_bi=2.0, kappa_iu=3.0, kappa_bu=0.5, scenario="unobscured",
                              weights=(3.0, 0.5, 1.0), trials=7, seed=42, schemes=("ieg", "no_irs"))
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (ScenarioConfig(), {
+            "system": {"M": 4, "K": 4, "N": 1024, "Q": 4},
+            "geometry": {"bs": [0.0, 6.0, 16.0], "irs": [300.0, 0.0, 8.0],
+                         "user_center": [300.0, 6.0, 0.0], "user_radius": 2.0},
+            "kappas": {"bi": 1.0, "iu": 1.0, "bu": 1.0},
+            "power_dbm": 10.0, "noise_dbm": -100.0, "scenario": "obscured",
+            "weights": [1.0, 1.0, 1.0, 1.0], "trials": 20, "seed": 1,
+            "schemes": ["ieg", "aeg", "uirs_q", "random_rcv", "no_irs"]}),
+        (ScenarioConfig(N=256, Q=8, M=3, K=3, bs_pos=(1.0, 2.0, 3.0), user_radius=4.0,
+                        kappa_bi=2.0, kappa_iu=3.0, kappa_bu=0.5, scenario="unobscured",
+                        weights=(3.0, 0.5, 1.0), trials=7, seed=42, schemes=("ieg", "no_irs")), {
+            "system": {"M": 3, "K": 3, "N": 256, "Q": 8},
+            "geometry": {"bs": [1.0, 2.0, 3.0], "irs": [300.0, 0.0, 8.0],
+                         "user_center": [300.0, 6.0, 0.0], "user_radius": 4.0},
+            "kappas": {"bi": 2.0, "iu": 3.0, "bu": 0.5},
+            "power_dbm": 10.0, "noise_dbm": -100.0, "scenario": "unobscured",
+            "weights": [3.0, 0.5, 1.0], "trials": 7, "seed": 42, "schemes": ["ieg", "no_irs"]}),
+    ], ids=["defaults", "non-default"])
+    def test_to_dict_layout_pinned(self, cfg, expected):
+        # == tells lists from tuples; the JSON text also pins key order and int vs float
+        assert cfg.to_dict() == expected
+        assert json.dumps(cfg.to_dict()) == json.dumps(expected)
 
     @pytest.mark.parametrize("raw, message", [
         ({"system": {"q": 8}}, r"unknown system keys \['q'\]"),
@@ -320,6 +349,14 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^{key} must be >= 0"):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["M", "K", "trials"])
+    def test_counts_below_one_rejected(self, key):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
+            ScenarioConfig(**{key: 0})
+        raw = {key: 0} if key == "trials" else {"system": {key: 0}}
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
+            ScenarioConfig.from_dict(raw)
+
     def test_zero_radius_seed_and_kappas_accepted(self):
         cfg = ScenarioConfig(user_radius=0, seed=0, kappa_bi=0, kappa_iu=0, kappa_bu=0)
         assert (cfg.user_radius, cfg.seed, cfg.kappa_bi, cfg.kappa_iu, cfg.kappa_bu) \
@@ -334,6 +371,22 @@ class TestScenarioConfig:
             ScenarioConfig(schemes=("ieg", "beam_hopping"))
         with pytest.raises(ValueError, match="beam_hopping"):
             ScenarioConfig.from_dict({"schemes": ["ieg", "beam_hopping"]})
+
+    @pytest.mark.parametrize("schemes, repeated", [(("aeg", "aeg", "no_irs"), "['aeg']"),
+                                                   (("uirs_q", "ieg", "uirs_q", "ieg", "ieg"),
+                                                    "['uirs_q', 'ieg']")])
+    def test_repeated_scheme_rejected(self, schemes, repeated):
+        # a repeated aeg counted its copied rows twice in the aggregate, and
+        # a repeated uirs_q wrote two rows under one (scheme, trial) key
+        with pytest.raises(ValueError, match=re.escape(f"schemes {repeated} repeat")):
+            ScenarioConfig(N=16, Q=4, trials=3, seed=7, schemes=schemes)
+        with pytest.raises(ValueError, match=re.escape(f"schemes {repeated} repeat")):
+            ScenarioConfig.from_dict({"system": {"N": 16}, "schemes": list(schemes)})
+
+    def test_layout_places_every_field_once(self):
+        placed = [field for entry in _LAYOUT.values()
+                  for field in (entry.values() if isinstance(entry, dict) else [entry])]
+        assert sorted(placed) == sorted(f.name for f in dataclasses.fields(ScenarioConfig))
 
     def test_scenario_enum(self):
         with pytest.raises(ValueError):

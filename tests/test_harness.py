@@ -32,7 +32,7 @@ class TestRunScheme:
         h_bi = (rng.standard_normal((cfg.M, cfg.N)) + 1j * rng.standard_normal((cfg.M, cfg.N)))
         h_iu = (rng.standard_normal((cfg.K, cfg.N)) + 1j * rng.standard_normal((cfg.K, cfg.N)))
         ch = ChannelSet(h_bi=h_bi, h_iu=h_iu, h_bu=zeros_bu, h_bi_stat=h_bi, h_iu_stat=h_iu,
-                        h_bu_stat=zeros_bu, noise_power=cfg.noise_watts, meta={})
+                        h_bu_stat=zeros_bu, noise_power=cfg.noise_watts)
         res = run_scheme("no_irs", ch, cfg, np.random.default_rng(1))
         assert res.wsr_bits == 0.0
 
@@ -390,9 +390,37 @@ class TestCli:
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
         assert not out.exists()
 
+    def test_repeated_scheme_in_yaml_rejected_before_any_trial(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(harness, "run_scheme", lambda *a, **kw: runs.append(a))
+        raw = _tiny_config().to_dict()
+        raw["schemes"] = ["aeg", "aeg", "no_irs"]
+        cfg_path, out = tmp_path / "scene.yaml", tmp_path / "o.csv"
+        cfg_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ValueError, match=r"schemes \['aeg'\] repeat"):
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
+        assert runs == [] and not out.exists()
+
     def test_seed_override_below_zero_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
             cli_main(["simulate", "--seed", "-1", "--out", str(tmp_path / "o.csv"), "--quiet"])
+
+    def test_asymptotics_seed_below_zero_rejected_before_any_draw(self, tmp_path, monkeypatch):
+        # unchecked, numpy's default_rng died with "expected non-negative integer"
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: draws.append(a))
+        out = tmp_path / "asym.csv"
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            cli_main(["asymptotics", "--seed", "-1", "--trials", "2", "--out", str(out)])
+        assert draws == [] and not out.exists()
+
+    @pytest.mark.parametrize("values", ["4,,8", "4,eight", ""])
+    def test_sweep_values_not_numbers_named(self, tmp_path, values):
+        # unchecked, "4,,8" died with a bare "could not convert string to float: ''"
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(ValueError, match=f"^--values takes comma-separated numbers, got '{values}'"):
+            cli_main(["sweep", "--axis", "groups", "--values", values, "--out", str(out), "--quiet"])
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         raw = _tiny_config().to_dict()
