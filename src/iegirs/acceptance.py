@@ -156,8 +156,10 @@ def c07_auxiliary_closed_forms():
                 xi = z[0] + 1j * z[1]
                 return -(2 * a_w * np.real(np.conj(xi) * omega[i]) - abs(xi) ** 2 * chi[i])
 
-            res = optimize.minimize(neg_p31, [0.1, 0.1], method="BFGS",
-                                    options={"gtol": 1e-12, "maxiter": 500})
+            # (P3.1) is a concave quadratic: BFGS gets its exact gradient
+            slope = 2 * a_w * np.array([omega[i].real, omega[i].imag])
+            res = optimize.minimize(neg_p31, [0.1, 0.1], jac=lambda z: 2 * chi[i] * z - slope,
+                                    method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
             xi_num = res.x[0] + 1j * res.x[1]
             worst_xi = max(worst_xi, abs(xi_num - aux.xi[i]) / max(1.0, abs(aux.xi[i])))
 
@@ -360,12 +362,14 @@ class CheckResult:
 
 
 def run(names=None):
-    """Run selected (default: all) acceptance criteria, one PASS/FAIL line each on stdout."""
-    selected = set(names) if names else None
+    """Run selected (default: all) acceptance criteria, one PASS/FAIL line each on stdout;
+    a name is a full name or a number (c05), and one that selects none is a ValueError."""
+    short = [name.split("_")[0] for name, _ in CRITERIA]
+    unknown = [n for n in names or () if n not in short and n not in dict(CRITERIA)]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; choose from {short} or their full names")
     results = []
-    for name, fn in CRITERIA:
-        if selected and name not in selected and name.split("_")[0] not in selected:
-            continue
+    for name, fn in [c for key, c in zip(short, CRITERIA) if not names or {key, c[0]} & set(names)]:
         t0 = time.perf_counter()
         passed, detail = fn()
         dt = time.perf_counter() - t0

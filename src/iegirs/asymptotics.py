@@ -121,12 +121,7 @@ def _ramp_links(n, inputs):
     return link_bi, link_iu
 
 
-# The Monte Carlo draws run ahead of their arithmetic on one worker thread
-# (numpy's normal fill releases the GIL): DRAW_LOOKAHEAD blocks of at most
-# DRAW_BLOCK_BYTES of float64 normals each (at least one trial) are in flight
-# while the caller maps the block before them.
-DRAW_BLOCK_BYTES = 2 ** 19
-DRAW_LOOKAHEAD = 2
+DRAW_BLOCK_BYTES = 2 ** 19      # bytes of normals per block of trials, or one trial's if more
 
 
 def _map_cascade_blocks(link_iu, link_bi, trials, rng, reduce):
@@ -134,34 +129,21 @@ def _map_cascade_blocks(link_iu, link_bi, trials, rng, reduce):
 
     c holds one row per trial and equals the serial loop's
     conj(sample_rician(link_iu, rng)) * conj(sample_rician(link_bi, rng)) bit
-    for bit (conj(a) * conj(b) == conj(a * b) exactly). The worker draws the
-    blocks in the serial order and touches only rng and its buffer, which the
-    caller leaves alone meanwhile; after the last block rng is where the
-    serial loop leaves it.
+    for bit (conj(a) * conj(b) == conj(a * b) exactly). The blocks are drawn
+    in the serial order, so rng ends where the serial loop leaves it.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    per = min(trials, max(1, DRAW_BLOCK_BYTES // (4 * link_iu.los.size * 8)))
-    starts = range(0, trials, per)
-    buffers = np.empty((DRAW_LOOKAHEAD + 1, per, 2, 2) + link_iu.los.shape)
+    per = max(1, DRAW_BLOCK_BYTES // (4 * link_iu.los.size * 8))
+    buffer = np.empty((min(per, trials), 2, 2) + link_iu.los.shape)
     stat_iu, scale_iu = link_iu.stat_component, link_iu.nlos_scale
     stat_bi, scale_bi = link_bi.stat_component, link_bi.nlos_scale
     out = []
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="iegirs-normals") as pool:
-        def draw(i):
-            block = buffers[i % len(buffers), :min(per, trials - starts[i])]
-            return pool.submit(rng.standard_normal, out=block)
-
-        draws = [draw(i) for i in range(min(DRAW_LOOKAHEAD, len(starts)))]
-        for i in range(len(starts)):
-            if i + DRAW_LOOKAHEAD < len(starts):
-                draws.append(draw(i + DRAW_LOOKAHEAD))
-            z_iu, z_bi = np.moveaxis(draws[i].result(), 0, 2)
-            c = rician_from_normals(stat_iu, scale_iu, z_iu)
-            c *= rician_from_normals(stat_bi, scale_bi, z_bi)
-            out.append(reduce(np.conj(c, out=c)))
+    for start in range(0, trials, per):
+        z_iu, z_bi = np.moveaxis(rng.standard_normal(out=buffer[:trials - start]), 0, 2)
+        c = rician_from_normals(stat_iu, scale_iu, z_iu)
+        c *= rician_from_normals(stat_bi, scale_bi, z_bi)
+        out.append(reduce(np.conj(c, out=c)))
     return out
 
 

@@ -2,6 +2,7 @@
 
 import math
 import numbers
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 import numpy as np
 
@@ -14,8 +15,9 @@ _LAYOUT = {"system": {"M": "M", "K": "K", "N": "N", "Q": "Q"},
            "kappas": {"bi": "kappa_bi", "iu": "kappa_iu", "bu": "kappa_bu"},
            **{key: key for key in ("power_dbm", "noise_dbm", "scenario", "weights", "trials",
                                    "seed", "schemes")}}
-# fields written as lists and read back as tuples, of floats but for schemes
+# list fields, stored as tuples of floats but for schemes; a position lists 3 finite coordinates
 _TUPLES = ("bs_pos", "irs_pos", "user_center", "weights", "schemes")
+_POSITIONS = ("bs_pos", "irs_pos", "user_center")
 # fields stored as ints, refused unless whole numbers; fields stored as floats, refused unless finite
 _WHOLE = ("M", "K", "N", "Q", "trials", "seed")
 _REAL = ("user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm")
@@ -68,12 +70,21 @@ class ScenarioConfig:
             raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if self.weights is None:
-            self.weights = tuple(1.0 for _ in range(self.K))
+        self.weights = (1.0,) * self.K if self.weights is None else self.weights
+        for name in _TUPLES:
+            value = getattr(self, name)
+            if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            value = tuple(value)
+            if name != "schemes" and not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                             for v in value):
+                raise ValueError(f"{name} must list real numbers, got {value!r}")
+            if name in _POSITIONS and (len(value) != 3 or not all(map(math.isfinite, value))):
+                raise ValueError(f"{name} must list 3 finite coordinates (x, y, z), got {value!r}")
+            setattr(self, name, value if name == "schemes" else tuple(map(float, value)))
         if len(self.weights) != self.K:
             raise ValueError("weights length must equal K")
-        weights = np.asarray(self.weights, dtype=float)
-        if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
             raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
@@ -96,17 +107,19 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, raw):
         """Build from a nested mapping (the YAML layout of to_dict); ValueError on unknown keys."""
+        if not isinstance(raw, Mapping):
+            raise ValueError(f"a config must be a mapping of keys, got {raw!r}")
         kw = {}
-        for where, known, given in [("top-level", _LAYOUT, raw), *((s, keys, raw.get(s) or {})
+        for where, known, given in [("top-level", _LAYOUT, raw), *((s, keys, raw.get(s))
                                     for s, keys in _LAYOUT.items() if isinstance(keys, dict))]:
+            given = {} if given is None else given      # an absent or empty section
+            if not isinstance(given, Mapping):
+                raise ValueError(f"config section {where} must be a mapping of keys, got {given!r}")
             unknown = [k for k in given if k not in known]
             if unknown:
                 raise ValueError(f"unknown {where} keys {unknown}; known: {list(known)}")
             kw.update((field, given[key]) for key, field in known.items()
                       if isinstance(field, str) and key in given)
-        for field in _TUPLES:
-            if field in kw:
-                kw[field] = tuple(v if field == "schemes" else float(v) for v in kw[field])
         return cls(**kw)
 
     @classmethod
@@ -114,8 +127,8 @@ class ScenarioConfig:
         import yaml                     # imported here: only YAML configs need it (about 20 ms)
 
         with open(path) as fh:
-            raw = yaml.safe_load(fh) or {}
-        return cls.from_dict(raw)
+            raw = yaml.safe_load(fh)
+        return cls.from_dict({} if raw is None else raw)
 
     def to_dict(self):
         value = {f: list(v) if f in _TUPLES else v for f, v in vars(self).items()}

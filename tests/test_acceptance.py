@@ -15,3 +15,10 @@ def test_acceptance_criterion(name, criterion):
     passed, detail = criterion()
     print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     assert passed, f"{name}: {detail}"
+
+
+def test_c07_xi_oracle_is_tight():
+    # with its exact gradient the (P3.1) oracle lands within rounding of the closed form
+    passed, detail = acceptance.c07_auxiliary_closed_forms()
+    xi_err = float(detail.split("xi vs oracle ")[1].split(",")[0])
+    assert passed and xi_err <= 1e-10, detail

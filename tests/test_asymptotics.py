@@ -201,30 +201,9 @@ def _trial_counts(n):
     return sorted({t for t in (1, per - 1, per, per + 1, 3 * per + 2) if t >= 1})
 
 
-def _helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("iegirs-normals")]
-
-
-def _assert_no_helper_left(before):
-    for t in _helper_threads():
-        t.join(timeout=5.0)
-    assert not _helper_threads()
-    assert threading.active_count() == before
-
-
-@pytest.fixture
-def short_switch_interval():
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
-
-
 class TestPrefetchedDraws:
     @pytest.mark.parametrize("n", PREFETCH_NS)
-    def test_grouped_cascades_match_serial_loop(self, n, short_switch_interval):
+    def test_grouped_cascades_match_serial_loop(self, n):
         assert _trials_per_block(PREFETCH_NS[-1]) == 1
         inp = AsymptoticInputs(N=n, Q=4, kappa_bi=1.0, kappa_iu=3.0)
         for trials in _trial_counts(n):
@@ -235,7 +214,7 @@ class TestPrefetchedDraws:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n", PREFETCH_NS)
-    def test_ungrouped_gain_matches_serial_loop(self, n, short_switch_interval):
+    def test_ungrouped_gain_matches_serial_loop(self, n):
         inp = AsymptoticInputs(N=n, Q=n, kappa_bi=0.5, kappa_iu=2.0)
         for trials in _trial_counts(n):
             rng, ref_rng = np.random.default_rng(100 + trials), np.random.default_rng(100 + trials)
@@ -243,8 +222,8 @@ class TestPrefetchedDraws:
                 _reference_ungrouped_gain(n, inp, trials, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_concurrent_callers_keep_their_streams(self, short_switch_interval):
-        # more callers than cores, each with its own generator and helper
+    def test_concurrent_callers_keep_their_streams(self):
+        # more callers than cores, each with its own generator
         inp = AsymptoticInputs(N=256, Q=256, kappa_bi=1.0, kappa_iu=1.0)
         trials = 3 * _trials_per_block(256) + 2
         results = {}
@@ -252,19 +231,17 @@ class TestPrefetchedDraws:
         def run(seed):
             results[seed] = simulate_ungrouped_gain(256, inp, trials, np.random.default_rng(seed))
 
-        before = threading.active_count()
         callers = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
         for t in callers:
             t.start()
         for t in callers:
             t.join(timeout=30.0)
             assert not t.is_alive()
-        _assert_no_helper_left(before)
         for seed in range(4):
             assert results[seed] == _reference_ungrouped_gain(256, inp, trials,
                                                               np.random.default_rng(seed))
 
-    def test_caller_exception_stops_helper(self, monkeypatch):
+    def test_caller_exception_propagates(self, monkeypatch):
         calls = []
 
         def failing_combine(grouping, cascade):
@@ -274,34 +251,31 @@ class TestPrefetchedDraws:
             return combine_cascade(grouping, cascade)
 
         monkeypatch.setattr(asymptotics, "combine_cascade", failing_combine)
-        before = threading.active_count()
         inp = AsymptoticInputs(N=256, Q=4)
         with pytest.raises(RuntimeError, match="third block"):
             simulate_grouped_cascades(inp, 10 * _trials_per_block(256), np.random.default_rng(0))
-        _assert_no_helper_left(before)
+        assert len(calls) == 3
 
-    def test_early_close_stops_helper(self):
-        # a reducer that stops after two blocks: the pool finishes the
-        # DRAW_LOOKAHEAD draws in flight, starts no other, and its worker is
-        # gone; `seen` shows the name lookup finds the worker while it runs
+    def test_early_close_draws_no_further_block(self):
+        # a reducer that stops at block 2 runs on the calling thread, with no
+        # other thread started, and rng stands exactly two blocks in
         per = _trials_per_block(256)
         link_bi, link_iu = asymptotics._ramp_links(256, AsymptoticInputs(N=256, Q=4))
         rng = np.random.default_rng(0)
+        before = threading.active_count()
         seen = []
 
         def reduce(c):
-            seen.append(len(_helper_threads()))
+            seen.append(threading.active_count())
             if len(seen) == 2:
                 raise RuntimeError("second block")
             return c
 
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="second block"):
             asymptotics._map_cascade_blocks(link_iu, link_bi, 10 * per, rng, reduce)
-        _assert_no_helper_left(before)
-        assert seen == [1, 1]
+        assert seen == [before, before]
         ref_rng = np.random.default_rng(0)
-        ref_rng.standard_normal((2 + asymptotics.DRAW_LOOKAHEAD) * per * 4 * 256)
+        ref_rng.standard_normal(2 * per * 4 * 256)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_law_report_matches_serial_loop_statistics(self, monkeypatch):
@@ -327,15 +301,13 @@ class TestPrefetchedDraws:
         assert float(np.mean(sums ** 2)) != ref
         assert simulate_ungrouped_gain(16, inp, 5, np.random.default_rng(468)) == ref
 
-    def test_helper_exception_reraised(self):
+    def test_draw_exception_reraised(self):
         class BrokenGenerator:
             def standard_normal(self, out):
                 raise FloatingPointError("draw failed")
 
-        before = threading.active_count()
         with pytest.raises(FloatingPointError, match="draw failed"):
             simulate_ungrouped_gain(16, AsymptoticInputs(N=16, Q=16), 3, BrokenGenerator())
-        _assert_no_helper_left(before)
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_trials_below_one_rejected(self, trials):
@@ -409,5 +381,5 @@ class TestKurtosis:
         assert not _loaded_after_cli_import("scipy.special")
 
     def test_cli_import_leaves_out_concurrent_futures(self):
-        # the Monte Carlo pool imports it on first use (about 10 ms, mostly logging)
+        # nothing in the package uses it; importing it costs about 10 ms, mostly logging
         assert not _loaded_after_cli_import("concurrent.futures")

@@ -281,6 +281,55 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=message):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"schemes": "aeg"}, r"^schemes must be a list, got 'aeg'"),
+        ({"weights": 1.0}, r"^weights must be a list, got 1.0"),
+        ({"geometry": {"bs": 5}}, r"^bs_pos must be a list, got 5"),
+        ({"schemes": {"aeg": 1}}, r"^schemes must be a list"),
+        ({"system": 3}, r"^config section system must be a mapping of keys, got 3"),
+        ({"kappas": []}, r"^config section kappas must be a mapping of keys"),
+        ({"geometry": {"bs": [1.0, 2.0]}}, r"^bs_pos must list 3 finite coordinates"),
+        ({"geometry": {"user_center": [300.0, 6.0, 0.0, 1.0]}},
+         r"^user_center must list 3 finite coordinates"),
+        ({"geometry": {"bs": [float("nan"), 6.0, 16.0]}}, r"^bs_pos must list 3 finite coordinates"),
+        ({"weights": [1.0, "1", 1.0, 1.0]}, r"^weights must list real numbers"),
+        ({"geometry": {"irs": [300.0, True, 8.0]}}, r"^irs_pos must list real numbers"),
+    ], ids=["scalar-schemes", "scalar-weights", "scalar-position", "mapping-schemes",
+            "scalar-section", "list-section", "two-entry-position", "four-entry-position",
+            "nan-coordinate", "string-weight", "bool-coordinate"])
+    def test_shapes_rejected(self, raw, message):
+        # unchecked, schemes "aeg" was split into characters, a scalar list
+        # field or section died with a bare TypeError, and a 2- or 4-entry
+        # position passed the config and died in build_scenario's broadcast,
+        # and a nan coordinate died in the solver's auxiliary update
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig.from_dict(raw)
+
+    def test_top_level_list_rejected(self, tmp_path):
+        # unchecked, a YAML file holding a list died with an AttributeError
+        path = tmp_path / "scene.yaml"
+        path.write_text("- system: {N: 16}\n")
+        with pytest.raises(ValueError, match=r"^a config must be a mapping of keys"):
+            ScenarioConfig.from_yaml(path)
+
+    def test_empty_sections_and_file_read_as_defaults(self, tmp_path):
+        path = tmp_path / "scene.yaml"
+        path.write_text("")
+        assert ScenarioConfig.from_yaml(path) == ScenarioConfig()
+        path.write_text("system:\ngeometry:\n")
+        assert ScenarioConfig.from_yaml(path) == ScenarioConfig()
+
+    def test_list_fields_stored_as_tuples(self):
+        cfg = ScenarioConfig(K=3, bs_pos=[1, np.int64(2), 3.5], irs_pos=np.array([300.0, 0.0, 8.0]),
+                             weights=[1, 2, 0.5], schemes=["ieg", "no_irs"])
+        assert (cfg.bs_pos, cfg.irs_pos, cfg.weights, cfg.schemes) == \
+            ((1.0, 2.0, 3.5), (300.0, 0.0, 8.0), (1.0, 2.0, 0.5), ("ieg", "no_irs"))
+        assert {type(v) for v in cfg.bs_pos + cfg.irs_pos + cfg.weights} == {float}
+        with pytest.raises(ValueError, match=r"^schemes must be a list, got 'aeg'"):
+            ScenarioConfig(schemes="aeg")
+        with pytest.raises(ValueError, match=r"^user_center must list 3 finite coordinates"):
+            ScenarioConfig(user_center=(1.0, 2.0))
+
     def test_whole_number_sizes_stored_as_ints(self):
         cfg = ScenarioConfig.from_dict({"system": {"M": 2.0, "K": np.int64(2), "N": 64.0, "Q": 4.0},
                                         "trials": 3.0, "seed": 7.0})

@@ -322,6 +322,14 @@ class TestCli:
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("only, unknown", [("c99", "'c99'"), ("c05,c5", "'c5'")],
+                             ids=["c99", "c05,c5"])
+    def test_validate_refuses_unknown_names(self, capsys, only, unknown):
+        # a typo must not turn the gate into a pass that ran nothing, or less than asked
+        with pytest.raises(ValueError, match=unknown):
+            cli_main(["validate", "--only", only])
+        assert capsys.readouterr().out == ""
+
     def test_validate_fails_nonzero(self, capsys, monkeypatch):
         from iegirs import acceptance
         monkeypatch.setattr(acceptance, "CRITERIA",
@@ -470,9 +478,9 @@ class TestBenchmarkHooks:
         assert missing == []
 
     def test_monte_carlo_spans_nest_under_the_simulator(self):
-        # the Tracer keeps one span stack per process, so the asymptotics
-        # draw worker thread must not call a traced function: every traced
-        # call of a Monte Carlo run comes from the calling thread
+        # the Tracer keeps one span stack per process, so every traced call
+        # of a Monte Carlo run must come from the calling thread, nested
+        # under the simulator's span
         from iegirs import asymptotics
         spans = _load_perfbench("spans")
         tracer = spans.Tracer()

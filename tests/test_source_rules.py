@@ -18,3 +18,14 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_thread_imports(path):
+    # the program runs on the calling thread; the benchmark's one-thread rescale assumes it
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    threads = [n for n in names if n and n.split(".")[0] in ("threading", "concurrent")]
+    assert threads == [], f"{path.name} imports {threads}"
