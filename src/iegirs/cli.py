@@ -6,6 +6,7 @@ nonzero exit on any failure).
 """
 
 import argparse
+import csv
 import sys
 
 import numpy as np
@@ -35,8 +36,7 @@ def _report_unconverged(rows):
 
 def _cmd_simulate(args):
     cfg = _load_config(args)
-    rows = harness.run_monte_carlo(cfg, opts=None, out=args.out,
-                                   record_timings=args.timings,
+    rows = harness.run_monte_carlo(cfg, out=args.out, record_timings=args.timings,
                                    log=None if args.quiet else sys.stderr)
     if not args.quiet:
         for agg in harness.aggregate(rows):
@@ -62,8 +62,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_asymptotics(args):
-    import csv
-
     if args.seed < 0:       # as ScenarioConfig refuses it for simulate and sweep
         raise ValueError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
@@ -128,7 +126,7 @@ def build_parser():
     ps.set_defaults(fn=_cmd_simulate)
 
     pw = sub.add_parser("sweep", parents=[scene], help="Monte Carlo sweep over one axis")
-    pw.add_argument("--axis", required=True, choices=("groups", "elements", "distance", "power"))
+    pw.add_argument("--axis", required=True, choices=tuple(harness.SWEEP_AXES))
     pw.add_argument("--values", required=True, help="comma-separated axis values")
     pw.add_argument("--out", default="sweep.csv", help="output CSV path")
     pw.set_defaults(fn=_cmd_sweep)

@@ -3,7 +3,7 @@
 import math
 import numbers
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 import numpy as np
 
 SCHEMES = ("ieg", "aeg", "uirs_q", "random_rcv", "no_irs")
@@ -15,12 +15,7 @@ _LAYOUT = {"system": {"M": "M", "K": "K", "N": "N", "Q": "Q"},
            "kappas": {"bi": "kappa_bi", "iu": "kappa_iu", "bu": "kappa_bu"},
            **{key: key for key in ("power_dbm", "noise_dbm", "scenario", "weights", "trials",
                                    "seed", "schemes")}}
-# list fields, stored as tuples of floats but for schemes; a position lists 3 finite coordinates
-_TUPLES = ("bs_pos", "irs_pos", "user_center", "weights", "schemes")
-_POSITIONS = ("bs_pos", "irs_pos", "user_center")
-# fields stored as ints, refused unless whole numbers; fields stored as floats, refused unless finite
-_WHOLE = ("M", "K", "N", "Q", "trials", "seed")
-_REAL = ("user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm")
+_POSITIONS = ("bs_pos", "irs_pos", "user_center")     # each lists 3 finite coordinates
 # lower bounds of fields (a negative radius would mirror the users through the centre)
 _AT_LEAST = {"user_radius": 0, "kappa_bi": 0, "kappa_iu": 0, "kappa_bu": 0, "seed": 0,
              "M": 1, "K": 1, "trials": 1}
@@ -55,9 +50,10 @@ class ScenarioConfig:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
-        for names, kind, ok, what in ((_WHOLE, int, float.is_integer, "a whole number"),
-                                      (_REAL, float, math.isfinite, "a finite real number")):
-            for name in names:
+        # the annotation is the kind: int a whole number, float a finite real, tuple a list
+        for kind, ok, what in ((int, float.is_integer, "a whole number"),
+                               (float, math.isfinite, "a finite real number")):
+            for name in (f.name for f in fields(self) if f.type is kind):
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, numbers.Real) \
                         or not ok(float(value)):
@@ -71,7 +67,7 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         self.weights = (1.0,) * self.K if self.weights is None else self.weights
-        for name in _TUPLES:
+        for name in (f.name for f in fields(self) if f.type in (tuple, tuple | None)):
             value = getattr(self, name)
             if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
                 raise ValueError(f"{name} must be a list, got {value!r}")
@@ -86,6 +82,8 @@ class ScenarioConfig:
             raise ValueError("weights length must equal K")
         if not all(math.isfinite(w) and w >= 0 for w in self.weights):
             raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
+        if not self.schemes:
+            raise ValueError("schemes must list at least one scheme")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; choose from {SCHEMES}")
@@ -131,7 +129,7 @@ class ScenarioConfig:
         return cls.from_dict({} if raw is None else raw)
 
     def to_dict(self):
-        value = {f: list(v) if f in _TUPLES else v for f, v in vars(self).items()}
+        value = {f: list(v) if isinstance(v, tuple) else v for f, v in vars(self).items()}
         return {key: {k: value[f] for k, f in entry.items()} if isinstance(entry, dict)
                 else value[entry] for key, entry in _LAYOUT.items()}
 

@@ -36,6 +36,14 @@ SCHEME_DIMS = {
     "no_irs": lambda n, q: (0, 0),
 }
 
+# The config at one value of each sweep axis; ScenarioConfig checks the value.
+SWEEP_AXES = {
+    "groups": lambda config, v: config.replace(Q=v),
+    "elements": lambda config, v: config.replace(N=v),
+    "distance": lambda config, v: config.replace(irs_pos=(v, *config.irs_pos[1:])),
+    "power": lambda config, v: config.replace(power_dbm=v),
+}
+
 
 @dataclass
 class TrialResult:
@@ -87,16 +95,17 @@ def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
     return c_hat, h_bu_eff
 
 
-def run_scheme(scheme, channels, config, rng, opts=None):
+def run_scheme(scheme, channels, config, rng):
     """Solve one scheme on one channel realization and package the result.
 
     rng drives only scheme-internal randomness (the frozen phase draws of
     uirs_q and random_rcv); the channels are produced by the caller so every
-    scheme in a trial sees the same realization.
+    scheme in a trial sees the same realization. The solve runs at the
+    default bf.SolverOptions.
     """
     if scheme not in SCHEME_DIMS:
         raise ValueError(f"unknown scheme {scheme!r}")
-    opts = opts or bf.SolverOptions()
+    opts = bf.SolverOptions()
     weights = np.asarray(config.weights, dtype=float)
     p_max = config.power_watts
     q = config.Q
@@ -134,8 +143,8 @@ def recompute_wsr(channels, result, config):
     return bf.wsr(bf.sinr_all(h, sol.precoder.w, channels.noise_power), weights)
 
 
-def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,
-                    record_timings=False, log=None):
+def run_monte_carlo(config, axis="single", axis_value=None, out=None, record_timings=False,
+                    log=None):
     """Run all configured schemes over seeded trials.
 
     Per-trial randomness descends from (config.seed, trial index), so results
@@ -143,8 +152,6 @@ def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,
     drawn once per trial and shared by every scheme. If out is given the CSV
     is written there (partial rows are flushed if a trial raises).
     """
-    if not config.schemes:
-        raise ValueError("scheme list is empty")
     axis_value = float(config.Q if axis_value is None else axis_value)
     rows = []
     start = time.perf_counter()
@@ -155,8 +162,7 @@ def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,
             children = ss.spawn(1 + len(config.schemes))
             channels = build_scenario(config, np.random.default_rng(children[0]))
             for i, scheme in enumerate(config.schemes):
-                res = run_scheme(scheme, channels, config, np.random.default_rng(children[1 + i]),
-                                 opts=opts)
+                res = run_scheme(scheme, channels, config, np.random.default_rng(children[1 + i]))
                 res.axis = axis
                 res.axis_value = axis_value
                 res.trial = trial
@@ -175,28 +181,25 @@ def run_monte_carlo(config, axis="single", axis_value=None, opts=None, out=None,
 def sweep(axis, values, config, out=None, record_timings=False, log=None):
     """Monte Carlo runs across one swept axis; returns all trial rows.
 
-    If out is given, the rows of every finished axis value reach it even if a
-    later one raises.
+    Every value is checked before the first trial. If out is given, the rows
+    of every finished axis value reach it even if a later one raises.
     """
-    if axis not in ("groups", "elements", "distance", "power"):
-        raise ValueError(f"unknown sweep axis {axis!r}")
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; choose from {tuple(SWEEP_AXES)}")
     if not len(values):
         raise ValueError("sweep needs at least one axis value")
-    if axis in ("groups", "elements") and not all(float(v).is_integer() for v in values):
-        raise ValueError(f"the {axis} axis takes whole numbers, got {list(values)}")
+    try:
+        configs = [SWEEP_AXES[axis](config, value) for value in values]
+    except ValueError as err:
+        raise ValueError(f"sweep axis {axis}: {err}") from None
+    labels = [float(v) for v in values]
+    repeated = [v for v in dict.fromkeys(labels) if labels.count(v) > 1]
+    if repeated:
+        raise ValueError(f"sweep axis {axis}: values {repeated} repeat; list each value once")
     rows = []
     try:
-        for value in values:
-            if axis == "groups":
-                cfg = config.replace(Q=int(value))
-            elif axis == "elements":
-                cfg = config.replace(N=int(value))
-            elif axis == "distance":
-                irs = (float(value), config.irs_pos[1], config.irs_pos[2])
-                cfg = config.replace(irs_pos=irs)
-            else:
-                cfg = config.replace(power_dbm=float(value))
-            rows.extend(run_monte_carlo(cfg, axis=axis, axis_value=float(value), log=log))
+        for cfg, value in zip(configs, labels):
+            rows.extend(run_monte_carlo(cfg, axis=axis, axis_value=value, log=log))
     finally:
         if out is not None and rows:
             write_csv(rows, out, timings=record_timings)

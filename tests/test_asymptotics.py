@@ -193,7 +193,7 @@ def _trials_per_block(n):
 
 
 # one n whose block holds many trials, one whose block holds a single trial
-PREFETCH_NS = (256, asymptotics.DRAW_BLOCK_BYTES // 32)
+BLOCK_NS = (256, asymptotics.DRAW_BLOCK_BYTES // 32)
 
 
 def _trial_counts(n):
@@ -201,10 +201,10 @@ def _trial_counts(n):
     return sorted({t for t in (1, per - 1, per, per + 1, 3 * per + 2) if t >= 1})
 
 
-class TestPrefetchedDraws:
-    @pytest.mark.parametrize("n", PREFETCH_NS)
+class TestBlockedDraws:
+    @pytest.mark.parametrize("n", BLOCK_NS)
     def test_grouped_cascades_match_serial_loop(self, n):
-        assert _trials_per_block(PREFETCH_NS[-1]) == 1
+        assert _trials_per_block(BLOCK_NS[-1]) == 1
         inp = AsymptoticInputs(N=n, Q=4, kappa_bi=1.0, kappa_iu=3.0)
         for trials in _trial_counts(n):
             rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
@@ -213,7 +213,7 @@ class TestPrefetchedDraws:
             assert out.tobytes() == ref.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("n", PREFETCH_NS)
+    @pytest.mark.parametrize("n", BLOCK_NS)
     def test_ungrouped_gain_matches_serial_loop(self, n):
         inp = AsymptoticInputs(N=n, Q=n, kappa_bi=0.5, kappa_iu=2.0)
         for trials in _trial_counts(n):
@@ -223,7 +223,7 @@ class TestPrefetchedDraws:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_concurrent_callers_keep_their_streams(self):
-        # more callers than cores, each with its own generator
+        # four threads at once, each with its own generator: draws share no state
         inp = AsymptoticInputs(N=256, Q=256, kappa_bi=1.0, kappa_iu=1.0)
         trials = 3 * _trials_per_block(256) + 2
         results = {}

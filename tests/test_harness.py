@@ -58,10 +58,11 @@ class TestRunScheme:
     def test_scheme_table_covers_config_schemes(self):
         assert tuple(harness.SCHEME_DIMS) == SCHEMES
 
-    def test_capped_solve_flagged_outside_csv(self):
+    def test_capped_solve_flagged_outside_csv(self, monkeypatch):
         cfg = _tiny_config(schemes=("ieg", "aeg", "uirs_q"), trials=1)
         rows = run_monte_carlo(cfg)
-        capped = run_monte_carlo(cfg, opts=SolverOptions(max_outer=2))
+        monkeypatch.setattr(harness.bf, "SolverOptions", lambda: SolverOptions(max_outer=2))
+        capped = run_monte_carlo(cfg)
         assert all(r.solution.converged and r.iterations > 2 for r in rows)
         assert not any(r.solution.converged for r in capped)
         assert all(r.iterations == 2 for r in capped)
@@ -124,9 +125,8 @@ class TestDeterminism:
         assert row1.seed == row3.seed
 
     def test_empty_scheme_list_rejected(self):
-        cfg = _tiny_config(schemes=())
-        with pytest.raises(ValueError):
-            run_monte_carlo(cfg)
+        with pytest.raises(ValueError, match="^schemes must list at least one scheme$"):
+            _tiny_config(schemes=())
 
     def test_runtime_column_zeroed_by_default(self):
         cfg = _tiny_config(schemes=("no_irs",), trials=1)
@@ -231,10 +231,10 @@ class TestSweepAndAggregate:
         out = tmp_path / "sweep.csv"
         original = harness.run_scheme
 
-        def fails_on_second_value(scheme, channels, config, rng, opts=None):
+        def fails_on_second_value(scheme, channels, config, rng):
             if config.Q == 2:
                 raise RuntimeError("boom")
-            return original(scheme, channels, config, rng, opts=opts)
+            return original(scheme, channels, config, rng)
 
         monkeypatch.setattr(harness, "run_scheme", fails_on_second_value)
         with pytest.raises(RuntimeError):
@@ -247,19 +247,27 @@ class TestSweepAndAggregate:
 
     @pytest.mark.parametrize("axis, values", [("groups", [2.5]), ("groups", [1, 2.5]),
                                               ("elements", [16, 32.5]), ("groups", [float("nan")]),
-                                              ("elements", [float("inf")])])
+                                              ("elements", [float("inf")]),
+                                              ("power", [0, float("nan")]),
+                                              ("distance", [150, float("inf")]),
+                                              ("groups", [2, 64]), ("elements", [32, 1]),
+                                              ("groups", [2, 2])])
     def test_count_axis_rejects_fractions_before_any_trial(self, axis, values, tmp_path,
                                                            monkeypatch):
-        # Q and N are counts: int() would solve Q = 2 and label its rows 2.5
+        # Q and N are counts: int() would solve Q = 2 and label its rows 2.5.
+        # A bad or repeated later value ran every trial of the first value and
+        # wrote a partial CSV before it raised (N = 32, Q = 2).
         runs = []
         monkeypatch.setattr(harness, "run_monte_carlo", lambda *a, **kw: runs.append(a) or [])
-        out = tmp_path / "sweep.csv"
-        with pytest.raises(ValueError, match=axis):
-            sweep(axis, values, _tiny_config(schemes=("no_irs",)), out=str(out))
+        cfg = _tiny_config(schemes=("no_irs",))
+        cfg_path, out = tmp_path / "scene.yaml", tmp_path / "sweep.csv"
+        cfg_path.write_text(yaml.safe_dump(cfg.to_dict()))
+        with pytest.raises(ValueError, match=f"^sweep axis {axis}: "):
+            sweep(axis, values, cfg, out=str(out))
         assert runs == [] and not out.exists()
-        with pytest.raises(ValueError, match=axis):
+        with pytest.raises(ValueError, match=f"^sweep axis {axis}: "):
             cli_main(["sweep", "--axis", axis, "--values", ",".join(map(str, values)),
-                      "--out", str(out), "--quiet"])
+                      "--config", str(cfg_path), "--out", str(out), "--quiet"])
         assert runs == [] and not out.exists()
 
 
@@ -284,8 +292,7 @@ class TestCli:
         monkeypatch.setattr(harness.bf, "SolverOptions", lambda: SolverOptions(max_outer=2))
         args = {"simulate": ["simulate"], "sweep": ["sweep", "--axis", "groups", "--values", "2"]}
         capped = sum(not r.solution.converged
-                     for r in run_monte_carlo(_tiny_config(schemes=("aeg", "no_irs")),
-                                              opts=SolverOptions(max_outer=2)))
+                     for r in run_monte_carlo(_tiny_config(schemes=("aeg", "no_irs"))))
         assert capped > 0
         out = tmp_path / "out.csv"
         assert cli_main(args[command] + ["--config", str(cfg_path), "--out", str(out)]) == 0
