@@ -142,7 +142,7 @@ def c07_auxiliary_closed_forms():
         w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2)
         noise = float(rng.uniform(0.05, 2.0))
         weights = rng.uniform(0.5, 2.0, size=k)
-        aux = bf.update_auxiliaries(h, w, noise, weights)
+        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, noise), weights)
         gam = bf.sinr_all(h, w, noise)
         worst_id = max(worst_id, float(np.max(np.abs(aux.varsigma - gam) / np.maximum(gam, 1e-30))))
 
@@ -190,7 +190,7 @@ def c08_precoder_update():
         w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
         noise = float(rng.uniform(0.05, 2.0))
         weights = np.ones(k)
-        aux = bf.update_auxiliaries(h, w, noise, weights)
+        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, noise), weights)
         p_max = float(rng.uniform(0.05, 2.0))
         pm = bf.update_precoder(aux, h, p_max)
         if pm.power > p_max + 1e-9:
@@ -205,7 +205,7 @@ def c08_precoder_update():
         h = (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))) * 3.0
         w = (rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)))
         noise = float(rng.uniform(0.1, 1.0))
-        aux = bf.update_auxiliaries(h, w, noise, np.ones(1))
+        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, noise), np.ones(1))
         p_max = 0.5
         pm = bf.update_precoder(aux, h, p_max)
         l0, z = bf.precoder_quadratic(aux, h)
@@ -231,7 +231,7 @@ def c09_reflection_majorization():
         h_bu = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) * 0.3
         w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k)))
         h = bf.effective_channels(np.ones(q), c_hat, h_bu)
-        aux = bf.update_auxiliaries(h, w, 1.0, np.ones(k))
+        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1.0), np.ones(k))
         u, phi = bf.build_rcv_quadratic(w, aux, c_hat, h_bu)
         u = (u + u.conj().T) / 2
         lam = bf.top_eigenvalue(u)
@@ -246,10 +246,10 @@ def c09_reflection_majorization():
             worst_bound = max(worst_bound, gap / scale)
 
         v = v_t.copy()
-        obj = bf.rcv_objective(v, u, phi)
+        obj = bf.rcv_objective(v, u @ v, phi)
         for _ in range(40):
-            v = bf.mm_step(v, u, phi, lam)
-            obj_new = bf.rcv_objective(v, u, phi)
+            v = bf.mm_step(v, u @ v, phi, lam)
+            obj_new = bf.rcv_objective(v, u @ v, phi)
             worst_step = min(worst_step, (obj_new - obj) / max(1.0, abs(obj)))
             obj = obj_new
 
@@ -263,7 +263,7 @@ def c09_reflection_majorization():
         f_grid = float(np.max(-quad - lin))
         start = bf.ReflectionVector(phases=np.angle(-phi))
         v_mm = bf.update_rcv_mm(start, w, aux, c_hat, h_bu, max_inner=200, tol=1e-14)
-        f_mm = bf.rcv_objective(v_mm.values, u, phi)
+        f_mm = bf.rcv_objective(v_mm.values, u @ v_mm.values, phi)
         lipschitz = 2 * lam * math.sqrt(q) + 2 * float(np.linalg.norm(phi))
         tol_grid = lipschitz * (math.pi / res) * math.sqrt(2.0)
         if abs(f_mm - f_grid) > tol_grid:

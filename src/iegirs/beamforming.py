@@ -10,6 +10,7 @@ bits/s/Hz.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,8 +135,13 @@ def wsr(gammas, weights):
     return float(np.sum(np.asarray(weights) * np.log2(1.0 + gammas)))
 
 
-def _rx_stats(h, w, noise_power):
-    """omega_k = h_k^H w_k and the interference-plus-noise terms, no subtraction."""
+def rx_stats(h, w, noise_power):
+    """Received statistics (omega, inr) of the block updates, each of shape (K,).
+
+    omega_k = h_k^H w_k; inr_k, the interference-plus-noise term, is
+    accumulated directly (never by subtracting the signal term) so the
+    varsigma == SINR identity of update_auxiliaries holds to machine precision.
+    """
     if noise_power <= 0:
         raise ValueError("noise power must be positive")
     rx = np.conj(h) @ w
@@ -146,33 +152,23 @@ def _rx_stats(h, w, noise_power):
     return omega, inr
 
 
-def _fp_value(omega, inr, aux):
-    """Internal alternating objective from the received statistics (_rx_stats)."""
+def fp_objective(omega, inr, aux):
+    """Internal alternating objective (natural-log form) from the received statistics."""
     chi = inr + np.abs(omega) ** 2
     val = aux.fp_base + (aux.two_alpha * np.real(aux.conj_xi * omega)).sum()
     val -= (aux.xi_sq * chi).sum()
     return float(val)
 
 
-def fp_objective(rcv_values, w, aux, c_hat, h_bu, noise_power):
-    """Internal alternating objective (natural-log form) at the given point."""
-    h = effective_channels(rcv_values, c_hat, h_bu)
-    return _fp_value(*_rx_stats(h, w, noise_power), aux)
-
-
-def update_auxiliaries(h, w, noise_power, weights):
-    """Jointly optimal auxiliaries for fixed beams and reflections.
+def update_auxiliaries(omega, inr, weights):
+    """Jointly optimal auxiliaries for fixed beams and reflections, from the
+    received statistics (rx_stats) and the per-user weights, shape (K,).
 
     varsigma recovers each user's SINR exactly; xi aligns with the received
-    symbol and scales with sqrt(weight). The interference-plus-noise term is
-    accumulated directly (never by subtracting the signal term) so the
-    varsigma == SINR identity holds to machine precision.
+    symbol and scales with sqrt(weight). weights is checked before any
+    arithmetic.
     """
-    return _auxiliaries(*_rx_stats(h, w, noise_power), _checked_weights(weights, h.shape[0]))
-
-
-def _auxiliaries(omega, inr, weights):
-    """update_auxiliaries from the received statistics (_rx_stats)."""
+    weights = _checked_weights(weights, len(omega))
     mag = np.abs(omega)
     mag2 = mag ** 2
     chi = inr + mag2
@@ -350,13 +346,8 @@ def build_rcv_quadratic(w, aux, c_hat, h_bu, *, work=None):
     return u, phi
 
 
-def rcv_objective(v, u, phi):
-    """Value of the reflection subproblem objective at v."""
-    return _rcv_value(v, u @ v, phi)
-
-
-def _rcv_value(v, uv, phi):
-    """rcv_objective with the product uv = U v given."""
+def rcv_objective(v, uv, phi):
+    """Value of the reflection subproblem objective at v, with the product uv = U v given."""
     return float(-np.vdot(v, uv).real - 2.0 * np.vdot(v, phi).real)
 
 
@@ -376,13 +367,9 @@ def top_eigenvalue(u):
     return float(np.linalg.eigvalsh(u)[-1])
 
 
-def mm_step(v, u, phi, lam):
-    """One majorization step: align with (lam I - U) v - phi."""
-    return _mm_step(v, u @ v, phi, lam)
-
-
-def _mm_step(v, uv, phi, lam):
-    """mm_step with the product uv = U v given.
+def mm_step(v, uv, phi, lam):
+    """One majorization step from v, with the product uv = U v given:
+    align with (lam I - U) v - phi.
 
     Here and in _align_global_phase, arctan2(z.imag, z.real) is np.angle(z)
     without its wrapper, which costs as much as the arithmetic at small Q.
@@ -457,11 +444,11 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner, tol, work=None):
     lam = top_eigenvalue(u)
     v = rcv.values
     uv = u @ v                                # shared by the step and the objective
-    obj = _rcv_value(v, uv, phi)
+    obj = rcv_objective(v, uv, phi)
     for _ in range(max_inner):
-        v = _mm_step(v, uv, phi, lam)
+        v = mm_step(v, uv, phi, lam)
         uv = u @ v
-        obj_new = _rcv_value(v, uv, phi)
+        obj_new = rcv_objective(v, uv, phi)
         done = obj_new - obj <= tol * max(1.0, abs(obj))
         obj = obj_new
         if done:
@@ -480,12 +467,22 @@ MM_ITERS = 30
 MM_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
-    """Outer-loop stopping rule of the alternating solve: relative change tol, at most max_outer."""
+    """Outer-loop stopping rule of the alternating solve: relative change tol,
+    finite and >= 0, and at most max_outer iterations, a whole number >= 1."""
 
     tol: float = 1e-6
     max_outer: int = 200
+
+    def __post_init__(self):
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Real) \
+                or not float(self.max_outer).is_integer() or self.max_outer < 1:
+            raise ValueError(f"max_outer must be a whole number >= 1, got {self.max_outer!r}")
+        object.__setattr__(self, "max_outer", int(self.max_outer))
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
+                or not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be a finite real number >= 0, got {self.tol!r}")
 
 
 @dataclass
@@ -493,15 +490,15 @@ class SolveResult:
     """One run of the alternating loop (solve_fp) and the rate it reached.
 
     grouping is set by the caller that chose it (None from solve_fp); aux is
-    the last iteration's (None if the loop never ran); wsr_bits, in
-    bits/s/Hz, is the rate at (precoder, rcv); trace_steps holds the internal
-    objective after every block update, three per outer iteration.
+    the last iteration's; wsr_bits, in bits/s/Hz, is the rate at (precoder,
+    rcv); trace_steps holds the internal objective after every block update,
+    three per outer iteration.
     """
 
     grouping: GroupingMatrix | None
     precoder: PrecodingMatrix
     rcv: ReflectionVector
-    aux: FPAuxiliaries | None
+    aux: FPAuxiliaries
     wsr_bits: float
     trace_steps: np.ndarray
     iterations: int
@@ -548,46 +545,45 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     beams, by default the matched filter to the effective channels at v0.
     Returns a SolveResult with grouping None.
 
-    h and its received statistics (_rx_stats) are formed once per iteration,
+    h and its received statistics (rx_stats) are formed once per iteration,
     at the new reflection vector: they give the closing objective and carry
     over as the next iteration's h, auxiliary input and opening objective,
     and the last h gives the returned rate. At Q = 0 the reflection block
     leaves h unchanged, so the statistics after the precoder update close the
     iteration. Each carried value is the same call on the same inputs that
-    would recompute it, so every output is bit for bit that of calling
-    fp_objective after every block.
+    would recompute it, so every output is bit for bit that of forming h and
+    rx_stats anew after every block.
     """
     q = c_hat.shape[1]
     v = v0
     weights = _checked_weights(weights, h_bu.shape[0])
     trace_steps = []
     work = np.empty((2, q, q), dtype=complex)   # the (Q, Q) buffers of every reflection update
-    pm = aux = previous = None
-    converged, it = False, 0
+    previous, converged = None, False
     h = effective_channels(v.values, c_hat, h_bu)
     w = matched_precoder(h, p_max) if w0 is None else np.asarray(w0, dtype=complex)
-    stats = _rx_stats(h, w, noise_power)
+    stats = rx_stats(h, w, noise_power)
     for it in range(1, opts.max_outer + 1):
-        aux = _auxiliaries(*stats, weights)
-        trace_steps.append(_fp_value(*stats, aux))
+        aux = update_auxiliaries(*stats, weights)
+        trace_steps.append(fp_objective(*stats, aux))
         pm = update_precoder(aux, h, p_max)
         w = pm.w
-        stats = _rx_stats(h, w, noise_power)
-        current = _fp_value(*stats, aux)
+        stats = rx_stats(h, w, noise_power)
+        current = fp_objective(*stats, aux)
         trace_steps.append(current)
         if q > 0:
             v = update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=MM_ITERS, tol=MM_TOL, work=work)
             rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu)
             v = ReflectionVector(phases=np.angle(rotated))
             h = effective_channels(v.values, c_hat, h_bu)
-            stats = _rx_stats(h, w, noise_power)
-            current = _fp_value(*stats, aux)
+            stats = rx_stats(h, w, noise_power)
+            current = fp_objective(*stats, aux)
         trace_steps.append(current)
         if it > 1 and abs(current - previous) <= opts.tol * max(1.0, abs(previous)):
             converged = True
             break
         previous = current
-    pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange if pm is not None else 0.0)
+    pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange)
     return SolveResult(grouping=None, precoder=pm, rcv=v, aux=aux,
                        wsr_bits=wsr(sinr_all(h, pm.w, noise_power), weights),
                        trace_steps=np.asarray(trace_steps), iterations=it, converged=converged)

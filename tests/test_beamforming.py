@@ -5,7 +5,7 @@ from iegirs import beamforming as bf
 from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector, SolverOptions,
                                 build_rcv_quadratic, effective_channels,
                                 fp_objective, matched_precoder, mm_step, mm_surrogate,
-                                precoder_quadratic, rcv_objective, sinr_all, solve_fp,
+                                precoder_quadratic, rcv_objective, rx_stats, sinr_all, solve_fp,
                                 two_stage_solve, update_auxiliaries, update_precoder,
                                 update_rcv_mm, wsr)
 from iegirs.channel import ChannelSet, build_scenario
@@ -32,6 +32,11 @@ def sinr(h, w, k, noise_power):
     cross = np.abs(rx) ** 2
     signal = cross[k]
     return float(signal / (np.sum(cross) - signal + noise_power))
+
+
+def fp_at(rcv_values, w, aux, c_hat, h_bu, noise_power):
+    """fp_objective with h and its received statistics formed anew at (rcv_values, w)."""
+    return fp_objective(*rx_stats(effective_channels(rcv_values, c_hat, h_bu), w, noise_power), aux)
 
 
 def precoder_objective(w, l0, z):
@@ -126,7 +131,7 @@ class TestUpdateAuxiliaries:
     def test_hand_example_unit_everything(self):
         h = np.array([[1.0 + 0.0j]])
         w = np.array([[1.0 + 0.0j]])
-        aux = update_auxiliaries(h, w, 1.0, np.ones(1))
+        aux = update_auxiliaries(*rx_stats(h, w, 1.0), np.ones(1))
         # chi = 2, A = 1/sqrt(2), varsigma = SINR = 1
         assert abs(aux.xi[0] - 1.0 / np.sqrt(2.0)) <= 1e-15
         assert abs(aux.varsigma[0] - 1.0) <= 1e-15
@@ -134,7 +139,7 @@ class TestUpdateAuxiliaries:
     def test_hand_example_snr_three(self):
         h = np.array([[np.sqrt(3.0) + 0.0j]])
         w = np.array([[1.0 + 0.0j]])
-        aux = update_auxiliaries(h, w, 1.0, np.ones(1))
+        aux = update_auxiliaries(*rx_stats(h, w, 1.0), np.ones(1))
         # B = 3/2, varsigma = 3
         assert abs(aux.varsigma[0] - 3.0) <= 1e-12
 
@@ -146,7 +151,7 @@ class TestUpdateAuxiliaries:
             h = random_complex(rng, (k, m), scale=rng.uniform(0.1, 10))
             w = random_complex(rng, (m, k))
             noise = float(rng.uniform(1e-4, 10))
-            aux = update_auxiliaries(h, w, noise, np.ones(k))
+            aux = update_auxiliaries(*rx_stats(h, w, noise), np.ones(k))
             gam = sinr_all(h, w, noise)
             assert np.max(np.abs(aux.varsigma - gam) / np.maximum(gam, 1e-30)) <= 1e-10
 
@@ -162,14 +167,14 @@ class TestUpdateAuxiliaries:
             h = effective_channels(v, c_hat, h_bu)
             aux0 = FPAuxiliaries(varsigma=rng.uniform(0, 3, size=k), xi=random_complex(rng, k),
                                  weights=weights)
-            f0 = fp_objective(v, w, aux0, c_hat, h_bu, 1.0)
-            aux1 = update_auxiliaries(h, w, 1.0, weights)
-            f1 = fp_objective(v, w, aux1, c_hat, h_bu, 1.0)
+            f0 = fp_at(v, w, aux0, c_hat, h_bu, 1.0)
+            aux1 = update_auxiliaries(*rx_stats(h, w, 1.0), weights)
+            f1 = fp_at(v, w, aux1, c_hat, h_bu, 1.0)
             assert f1 >= f0 - 1e-10 * max(1.0, abs(f0))
 
     def test_noise_guard(self):
         with pytest.raises(ValueError):
-            update_auxiliaries(np.ones((1, 1)), np.ones((1, 1)), -1.0, np.ones(1))
+            rx_stats(np.ones((1, 1)), np.ones((1, 1)), -1.0)
 
     @BAD_WEIGHTS
     def test_bad_weights_named(self, weights):
@@ -178,10 +183,31 @@ class TestUpdateAuxiliaries:
         h = random_complex(np.random.default_rng(27), (4, 2))
         w0 = matched_precoder(h, 1.0)
         with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
-            update_auxiliaries(h, w0, 1.0, weights)
+            update_auxiliaries(*rx_stats(h, w0, 1.0), weights)
         with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
             solve_fp(np.zeros((4, 0, 2), dtype=complex), h, 1.0, 1.0, weights,
                      ReflectionVector(phases=np.zeros(0)), SolverOptions(), w0)
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("max_outer", 0), ("max_outer", -3), ("max_outer", 2.5), ("max_outer", np.inf),
+        ("max_outer", True), ("max_outer", "10"), ("max_outer", None),
+        ("tol", np.nan), ("tol", np.inf), ("tol", -1e-6), ("tol", "1e-6"), ("tol", False)])
+    def test_bad_value_named(self, field, value):
+        # refused when built: max_outer = 0 once died in stage 1 on a missing
+        # solve, 2.5 in range(), and tol = nan ran every solve to the cap
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SolverOptions(**{field: value})
+
+    def test_edge_values_run(self):
+        assert type(SolverOptions(max_outer=3.0).max_outer) is int
+        opts = SolverOptions(tol=0.0, max_outer=np.int64(1))
+        ch = build_scenario(ScenarioConfig(N=16, Q=4, seed=1), np.random.default_rng(1))
+        res = two_stage_solve(ch, 4, 1e-2, np.ones(4), opts=opts)
+        assert res.iterations == 1 and not res.converged and res.aux is not None
+        with pytest.raises(AttributeError):
+            opts.max_outer = 0                          # frozen: the checks cannot go stale
 
 
 class TestUpdatePrecoder:
@@ -207,7 +233,7 @@ class TestUpdatePrecoder:
             k, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             h = random_complex(rng, (k, m), 5.0)
             w_prev = random_complex(rng, (m, k))
-            aux = update_auxiliaries(h, w_prev, 1e-3, np.ones(k))
+            aux = update_auxiliaries(*rx_stats(h, w_prev, 1e-3), np.ones(k))
             pm = update_precoder(aux, h, p_max=1e-4)
             assert pm.power <= 1e-4 + 1e-9
             if pm.lagrange > 0:
@@ -219,7 +245,7 @@ class TestUpdatePrecoder:
             k, m = 3, 3
             h = random_complex(rng, (k, m))
             w_prev = matched_precoder(h, 0.5)
-            aux = update_auxiliaries(h, w_prev, 0.1, np.ones(k))
+            aux = update_auxiliaries(*rx_stats(h, w_prev, 0.1), np.ones(k))
             l0, z = precoder_quadratic(aux, h)
             pm = update_precoder(aux, h, p_max=0.5)
             assert (precoder_objective(pm.w, l0, z)
@@ -246,7 +272,7 @@ class TestUpdatePrecoder:
     def test_missed_budget_raises(self):
         rng = np.random.default_rng(4)
         h = random_complex(rng, (2, 2), 5.0)
-        aux = update_auxiliaries(h, random_complex(rng, (2, 2)), 1e-3, np.ones(2))
+        aux = update_auxiliaries(*rx_stats(h, random_complex(rng, (2, 2)), 1e-3), np.ones(2))
         with pytest.raises(RuntimeError):    # tol = 0 demands the budget to the last bit
             update_precoder(aux, h, p_max=1e-4, tol=0.0)
 
@@ -292,14 +318,14 @@ def _bit_exact_cases():
             h = random_complex(rng, (k, m), 10 ** rng.uniform(-6, 2))
             p_max = 10 ** rng.uniform(-4, 1)
             w_prev = random_complex(rng, (m, k), np.sqrt(p_max / k))
-            a = update_auxiliaries(h, w_prev, 10 ** rng.uniform(-14, 0), np.ones(k))
+            a = update_auxiliaries(*rx_stats(h, w_prev, 10 ** rng.uniform(-14, 0)), np.ones(k))
             aux = FPAuxiliaries(varsigma=a.varsigma, xi=a.xi, weights=rng.uniform(0.5, 2.0, size=k))
             cases.append((aux, h, p_max))
     # budgets just below the unconstrained power, where the multiplier is tiny
     for k, m in [(1, 1), (2, 2), (3, 3)]:
         for rel in (1e-3, 1e-6, 1e-9):
             h = random_complex(rng, (k, m))
-            aux = update_auxiliaries(h, random_complex(rng, (m, k)), 0.1, np.ones(k))
+            aux = update_auxiliaries(*rx_stats(h, random_complex(rng, (m, k)), 0.1), np.ones(k))
             cases.append((aux, h, _unconstrained_power(aux, h) * (1.0 - rel)))
     return cases
 
@@ -359,7 +385,7 @@ def _random_rcv_instance(rng, k=3, m=2, q=4, direct_scale=0.3):
     h_bu = random_complex(rng, (k, m), direct_scale)
     w = random_complex(rng, (m, k))
     h = effective_channels(np.ones(q), c_hat, h_bu)
-    aux = update_auxiliaries(h, w, 1.0, np.ones(k))
+    aux = update_auxiliaries(*rx_stats(h, w, 1.0), np.ones(k))
     return c_hat, h_bu, w, aux
 
 
@@ -382,14 +408,14 @@ class TestReflectionUpdate:
         u = lam * np.eye(q, dtype=complex)
         phi = random_complex(rng, q)
         v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-        v1 = mm_step(v0, u, phi, lam)
+        v1 = mm_step(v0, u @ v0, phi, lam)
         assert np.allclose(v1, np.exp(1j * np.angle(-phi)))
         # brute force confirms it is the global maximizer
         best = -np.inf
         for _ in range(2000):
             v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-            best = max(best, rcv_objective(v, u, phi))
-        assert rcv_objective(v1, u, phi) >= best - 1e-9
+            best = max(best, rcv_objective(v, u @ v, phi))
+        assert rcv_objective(v1, u @ v1, phi) >= best - 1e-9
 
     def test_single_group_reaches_grid_optimum_quickly(self):
         rng = np.random.default_rng(7)
@@ -398,8 +424,9 @@ class TestReflectionUpdate:
         out = update_rcv_mm(ReflectionVector(phases=np.array([1.0])), w, aux, c_hat, h_bu,
                             max_inner=2, tol=1e-10)
         grid = np.exp(1j * np.linspace(0, 2 * np.pi, 10 ** 4, endpoint=False))
-        vals = [rcv_objective(np.array([g]), u, phi) for g in grid]
-        assert rcv_objective(out.values, u, phi) >= max(vals) - 1e-6 * max(1.0, abs(max(vals)))
+        vals = [rcv_objective(v, u @ v, phi) for v in grid[:, None]]
+        got = rcv_objective(out.values, u @ out.values, phi)
+        assert got >= max(vals) - 1e-6 * max(1.0, abs(max(vals)))
 
     def test_surrogate_bound_and_tangency(self):
         rng = np.random.default_rng(8)
@@ -423,10 +450,10 @@ class TestReflectionUpdate:
         u = (u + u.conj().T) / 2
         lam = float(np.linalg.eigvalsh(u)[-1])
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        obj = rcv_objective(v, u, phi)
+        obj = rcv_objective(v, u @ v, phi)
         for _ in range(30):
-            v = mm_step(v, u, phi, lam)
-            obj_new = rcv_objective(v, u, phi)
+            v = mm_step(v, u @ v, phi, lam)
+            obj_new = rcv_objective(v, u @ v, phi)
             assert obj_new >= obj - 1e-10 * max(1.0, abs(obj))
             obj = obj_new
 
@@ -437,7 +464,7 @@ class TestReflectionUpdate:
         u = (u + u.conj().T) / 2
         out = update_rcv_mm(ReflectionVector(phases=np.angle(-phi)), w, aux, c_hat, h_bu,
                             max_inner=300, tol=1e-14)
-        f_mm = rcv_objective(out.values, u, phi)
+        f_mm = rcv_objective(out.values, u @ out.values, phi)
 
         res = 64
         th = np.exp(1j * 2 * np.pi * np.arange(res) / res)
@@ -608,12 +635,13 @@ class TestSolveLoop:
         weights = np.ones(3)
         c_hat = np.stack([combine_cascade(res.grouping, ch.cascade(k)) for k in range(3)])
         h = effective_channels(res.rcv.values, c_hat, ch.h_bu)
-        aux = update_auxiliaries(h, res.precoder.w, ch.noise_power, weights)
-        base = fp_objective(res.rcv.values, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
+        stats = rx_stats(h, res.precoder.w, ch.noise_power)
+        aux = update_auxiliaries(*stats, weights)
+        base = fp_objective(*stats, aux)
         rng = np.random.default_rng(0)
         for _ in range(1000):
             v = np.exp(1j * (res.rcv.phases + 1e-3 * rng.standard_normal(4)))
-            probed = fp_objective(v, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
+            probed = fp_at(v, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
             assert probed <= base + 1e-9 * max(1.0, abs(base))
 
 
@@ -667,10 +695,10 @@ def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
     u = (u + u.conj().T) / 2.0
     lam = bf.top_eigenvalue(u)
     v = np.exp(1j * rcv.phases)
-    obj = rcv_objective(v, u, phi)
+    obj = rcv_objective(v, u @ v, phi)
     for _ in range(max_inner):
-        v = mm_step(v, u, phi, lam)
-        obj_new = rcv_objective(v, u, phi)
+        v = mm_step(v, u @ v, phi, lam)
+        obj_new = rcv_objective(v, u @ v, phi)
         done = obj_new - obj <= tol * max(1.0, abs(obj))
         obj = obj_new
         if done:
@@ -695,17 +723,17 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=N
     for it in range(1, opts.max_outer + 1):
         vals = np.exp(1j * v.phases)
         h = effective_channels(vals, c_hat, h_bu)
-        aux = update_auxiliaries(h, w, noise_power, weights)
-        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power))
+        aux = update_auxiliaries(*rx_stats(h, w, noise_power), weights)
+        steps.append(fp_at(vals, w, aux, c_hat, h_bu, noise_power))
         pm = update_precoder(aux, h, p_max)
         w = pm.w
-        steps.append(fp_objective(vals, w, aux, c_hat, h_bu, noise_power))
+        steps.append(fp_at(vals, w, aux, c_hat, h_bu, noise_power))
         if c_hat.shape[1] > 0:
             v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=bf.MM_ITERS, tol=bf.MM_TOL)
             rotated, w = _reference_joint_phase_rotation(np.exp(1j * v.phases), w, aux, c_hat,
                                                          h_bu)
             v = ReflectionVector(phases=np.angle(rotated))
-        current = fp_objective(np.exp(1j * v.phases), w, aux, c_hat, h_bu, noise_power)
+        current = fp_at(np.exp(1j * v.phases), w, aux, c_hat, h_bu, noise_power)
         steps.append(current)
         trace.append(current)
         if it > 1 and abs(trace[-1] - trace[-2]) <= opts.tol * max(1.0, abs(trace[-2])):
@@ -872,8 +900,8 @@ class TestLoopBitExact:
                    lambda a: precoder_quadratic(a, h_bu)):
             for got, ref in zip(fn(aux), fn(fresh)):
                 assert np.array_equal(got, ref)
-        stats = bf._rx_stats(h_bu, w, 0.1)
-        assert bf._fp_value(*stats, aux) == bf._fp_value(*stats, fresh)
+        stats = rx_stats(h_bu, w, 0.1)
+        assert fp_objective(*stats, aux) == fp_objective(*stats, fresh)
         for arr in (aux.varsigma, aux.xi, aux.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0.0                            # read-only: the terms cannot go stale

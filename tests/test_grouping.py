@@ -278,7 +278,7 @@ def _single_user_statistical_instance(seed, n=64, q=4):
     grouped = combine_cascade(partition, c1)
     v = np.exp(1j * np.angle(grouped))                   # aligned reflection
     h = bf.effective_channels(v, combine_cascade(partition, cascades[0])[None], h_bu)
-    aux = bf.update_auxiliaries(h, w, 1e-4, np.ones(1))
+    aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-4), np.ones(1))
     return cascades, h_bu, w, v, aux, partition, delta
 
 
@@ -300,7 +300,7 @@ class TestRelaxedProgram:
             w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
             v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
             h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
-            aux = bf.update_auxiliaries(h, w, 1e-2, np.ones(k))
+            aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-2), np.ones(k))
             result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q)
             assert result.group_sizes().min() >= 1
             val_res = grouping_objective(result, cascades, h_bu, w, v, aux)
@@ -317,7 +317,7 @@ class TestRelaxedProgram:
         w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
         h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
-        aux = bf.update_auxiliaries(h, w, 1e-2, np.ones(k))
+        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-2), np.ones(k))
         best = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q)
         start = GroupingMatrix(assignment=best.assignment, num_groups=q, converged=False)
         result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q, extra_starts=(start,))
@@ -335,7 +335,7 @@ class TestRelaxedProgram:
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
         weights = np.array([3.0, 0.5, 1.0])
         h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
-        aux = bf.update_auxiliaries(h, w, 1e-2, weights)
+        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-2), weights)
         g = adjacent_grouping(n, q)
         value = grouping_objective(g, cascades, h_bu, w, v, aux)
         # oracle: the same objective in matrix form

@@ -506,6 +506,29 @@ class TestBenchmarkHooks:
         assert names[1:] == ["grouping.combine_cascade"] * 3
         assert all(span[3] == 0 for span in tracer.spans[1:])
 
+    def test_loop_block_updates_are_traced(self):
+        # the alternating loop calls the public block updates, so the traced
+        # run counts its auxiliary updates, objective evaluations and MM steps
+        from iegirs.grouping import adjacent_grouping
+        spans = _load_perfbench("spans")
+        cfg = _tiny_config(N=16, Q=4)
+        ch = build_scenario(cfg, np.random.default_rng(1))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.active = True
+            res = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights,
+                                  grouping=adjacent_grouping(16, 4))
+        finally:
+            tracer.active = False
+            tracer.uninstall()
+        calls = {name.split(".")[1]: n for name, n in tracer.summary()["calls"].items()
+                 if name.startswith("beamforming.")}
+        assert calls["solve_fp"] == 1 and res.iterations > 1
+        assert calls["update_auxiliaries"] == calls["update_precoder"] == res.iterations
+        assert calls["fp_objective"] == len(res.trace_steps)
+        assert calls["mm_step"] >= calls["update_rcv_mm"] > 0
+
     def test_benchmark_rows_audit_clean(self, tmp_path):
         # perfbench/child.py reads the rows run_monte_carlo returns and audits
         # each one with recompute_wsr; a row it cannot re-derive fails every
