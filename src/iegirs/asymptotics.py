@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import RicianLink, cascade_coefficients, rician_from_normals
+from .config import check_fields
 from .grouping import combine_cascade, phase_partition_grouping
 from .mathkit import array_response, group_shrink_factor, laguerre_half, virtual_los_direction
 
@@ -27,12 +28,11 @@ class AsymptoticInputs:
     kappa_iu: float = 1.0
 
     def __post_init__(self):
+        check_fields(self, dict.fromkeys(("delta_bi", "delta_iu", "kappa_bi", "kappa_iu"), 0))
         if not 1 <= self.Q <= self.N:
             raise ValueError("group count Q must satisfy 1 <= Q <= N")
         if self.N % self.Q:
             raise ValueError("N must be an integer multiple of Q (equal group sizes)")
-        if min(self.delta_bi, self.delta_iu, self.kappa_bi, self.kappa_iu) < 0:
-            raise ValueError("fading parameters must be nonnegative")
 
     @property
     def mu(self):

@@ -10,13 +10,13 @@ bits/s/Hz.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import grouping as grp
+from .config import check_fields
 from .grouping import GroupingMatrix
 
 
@@ -476,13 +476,7 @@ class SolverOptions:
     max_outer: int = 200
 
     def __post_init__(self):
-        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Real) \
-                or not float(self.max_outer).is_integer() or self.max_outer < 1:
-            raise ValueError(f"max_outer must be a whole number >= 1, got {self.max_outer!r}")
-        object.__setattr__(self, "max_outer", int(self.max_outer))
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) \
-                or not 0.0 <= self.tol < math.inf:
-            raise ValueError(f"tol must be a finite real number >= 0, got {self.tol!r}")
+        check_fields(self, {"max_outer": 1, "tol": 0})
 
 
 @dataclass
@@ -556,7 +550,6 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     """
     q = c_hat.shape[1]
     v = v0
-    weights = _checked_weights(weights, h_bu.shape[0])
     trace_steps = []
     work = np.empty((2, q, q), dtype=complex)   # the (Q, Q) buffers of every reflection update
     previous, converged = None, False
@@ -585,7 +578,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
         previous = current
     pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange)
     return SolveResult(grouping=None, precoder=pm, rcv=v, aux=aux,
-                       wsr_bits=wsr(sinr_all(h, pm.w, noise_power), weights),
+                       wsr_bits=wsr(sinr_all(h, pm.w, noise_power), aux.weights),
                        trace_steps=np.asarray(trace_steps), iterations=it, converged=converged)
 
 

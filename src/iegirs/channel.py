@@ -90,17 +90,14 @@ def cascade_coefficients(kappa_bi, kappa_iu):
 
 
 def cascaded_channel(h_iu_k, h_bi):
-    """Per-element cascade matrix, rows indexed by IRS element.
+    """Per-element cascade matrix of h_iu_k (N,) and h_bi (M, N), rows indexed by IRS element.
 
     Row n is conj(h_iu_k[n]) * conj(h_bi[:, n])^T, shape (N, M). For M = 1
     this is the entrywise product conj(h_iu) * conj(h_bi).
     """
-    h_iu_k = np.atleast_1d(np.asarray(h_iu_k))
-    h_bi = np.asarray(h_bi)
-    if h_bi.ndim == 1:
-        h_bi = h_bi[None, :]
-    if h_bi.shape[1] != h_iu_k.shape[0]:
-        raise ValueError(f"element count mismatch: {h_bi.shape[1]} vs {h_iu_k.shape[0]}")
+    h_iu_k, h_bi = np.asarray(h_iu_k), np.asarray(h_bi)
+    if h_bi.ndim != 2 or h_bi.shape[1:] != h_iu_k.shape:
+        raise ValueError(f"need h_iu_k (N,) and h_bi (M, N), got {h_iu_k.shape} and {h_bi.shape}")
     return np.conj(h_iu_k)[:, None] * np.conj(h_bi).T
 
 

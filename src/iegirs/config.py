@@ -21,6 +21,27 @@ _AT_LEAST = {"user_radius": 0, "kappa_bi": 0, "kappa_iu": 0, "kappa_bu": 0, "see
              "M": 1, "K": 1, "trials": 1}
 
 
+def check_fields(obj, at_least):
+    """Check a dataclass's numeric fields by annotation, then its lower bounds.
+
+    An int field takes a whole number, stored as int; a float field a finite
+    real, stored as float; bools are refused. Then each field named in
+    at_least must be at least its bound. ValueError names the field. Values
+    are stored by object.__setattr__, so frozen dataclasses work too.
+    """
+    for kind, ok, what in ((int, float.is_integer, "a whole number"),
+                           (float, math.isfinite, "a finite real number")):
+        for name in (f.name for f in fields(obj) if f.type is kind):
+            value = getattr(obj, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not ok(float(value)):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(obj, name, kind(value))
+    for name, low in at_least.items():
+        if getattr(obj, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(obj, name)!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """Geometry, array sizes, fading statistics, and run controls for a scene.
@@ -50,18 +71,7 @@ class ScenarioConfig:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
-        # the annotation is the kind: int a whole number, float a finite real, tuple a list
-        for kind, ok, what in ((int, float.is_integer, "a whole number"),
-                               (float, math.isfinite, "a finite real number")):
-            for name in (f.name for f in fields(self) if f.type is kind):
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                        or not ok(float(value)):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
-                setattr(self, name, kind(value))
-        for name, low in _AT_LEAST.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        check_fields(self, _AT_LEAST)
         if not 1 <= self.Q <= self.N:
             raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
         if self.scenario not in SCENARIOS:

@@ -24,13 +24,11 @@ class GroupingMatrix:
     matrix), the assignment encoding puts each element in exactly one group,
     and every group is non-empty; otherwise ValueError. assignment is a
     read-only int copy. The binary Q x N matrix form is materialised on
-    demand by matrix(). repairs counts elements that were reassigned to fix
-    empty groups.
+    demand by matrix().
     """
 
     assignment: np.ndarray
     num_groups: int
-    repairs: int = 0
     converged: bool = True
 
     def __post_init__(self):
@@ -99,7 +97,6 @@ def arc_grouping(frac_pos, q):
     frac_pos = np.asarray(frac_pos)
     frac = np.mod(np.round(frac_pos * _ARC_QUANTUM) / _ARC_QUANTUM, 1.0)
     assignment = 1 + np.minimum((q * frac).astype(int), q - 1)
-    repairs = 0
     sizes = np.bincount(assignment - 1, minlength=q)
     for label in range(1, q + 1):
         while sizes[label - 1] == 0:
@@ -109,8 +106,7 @@ def arc_grouping(frac_pos, q):
             sizes[assignment[pick] - 1] -= 1
             assignment[pick] = label
             sizes[label - 1] += 1
-            repairs += 1
-    return GroupingMatrix(assignment=assignment, num_groups=q, repairs=repairs)
+    return GroupingMatrix(assignment=assignment, num_groups=q)
 
 
 def phase_partition_grouping(delta, n, q):
@@ -127,28 +123,22 @@ def phase_partition_grouping(delta, n, q):
     return arc_grouping(np.mod(np.arange(n) * float(delta), 1.0), q)
 
 
-def _group_sum(assignment, values, q):
-    """Per-group sums of the rows of values (N,) or (N, m) under 1-based labels.
+def combine_cascade(grouping, cascade):
+    """Grouped cascade of an (N,) or (N, m) cascade: row q sums the rows assigned to group q.
 
     np.add.at runs once per column: on 1-D operands it is about 6x faster than
     one call on the 2-D array (numpy 2.4), and each group still adds its terms
     in element order into zeros, so the bits are the same.
     """
-    values = np.asarray(values)
-    flat = values.reshape(len(values), -1)
-    out = np.zeros((q, flat.shape[1]), dtype=values.dtype)
-    labels = assignment - 1
-    for j in range(flat.shape[1]):
-        np.add.at(out[:, j], labels, flat[:, j])
-    return out.reshape((q,) + values.shape[1:])
-
-
-def combine_cascade(grouping, cascade):
-    """Grouped cascade: row q is the sum of cascade rows assigned to group q."""
     cascade = np.asarray(cascade)
     if cascade.shape[0] != grouping.num_elements:
         raise ValueError(f"cascade has {cascade.shape[0]} rows for {grouping.num_elements} elements")
-    return _group_sum(grouping.assignment, cascade, grouping.num_groups)
+    flat = cascade.reshape(len(cascade), -1)
+    out = np.zeros((grouping.num_groups, flat.shape[1]), dtype=cascade.dtype)
+    labels = grouping.assignment - 1
+    for j in range(flat.shape[1]):
+        np.add.at(out[:, j], labels, flat[:, j])
+    return out.reshape((grouping.num_groups,) + cascade.shape[1:])
 
 
 def combine_cascades(grouping, cascades):
@@ -210,12 +200,11 @@ def _relaxed_objective_and_grad(g, proj, d_rows, alpha, xi, v_stat, gamma, rho):
 
 def _round_with_margin_repair(g_relaxed, q):
     if q == 1:
-        return np.ones(g_relaxed.shape[1], dtype=int), 0
+        return np.ones(g_relaxed.shape[1], dtype=int)
     order = np.argsort(-g_relaxed, axis=0)
     assignment = order[0] + 1
     margin = np.take_along_axis(g_relaxed, order[:1], axis=0)[0] - \
         np.take_along_axis(g_relaxed, order[1:2], axis=0)[0]
-    repairs = 0
     sizes = np.bincount(assignment - 1, minlength=q)
     for label in range(1, q + 1):
         while sizes[label - 1] == 0:
@@ -224,8 +213,7 @@ def _round_with_margin_repair(g_relaxed, q):
             sizes[assignment[pick] - 1] -= 1
             assignment[pick] = label
             sizes[label - 1] += 1
-            repairs += 1
-    return assignment, repairs
+    return assignment
 
 
 def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q,
@@ -291,6 +279,5 @@ def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q,
     if not converged:
         warnings.warn("relaxed grouping program hit its iteration cap; returning best rounded iterate")
 
-    assignment, repairs = _round_with_margin_repair(g, q)
-    rounded = GroupingMatrix(assignment=assignment, num_groups=q, repairs=repairs, converged=converged)
+    rounded = GroupingMatrix(assignment=_round_with_margin_repair(g, q), num_groups=q)
     return replace(max(starts + [rounded], key=binary_obj), converged=converged)

@@ -221,12 +221,6 @@ def aggregate(rows):
     return out
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def rows_to_csv_text(rows, timings=False):
     """Render trial rows as CSV text with the pinned schema.
 
@@ -238,8 +232,8 @@ def rows_to_csv_text(rows, timings=False):
     writer.writerow(CSV_HEADER)
     for r in sorted(rows, key=lambda r: (r.scheme, r.axis_value, r.trial)):
         runtime = r.runtime_ms if timings else 0.0
-        writer.writerow([r.scheme, r.axis, _fmt(r.axis_value), r.N, r.Q, r.trial, r.seed,
-                         _fmt(float(r.wsr_bits)), r.iterations, _fmt(float(runtime))])
+        writer.writerow([r.scheme, r.axis, r.axis_value, r.N, r.Q, r.trial, r.seed,
+                         float(r.wsr_bits), r.iterations, float(runtime)])
     return buf.getvalue()
 
 
@@ -254,10 +248,9 @@ def _aggregate_path(path):
 
 
 def write_csv_aggregate(rows, path):
+    """Write aggregate(rows) as CSV, its header the rows' keys; rows must be non-empty."""
     aggs = aggregate(rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("scheme", "axis", "axis_value", "n_trials", "wsr_mean", "wsr_stderr"))
-        for a in aggs:
-            writer.writerow([a["scheme"], a["axis"], _fmt(a["axis_value"]), a["n_trials"],
-                             _fmt(a["wsr_mean"]), _fmt(a["wsr_stderr"])])
+        writer = csv.DictWriter(fh, fieldnames=aggs[0], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(aggs)

@@ -34,6 +34,18 @@ class TestInputs:
     def test_group_count_bounds_accepted(self, n, q):
         assert AsymptoticInputs(N=n, Q=q).mu == n // q
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappa_bi", np.nan), ("kappa_iu", np.inf), ("delta_bi", np.nan), ("delta_iu", -1.0),
+        ("N", 8.5), ("N", True), ("Q", "4")])
+    def test_bad_value_named(self, field, value):
+        # a nan or inf fading parameter once gave a NaN variance and gain, with no error
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            AsymptoticInputs(**{"N": 8, "Q": 4, field: value})
+
+    def test_whole_float_count_stored_as_int(self):
+        inp = AsymptoticInputs(N=8.0, Q=4)
+        assert type(inp.N) is int and inp.N == 8
+
     def test_derived_quantities(self):
         inp = AsymptoticInputs(N=16, Q=4, kappa_bi=10.0, kappa_iu=10.0)
         assert inp.mu == 4

@@ -200,6 +200,10 @@ class TestSolverOptions:
         with pytest.raises(ValueError, match=f"^{field} must"):
             SolverOptions(**{field: value})
 
+    def test_bound_message(self):
+        with pytest.raises(ValueError, match=r"^max_outer must be >= 1, got 0$"):
+            SolverOptions(max_outer=0)
+
     def test_edge_values_run(self):
         assert type(SolverOptions(max_outer=3.0).max_outer) is int
         opts = SolverOptions(tol=0.0, max_outer=np.int64(1))

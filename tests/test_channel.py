@@ -133,7 +133,7 @@ class TestCascadeDecompose:
 
 class TestCascadedChannel:
     def test_all_ones(self):
-        c = cascaded_channel(np.ones(4), np.ones(4))
+        c = cascaded_channel(np.ones(4), np.ones((1, 4)))
         assert np.allclose(c[:, 0], np.ones(4))
 
     def test_zero_user_link(self):
@@ -157,9 +157,9 @@ class TestCascadedChannel:
     def test_single_antenna_reduces_to_entrywise_product(self):
         rng = np.random.default_rng(8)
         h_iu = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        h_bi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        h_bi = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
         c = cascaded_channel(h_iu, h_bi)
-        assert np.allclose(c[:, 0], np.conj(h_iu) * np.conj(h_bi))
+        assert np.allclose(c[:, 0], np.conj(h_iu) * np.conj(h_bi[0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

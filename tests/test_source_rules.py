@@ -1,9 +1,12 @@
-"""Rules every module under src/iegirs/ keeps, checked on its syntax tree."""
+"""Rules every module under src/iegirs/ keeps, checked on its syntax tree or its classes."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from iegirs import AsymptoticInputs, ScenarioConfig, SolverOptions
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "iegirs").glob("*.py"))
 
@@ -29,3 +32,17 @@ def test_no_thread_imports(path):
     names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     threads = [n for n in names if n and n.split(".")[0] in ("threading", "concurrent")]
     assert threads == [], f"{path.name} imports {threads}"
+
+
+@pytest.mark.parametrize("cls, ints, floats", [
+    (ScenarioConfig, ["M", "K", "N", "Q", "trials", "seed"],
+     ["user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm"]),
+    (SolverOptions, ["max_outer"], ["tol"]),
+    (AsymptoticInputs, ["N", "Q"], ["delta_bi", "delta_iu", "kappa_bi", "kappa_iu"])],
+    ids=["ScenarioConfig", "SolverOptions", "AsymptoticInputs"])
+def test_checked_fields_by_annotation(cls, ints, floats):
+    # check_fields reads each field's annotation as its kind; under
+    # `from __future__ import annotations` every annotation is a string, no
+    # field would match int or float, and every check would be skipped
+    assert [f.name for f in fields(cls) if f.type is int] == ints
+    assert [f.name for f in fields(cls) if f.type is float] == floats
