@@ -344,11 +344,16 @@ def test_cli_rejects_trials_below_one(command, trials, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+def _run_python(*args, check=True):
+    """Run python with args in a fresh interpreter that imports this checkout's iegirs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(iegirs.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=check, env=env)
+
+
 def _run_fresh(code, check=True):
     """Run code in a fresh interpreter that imports this checkout's iegirs."""
-    env = dict(os.environ, PYTHONPATH=str(Path(iegirs.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=check, env=env)
+    return _run_python("-c", code, check=check)
 
 
 def _loaded_after_cli_import(module):
@@ -378,6 +383,13 @@ class TestCliImportSet:
         assert out.returncode == 0, out.stderr
         assert "1/1 acceptance criteria passed" in out.stdout
 
+    def test_python_dash_m_runs_the_cli(self):
+        out = _run_python("-m", "iegirs", "validate", "--only", "c01", check=False)
+        assert out.returncode == 0, out.stderr
+        assert "1/1 acceptance criteria passed" in out.stdout
+        # and exits with the CLI's code: argparse refuses --trials 0 with 2
+        assert _run_python("-m", "iegirs", "asymptotics", "--trials", "0", check=False).returncode == 2
+
 
 class TestKurtosis:
     def test_matches_scipy_pearson_biased(self):
@@ -391,6 +403,13 @@ class TestKurtosis:
 
     def test_cli_import_leaves_out_scipy_special(self):
         assert not _loaded_after_cli_import("scipy.special")
+
+    def test_asymptotics_run_leaves_out_scipy_special(self, tmp_path):
+        # laguerre_half evaluates its Bessel factors itself; scipy.special costs about 19 MB
+        code = ("import sys; from iegirs import cli; "
+                f"cli.main(['asymptotics', '--trials', '5', '--out', {str(tmp_path / 'a.csv')!r}]); "
+                "print('scipy.special' in sys.modules)")
+        assert _run_fresh(code).stdout.splitlines()[-1] == "False"
 
     def test_cli_import_leaves_out_concurrent_futures(self):
         # nothing in the package uses it; importing it costs about 10 ms, mostly logging

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from iegirs.mathkit import array_response, group_shrink_factor, laguerre_half, virtual_los_direction
+from iegirs import acceptance, cli, mathkit
+from iegirs.mathkit import (_i0e_i1e, array_response, group_shrink_factor, laguerre_half,
+                            virtual_los_direction)
 
 
 def bessel_i_series(nu, z):
@@ -77,6 +80,60 @@ class TestLaguerreHalf:
         h = sigma * np.sqrt(kappa) + g
         expected = (np.sqrt(np.pi) / 2.0) * sigma * laguerre_half(kappa)
         assert abs(np.mean(np.abs(h)) - expected) / expected <= 0.01
+
+
+def assert_scipy_bits(h):
+    """_i0e_i1e(h) equals scipy.special.i0e(h) and i1e(h) bit for bit."""
+    h = np.asarray(h, dtype=float)
+    i0e, i1e = _i0e_i1e(h)
+    off = h[(i0e != special.i0e(h)) | (i1e != special.i1e(h))]
+    assert off.size == 0, f"{off.size} arguments differ from scipy, first {off[:5]}"
+
+
+def scipy_laguerre_half(x):
+    """laguerre_half's formula on scipy.special's Bessel functions: the bits it must keep."""
+    h = x / 2.0
+    return (1.0 + x) * special.i0e(h) + x * special.i1e(h)
+
+
+class TestCephesKernel:
+    def test_dense_grid_on_both_branches(self):
+        assert_scipy_bits(np.linspace(0.0, 8.0, 200001))
+        assert_scipy_bits(np.linspace(8.0, 1e3, 200001))
+        assert_scipy_bits(np.geomspace(1e-6, 1e9, 200001))
+
+    @pytest.mark.parametrize("h", [8.0, np.nextafter(8.0, np.inf), np.nextafter(8.0, -np.inf),
+                                   0.0, 5e-324, 1e8, 1e300])
+    def test_edges(self, h):
+        assert_scipy_bits(np.array([h]))
+        assert_scipy_bits(np.asarray(h))
+
+    def test_arguments_the_program_passes(self, monkeypatch, tmp_path):
+        # every half-argument of the asymptotics table (ieg_gain, performance_loss,
+        # uirs_gain) and of criterion c01 reaches the kernel through laguerre_half
+        seen = []
+
+        def recorder(h):
+            seen.append(h.copy())
+            return _i0e_i1e(h)
+
+        monkeypatch.setattr(mathkit, "_i0e_i1e", recorder)
+        assert cli.main(["asymptotics", "--trials", "5", "--out", str(tmp_path / "a.csv")]) == 0
+        table_calls = len(seen)
+        assert acceptance.c01_special_function_oracle()[0]
+        assert table_calls >= 17 and len(seen) > table_calls
+        assert_scipy_bits(np.concatenate([np.ravel(h) for h in seen]))
+
+    def test_laguerre_half_keeps_the_scipy_bits(self):
+        grid = np.concatenate([np.linspace(0.0, 50.0, 5001), np.geomspace(1e-9, 1e12, 5001),
+                               [0.0, 16.0, np.nextafter(16.0, 0.0), np.nextafter(16.0, 32.0)]])
+        assert np.array_equal(laguerre_half(grid), scipy_laguerre_half(grid))
+        assert np.array_equal(laguerre_half(grid.reshape(2, -1)),
+                              scipy_laguerre_half(grid.reshape(2, -1)))
+        for x in grid[::97]:
+            for arg in (float(x), np.asarray(x)):
+                val = laguerre_half(arg)
+                assert type(val) is float and val == float(scipy_laguerre_half(np.asarray(x)))
 
 
 class TestArrayResponse:

@@ -34,6 +34,18 @@ def test_no_thread_imports(path):
     assert threads == [], f"{path.name} imports {threads}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_scipy_imported_only_by_acceptance(path):
+    # scipy.special alone costs about 19 MB and 0.25 s; only criterion c07's scipy.optimize needs scipy
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    scipy = [n for n in names if n.split(".")[0] == "scipy"]
+    assert path.name == "acceptance.py" or scipy == [], f"{path.name} imports {scipy}"
+
+
 @pytest.mark.parametrize("cls, ints, floats", [
     (ScenarioConfig, ["M", "K", "N", "Q", "trials", "seed"],
      ["user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm"]),
