@@ -2,8 +2,7 @@
 
 from .asymptotics import (AsymptoticInputs, ieg_gain, combined_cascade_distribution, performance_loss,
                           uirs_gain, validate_combined_cascade_monte_carlo)
-from .beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector, SolverOptions,
-                          SolveResult, two_stage_solve, wsr)
+from .beamforming import FPAuxiliaries, PrecodingMatrix, SolverOptions, SolveResult, two_stage_solve, wsr
 from .channel import ChannelSet, RicianLink, build_scenario, path_loss_db
 from .config import ScenarioConfig
 from .grouping import (GroupingMatrix, adjacent_grouping, combine_cascade, count_groupings,

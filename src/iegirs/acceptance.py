@@ -261,9 +261,9 @@ def c09_reflection_majorization():
                 + 2 * np.real(np.conj(va) * u[0, 1] * vb))
         lin = 2 * np.real(np.conj(va) * phi[0] + np.conj(vb) * phi[1])
         f_grid = float(np.max(-quad - lin))
-        start = bf.ReflectionVector(phases=np.angle(-phi))
-        v_mm = bf.update_rcv_mm(start, w, aux, c_hat, h_bu, max_inner=200, tol=1e-14)
-        f_mm = bf.rcv_objective(v_mm.values, u @ v_mm.values, phi)
+        start = np.exp(1j * np.angle(-phi))
+        v_mm = np.exp(1j * bf.update_rcv_mm(start, w, aux, c_hat, h_bu, max_inner=200, tol=1e-14))
+        f_mm = bf.rcv_objective(v_mm, u @ v_mm, phi)
         lipschitz = 2 * lam * math.sqrt(q) + 2 * float(np.linalg.norm(phi))
         tol_grid = lipschitz * (math.pi / res) * math.sqrt(2.0)
         if abs(f_mm - f_grid) > tol_grid:

@@ -16,9 +16,10 @@ from .grouping import combine_cascade, phase_partition_grouping
 from .mathkit import array_response, group_shrink_factor, laguerre_half, virtual_los_direction
 
 
-@dataclass
+@dataclass(frozen=True)
 class AsymptoticInputs:
-    """Element/group counts and the two-hop fading parameters."""
+    """Element/group counts and the two-hop fading parameters; frozen, so mu
+    always reads the checked N and Q."""
 
     N: int
     Q: int

@@ -11,7 +11,6 @@ bits/s/Hz.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,25 +62,6 @@ class FPAuxiliaries:
                              alpha_xi=alpha * xi, alpha_conj_xi=alpha * conj_xi, conj_xi=conj_xi,
                              xi_sq=mag ** 2, xi_sq_pow=tuple(m ** 2 for m in mag.tolist()),
                              fp_base=(weights * (np.log1p(varsigma) - varsigma)).sum())
-
-
-@dataclass
-class ReflectionVector:
-    """Unit-modulus reflection coefficients stored as phases; values is cached, read-only."""
-
-    phases: np.ndarray
-
-    def __post_init__(self):
-        self.phases = np.asarray(self.phases, dtype=float)
-
-    @cached_property
-    def values(self):
-        out = np.exp(1j * self.phases)
-        out.flags.writeable = False
-        return out
-
-    def __len__(self):
-        return self.phases.shape[0]
 
 
 @dataclass
@@ -420,8 +400,9 @@ def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
     return rot * rcv_values, rot * w
 
 
-def update_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner, tol, work=None):
-    """Reflection update by iterated majorization from the ReflectionVector rcv.
+def update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner, tol, work=None):
+    """Reflection update by iterated majorization from the unit-modulus values
+    v (Q,); returns the phases (Q,) of the values it reached.
 
     Each step maximizes a tangent surrogate of the quadratic objective, so
     the true objective is non-decreasing across steps. Stops on relative
@@ -442,7 +423,6 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner, tol, work=None):
     u += scratch
     u /= 2.0
     lam = top_eigenvalue(u)
-    v = rcv.values
     uv = u @ v                                # shared by the step and the objective
     obj = rcv_objective(v, uv, phi)
     for _ in range(max_inner):
@@ -453,7 +433,7 @@ def update_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner, tol, work=None):
         obj = obj_new
         if done:
             break
-    return ReflectionVector(phases=np.angle(v))
+    return np.angle(v)
 
 
 def _frobenius(x):
@@ -483,15 +463,16 @@ class SolverOptions:
 class SolveResult:
     """One run of the alternating loop (solve_fp) and the rate it reached.
 
-    grouping is set by the caller that chose it (None from solve_fp); aux is
-    the last iteration's; wsr_bits, in bits/s/Hz, is the rate at (precoder,
-    rcv); trace_steps holds the internal objective after every block update,
-    three per outer iteration.
+    grouping is set by the caller that chose it (None from solve_fp); rcv
+    holds the reflection phases (Q,), of values np.exp(1j * rcv); aux is the
+    last iteration's; wsr_bits, in bits/s/Hz, is the rate at (precoder, rcv);
+    trace_steps holds the internal objective after every block update, three
+    per outer iteration.
     """
 
     grouping: GroupingMatrix | None
     precoder: PrecodingMatrix
-    rcv: ReflectionVector
+    rcv: np.ndarray
     aux: FPAuxiliaries
     wsr_bits: float
     trace_steps: np.ndarray
@@ -526,34 +507,36 @@ def _aggregate(cascades, w, coef):
 
 
 def heuristic_rcv(c_hat_stat, w_stat, weights):
-    """Statistical reflection guess: align each group with the weighted
+    """Statistical reflection phases (Q,): align each group with the weighted
     aggregate of its statistical cascade responses to the users' beams."""
-    return ReflectionVector(phases=np.angle(_aggregate(c_hat_stat, w_stat, weights)))
+    return np.angle(_aggregate(c_hat_stat, w_stat, weights))
 
 
 def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     """Alternating ratio-transform loop at a fixed grouping, from (v0, w0).
 
     c_hat: (K, Q, M) grouped cascades; Q may be 0, which turns this into a
-    precoder-only solve. v0 is a ReflectionVector, w0 the (M, K) starting
-    beams, by default the matched filter to the effective channels at v0.
-    Returns a SolveResult with grouping None.
+    precoder-only solve. v0 holds the (Q,) starting reflection phases, w0 the
+    (M, K) starting beams, by default the matched filter to the effective
+    channels at v0. Returns a SolveResult with grouping None.
 
-    h and its received statistics (rx_stats) are formed once per iteration,
-    at the new reflection vector: they give the closing objective and carry
-    over as the next iteration's h, auxiliary input and opening objective,
-    and the last h gives the returned rate. At Q = 0 the reflection block
-    leaves h unchanged, so the statistics after the precoder update close the
+    The values np.exp(1j * theta) are formed once per new reflection, and h
+    and its received statistics (rx_stats) once per iteration, at the new
+    reflection: they give the closing objective and carry over as the next
+    iteration's h, auxiliary input and opening objective, and the last h
+    gives the returned rate. At Q = 0 the reflection block leaves h
+    unchanged, so the statistics after the precoder update close the
     iteration. Each carried value is the same call on the same inputs that
     would recompute it, so every output is bit for bit that of forming h and
     rx_stats anew after every block.
     """
     q = c_hat.shape[1]
-    v = v0
+    theta = np.asarray(v0, dtype=float)
+    v = np.exp(1j * theta)
     trace_steps = []
     work = np.empty((2, q, q), dtype=complex)   # the (Q, Q) buffers of every reflection update
     previous, converged = None, False
-    h = effective_channels(v.values, c_hat, h_bu)
+    h = effective_channels(v, c_hat, h_bu)
     w = matched_precoder(h, p_max) if w0 is None else np.asarray(w0, dtype=complex)
     stats = rx_stats(h, w, noise_power)
     for it in range(1, opts.max_outer + 1):
@@ -565,10 +548,11 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
         current = fp_objective(*stats, aux)
         trace_steps.append(current)
         if q > 0:
-            v = update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=MM_ITERS, tol=MM_TOL, work=work)
-            rotated, w = joint_phase_rotation(v.values, w, aux, c_hat, h_bu)
-            v = ReflectionVector(phases=np.angle(rotated))
-            h = effective_channels(v.values, c_hat, h_bu)
+            theta = update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=MM_ITERS, tol=MM_TOL, work=work)
+            rotated, w = joint_phase_rotation(np.exp(1j * theta), w, aux, c_hat, h_bu)
+            theta = np.angle(rotated)
+            v = np.exp(1j * theta)
+            h = effective_channels(v, c_hat, h_bu)
             stats = rx_stats(h, w, noise_power)
             current = fp_objective(*stats, aux)
         trace_steps.append(current)
@@ -577,7 +561,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
             break
         previous = current
     pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange)
-    return SolveResult(grouping=None, precoder=pm, rcv=v, aux=aux,
+    return SolveResult(grouping=None, precoder=pm, rcv=theta, aux=aux,
                        wsr_bits=wsr(sinr_all(h, pm.w, noise_power), aux.weights),
                        trace_steps=np.asarray(trace_steps), iterations=it, converged=converged)
 

@@ -42,13 +42,14 @@ def check_fields(obj, at_least):
             raise ValueError(f"{name} must be >= {low}, got {getattr(obj, name)!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Geometry, array sizes, fading statistics, and run controls for a scene.
 
     Distances are metres, powers dBm, Rician factors linear. The direct
     BS-user link uses the NLoS path-loss model when scenario == "obscured"
     and the LoS model otherwise; BS-IRS and IRS-user links are always LoS.
+    Frozen: every field is checked once, at construction.
     """
 
     M: int = 4                      # BS antennas
@@ -76,7 +77,8 @@ class ScenarioConfig:
             raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
-        self.weights = (1.0,) * self.K if self.weights is None else self.weights
+        if self.weights is None:
+            object.__setattr__(self, "weights", (1.0,) * self.K)
         for name in (f.name for f in fields(self) if f.type in (tuple, tuple | None)):
             value = getattr(self, name)
             if isinstance(value, (str, Mapping)) or not isinstance(value, Iterable):
@@ -87,7 +89,7 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must list real numbers, got {value!r}")
             if name in _POSITIONS and (len(value) != 3 or not all(map(math.isfinite, value))):
                 raise ValueError(f"{name} must list 3 finite coordinates (x, y, z), got {value!r}")
-            setattr(self, name, value if name == "schemes" else tuple(map(float, value)))
+            object.__setattr__(self, name, value if name == "schemes" else tuple(map(float, value)))
         if len(self.weights) != self.K:
             raise ValueError("weights length must equal K")
         if not all(math.isfinite(w) and w >= 0 for w in self.weights):
@@ -110,6 +112,9 @@ class ScenarioConfig:
         return 10.0 ** ((self.noise_dbm - 30.0) / 10.0)
 
     def replace(self, **kw):
+        """A checked copy with kw changed; all-ones (default) weights follow a new K."""
+        if "weights" not in kw and self.weights == (1.0,) * self.K:
+            kw["weights"] = None
         return replace(self, **kw)
 
     @classmethod

@@ -117,8 +117,8 @@ def run_scheme(scheme, channels, config, rng):
         res = bf.two_stage_solve(channels, q, p_max, weights, opts=opts, grouping=grouping)
     else:
         c_hat, h_bu_eff = scheme_problem(scheme, channels, q, frozen=frozen)
-        v0 = bf.ReflectionVector(phases=np.zeros(c_hat.shape[1]))
-        res = bf.solve_fp(c_hat, h_bu_eff, channels.noise_power, p_max, weights, v0, opts)
+        res = bf.solve_fp(c_hat, h_bu_eff, channels.noise_power, p_max, weights,
+                          np.zeros(c_hat.shape[1]), opts)
 
     if len(res.rcv) != expected:
         raise RuntimeError(f"{scheme} exposes {len(res.rcv)} real-time dims, expected {expected}")
@@ -137,8 +137,7 @@ def recompute_wsr(channels, result, config):
     sol = result.solution
     c_hat, h_bu = scheme_problem(result.scheme, channels, result.Q, grouping=sol.grouping,
                                  frozen=result.frozen_phases)
-    v = np.exp(1j * sol.rcv.phases)
-    h = bf.effective_channels(v, c_hat, h_bu)
+    h = bf.effective_channels(np.exp(1j * sol.rcv), c_hat, h_bu)
     weights = np.asarray(config.weights, dtype=float)
     return bf.wsr(bf.sinr_all(h, sol.precoder.w, channels.noise_power), weights)
 

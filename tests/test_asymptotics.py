@@ -46,6 +46,13 @@ class TestInputs:
         inp = AsymptoticInputs(N=8.0, Q=4)
         assert type(inp.N) is int and inp.N == 8
 
+    def test_fields_frozen_after_construction(self):
+        # construction refuses Q = 3 (it does not divide N = 8), an assignment once took it
+        inp = AsymptoticInputs(N=8, Q=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inp.Q = 3
+        assert inp.Q == 4
+
     def test_derived_quantities(self):
         inp = AsymptoticInputs(N=16, Q=4, kappa_bi=10.0, kappa_iu=10.0)
         assert inp.mu == 4

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iegirs import beamforming as bf
-from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, ReflectionVector, SolverOptions,
+from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, SolverOptions,
                                 build_rcv_quadratic, effective_channels,
                                 fp_objective, matched_precoder, mm_step, mm_surrogate,
                                 precoder_quadratic, rcv_objective, rx_stats, sinr_all, solve_fp,
@@ -186,7 +186,7 @@ class TestUpdateAuxiliaries:
             update_auxiliaries(*rx_stats(h, w0, 1.0), weights)
         with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
             solve_fp(np.zeros((4, 0, 2), dtype=complex), h, 1.0, 1.0, weights,
-                     ReflectionVector(phases=np.zeros(0)), SolverOptions(), w0)
+                     np.zeros(0), SolverOptions(), w0)
 
 
 class TestSolverOptions:
@@ -425,11 +425,11 @@ class TestReflectionUpdate:
         rng = np.random.default_rng(7)
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=1)
         u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
-        out = update_rcv_mm(ReflectionVector(phases=np.array([1.0])), w, aux, c_hat, h_bu,
-                            max_inner=2, tol=1e-10)
+        out = np.exp(1j * update_rcv_mm(np.exp(1j * np.array([1.0])), w, aux, c_hat, h_bu,
+                                        max_inner=2, tol=1e-10))
         grid = np.exp(1j * np.linspace(0, 2 * np.pi, 10 ** 4, endpoint=False))
         vals = [rcv_objective(v, u @ v, phi) for v in grid[:, None]]
-        got = rcv_objective(out.values, u @ out.values, phi)
+        got = rcv_objective(out, u @ out, phi)
         assert got >= max(vals) - 1e-6 * max(1.0, abs(max(vals)))
 
     def test_surrogate_bound_and_tangency(self):
@@ -466,9 +466,9 @@ class TestReflectionUpdate:
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=4)
         u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
         u = (u + u.conj().T) / 2
-        out = update_rcv_mm(ReflectionVector(phases=np.angle(-phi)), w, aux, c_hat, h_bu,
-                            max_inner=300, tol=1e-14)
-        f_mm = rcv_objective(out.values, u @ out.values, phi)
+        out = np.exp(1j * update_rcv_mm(np.exp(1j * np.angle(-phi)), w, aux, c_hat, h_bu,
+                                        max_inner=300, tol=1e-14))
+        f_mm = rcv_objective(out, u @ out, phi)
 
         res = 64
         th = np.exp(1j * 2 * np.pi * np.arange(res) / res)
@@ -500,7 +500,7 @@ class TestReflectionUpdate:
 
         monkeypatch.setattr(bf, "build_rcv_quadratic", bad_quadratic)
         with pytest.raises(ValueError):
-            update_rcv_mm(ReflectionVector(phases=np.zeros(2)), w, aux, c_hat, h_bu,
+            update_rcv_mm(np.ones(2, dtype=complex), w, aux, c_hat, h_bu,
                           max_inner=50, tol=1e-10)
 
 
@@ -522,7 +522,7 @@ class TestSolveLoop:
         res = two_stage_solve(ch, n, 1.0, (1.0,), opts=SolverOptions(tol=1e-12, max_outer=500),
                               grouping=adjacent_grouping(n, n))
         c = np.conj(ch.h_iu[0]) * np.conj(ch.h_bi[0])
-        achieved = abs(np.vdot(res.rcv.values, c))
+        achieved = abs(np.vdot(np.exp(1j * res.rcv), c))
         assert abs(achieved - np.abs(c).sum()) <= 1e-6 * np.abs(c).sum()
 
     def test_trace_monotone_and_power_feasible(self):
@@ -577,8 +577,7 @@ class TestSolveLoop:
         h_bu = random_complex(rng, (k, m))
         c_hat = np.zeros((k, 0, m), dtype=complex)
         w0 = matched_precoder(h_bu, 1.0)
-        res = solve_fp(c_hat, h_bu, 1e-2, 1.0, np.ones(k), ReflectionVector(phases=np.zeros(0)),
-                       SolverOptions(), w0)
+        res = solve_fp(c_hat, h_bu, 1e-2, 1.0, np.ones(k), np.zeros(0), SolverOptions(), w0)
         assert res.converged
         assert len(res.rcv) == 0 and res.grouping is None
         steps = res.trace_steps
@@ -638,13 +637,13 @@ class TestSolveLoop:
         assert res.converged
         weights = np.ones(3)
         c_hat = np.stack([combine_cascade(res.grouping, ch.cascade(k)) for k in range(3)])
-        h = effective_channels(res.rcv.values, c_hat, ch.h_bu)
+        h = effective_channels(np.exp(1j * res.rcv), c_hat, ch.h_bu)
         stats = rx_stats(h, res.precoder.w, ch.noise_power)
         aux = update_auxiliaries(*stats, weights)
         base = fp_objective(*stats, aux)
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            v = np.exp(1j * (res.rcv.phases + 1e-3 * rng.standard_normal(4)))
+            v = np.exp(1j * (res.rcv + 1e-3 * rng.standard_normal(4)))
             probed = fp_at(v, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
             assert probed <= base + 1e-9 * max(1.0, abs(base))
 
@@ -693,12 +692,11 @@ def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
     return rot * rcv_values, rot * w
 
 
-def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
+def _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
     """Reflection update that forms U, its symmetrization and U v anew in every step."""
     u, phi = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
     u = (u + u.conj().T) / 2.0
     lam = bf.top_eigenvalue(u)
-    v = np.exp(1j * rcv.phases)
     obj = rcv_objective(v, u @ v, phi)
     for _ in range(max_inner):
         v = mm_step(v, u @ v, phi, lam)
@@ -707,25 +705,25 @@ def _reference_rcv_mm(rcv, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
         obj = obj_new
         if done:
             break
-    return ReflectionVector(phases=np.angle(v))
+    return np.angle(v)
 
 
 def _matched_start(v0, c_hat, h_bu, p_max):
     """Start beams formed outside solve_fp: the matched filter to the effective channels at v0."""
-    return matched_precoder(effective_channels(np.exp(1j * v0.phases), c_hat, h_bu), p_max)
+    return matched_precoder(effective_channels(np.exp(1j * v0), c_hat, h_bu), p_max)
 
 
 def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     """Alternating loop that re-evaluates every quantity after every block,
     and the rate at the end from a fresh effective channel; w0 defaults to
     _matched_start."""
-    v = v0
+    phases = v0
     w = _matched_start(v0, c_hat, h_bu, p_max) if w0 is None else np.asarray(w0, dtype=complex)
     weights = np.asarray(weights, dtype=float)
     trace, steps = [], []
     pm, aux, converged, it = None, None, False, 0
     for it in range(1, opts.max_outer + 1):
-        vals = np.exp(1j * v.phases)
+        vals = np.exp(1j * phases)
         h = effective_channels(vals, c_hat, h_bu)
         aux = update_auxiliaries(*rx_stats(h, w, noise_power), weights)
         steps.append(fp_at(vals, w, aux, c_hat, h_bu, noise_power))
@@ -733,20 +731,21 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=N
         w = pm.w
         steps.append(fp_at(vals, w, aux, c_hat, h_bu, noise_power))
         if c_hat.shape[1] > 0:
-            v = _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=bf.MM_ITERS, tol=bf.MM_TOL)
-            rotated, w = _reference_joint_phase_rotation(np.exp(1j * v.phases), w, aux, c_hat,
+            phases = _reference_rcv_mm(vals, w, aux, c_hat, h_bu, max_inner=bf.MM_ITERS,
+                                       tol=bf.MM_TOL)
+            rotated, w = _reference_joint_phase_rotation(np.exp(1j * phases), w, aux, c_hat,
                                                          h_bu)
-            v = ReflectionVector(phases=np.angle(rotated))
-        current = fp_at(np.exp(1j * v.phases), w, aux, c_hat, h_bu, noise_power)
+            phases = np.angle(rotated)
+        current = fp_at(np.exp(1j * phases), w, aux, c_hat, h_bu, noise_power)
         steps.append(current)
         trace.append(current)
         if it > 1 and abs(trace[-1] - trace[-2]) <= opts.tol * max(1.0, abs(trace[-2])):
             converged = True
             break
     pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange if pm is not None else 0.0)
-    h = effective_channels(v.values, c_hat, h_bu)
+    h = effective_channels(np.exp(1j * phases), c_hat, h_bu)
     rate = wsr(sinr_all(h, pm.w, noise_power), weights)
-    return bf.SolveResult(grouping=None, precoder=pm, rcv=v, aux=aux, wsr_bits=rate,
+    return bf.SolveResult(grouping=None, precoder=pm, rcv=phases, aux=aux, wsr_bits=rate,
                           trace_steps=np.asarray(steps), iterations=it, converged=converged)
 
 
@@ -769,7 +768,7 @@ def _loop_problem(case):
     else:
         g = adjacent_grouping(n, q)
         c_hat = np.stack([combine_cascade(g, c) for c in cascades])
-    v0 = ReflectionVector(phases=np.random.default_rng(5).uniform(0.0, 2 * np.pi, c_hat.shape[1]))
+    v0 = np.random.default_rng(5).uniform(0.0, 2 * np.pi, c_hat.shape[1])
     return c_hat, h_bu, ch.noise_power, cfg.power_watts, weights, v0
 
 
@@ -777,7 +776,7 @@ def _assert_same_solve(a, b):
     assert (a.iterations, a.converged) == (b.iterations, b.converged)
     assert np.array_equal(a.trace_steps, b.trace_steps)
     assert np.array_equal(a.precoder.w, b.precoder.w) and a.precoder.lagrange == b.precoder.lagrange
-    assert np.array_equal(a.rcv.phases, b.rcv.phases)
+    assert np.array_equal(a.rcv, b.rcv)
     assert np.array_equal(a.aux.xi, b.aux.xi) and np.array_equal(a.aux.varsigma, b.aux.varsigma)
     assert a.wsr_bits == b.wsr_bits
 
@@ -799,7 +798,7 @@ class TestLoopBitExact:
         # channels at v0, bit for bit as a caller once formed it
         problem = _loop_problem(case)
         c_hat, h_bu, _, p_max, _, v0 = problem
-        w0 = matched_precoder(effective_channels(v0.values, c_hat, h_bu), p_max)
+        w0 = matched_precoder(effective_channels(np.exp(1j * v0), c_hat, h_bu), p_max)
         opts = SolverOptions(max_outer=60)
         default, given = solve_fp(*problem, opts), solve_fp(*problem, opts, w0)
         assert default.iterations > 2
@@ -825,11 +824,11 @@ class TestLoopBitExact:
         rng = np.random.default_rng(21)
         for q, max_inner in ((1, 3), (4, 50), (16, 0), (64, 30)):
             c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=q)
-            rcv = ReflectionVector(phases=rng.uniform(0.0, 2 * np.pi, q))
-            args = (rcv, w, aux, c_hat, h_bu)
+            v = np.exp(1j * rng.uniform(0.0, 2 * np.pi, q))
+            args = (v, w, aux, c_hat, h_bu)
             new = update_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
             ref = _reference_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
-            assert np.array_equal(new.phases, ref.phases)
+            assert np.array_equal(new, ref)
 
     def test_rcv_quadratic_matches_reference(self):
         rng = np.random.default_rng(22)
@@ -937,7 +936,7 @@ def _assert_same_two_stage(a, b):
     assert np.array_equal(a.grouping.assignment, b.grouping.assignment)
     assert np.array_equal(a.trace_steps, b.trace_steps)
     assert np.array_equal(a.precoder.w, b.precoder.w)
-    assert np.array_equal(a.rcv.phases, b.rcv.phases)
+    assert np.array_equal(a.rcv, b.rcv)
     assert a.wsr_bits == b.wsr_bits and a.iterations == b.iterations
 
 
@@ -1025,7 +1024,7 @@ def _reference_grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, 
     best = _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max)
     relaxed_calls.append(q)
     refined = grp.relaxed_qp_grouping(_reference_stat_inputs(channels)[0], channels.h_bu_stat,
-                                      best.precoder.w, best.rcv.values, best.aux, q,
+                                      best.precoder.w, np.exp(1j * best.rcv), best.aux, q,
                                       rho=1.0, max_rounds=20, pg_steps=15,
                                       extra_starts=(best.grouping,))
     if not np.array_equal(refined.assignment, best.grouping.assignment):
@@ -1103,12 +1102,3 @@ class TestStage1BitExact:
         monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
         ref = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
         _assert_same_two_stage(new, ref)
-
-
-class TestReflectionVectorValues:
-    def test_values_cached_and_read_only(self):
-        rv = ReflectionVector(phases=np.array([0.0, 1.0, -2.0]))
-        assert rv.values is rv.values
-        assert np.array_equal(rv.values, np.exp(1j * rv.phases))
-        with pytest.raises(ValueError):
-            rv.values[0] = 1.0

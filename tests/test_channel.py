@@ -451,6 +451,23 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(K=3, weights=(1.0, 2.0))
 
+    def test_replace_lets_all_ones_weights_follow_k(self):
+        # the default weights were materialized at K = 4 and once refused K = 2
+        assert ScenarioConfig().replace(K=2).weights == (1.0, 1.0)
+        assert ScenarioConfig(K=2, weights=[1, 1]).replace(K=3).weights == (1.0, 1.0, 1.0)
+        assert ScenarioConfig(K=2).replace(K=3, weights=(1.0, 2.0, 3.0)).weights == (1.0, 2.0, 3.0)
+        with pytest.raises(ValueError, match="weights length must equal K"):
+            ScenarioConfig(K=2, weights=(1.0, 2.0)).replace(K=3)
+
+    @pytest.mark.parametrize("field, value", [("N", 2.5), ("K", 2), ("weights", (1.0,) * 4)],
+                             ids=["N", "K", "weights"])
+    def test_fields_frozen_after_construction(self, field, value):
+        # an assignment after construction would skip every check
+        cfg = ScenarioConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == ScenarioConfig()
+
     @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_bad_weights_rejected_at_construction(self, bad):
         # caught here, not as a failed precoder update deep inside a solve

@@ -91,13 +91,15 @@ class TestRunScheme:
 
 class TestAudit:
     def test_recomputed_rates_match(self):
-        cfg = _tiny_config(schemes=("ieg", "aeg", "uirs_q", "random_rcv", "no_irs"))
-        rows = run_monte_carlo(cfg)
-        for row in rows:
-            ss = trial_seed_sequence(cfg.seed, row.trial)
-            channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
-            again = recompute_wsr(channels, row, cfg)
-            assert abs(again - row.wsr_bits) <= 1e-9 * max(1.0, row.wsr_bits)
+        # bit for bit: the returned phases are exactly those the rate was computed at
+        for cfg in (ScenarioConfig(N=256, Q=4, trials=3), ScenarioConfig(N=16, Q=16, trials=3),
+                    ScenarioConfig(N=64, Q=8, trials=3, weights=(1.0, 2.0, 0.5, 1.5))):
+            rows = run_monte_carlo(cfg)
+            assert len(rows) == 15
+            for row in rows:
+                ss = trial_seed_sequence(cfg.seed, row.trial)
+                channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+                assert recompute_wsr(channels, row, cfg) == row.wsr_bits
 
     def test_schemes_share_channels(self):
         # both schemes' stored solutions audit against the same realization

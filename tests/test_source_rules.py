@@ -58,3 +58,5 @@ def test_checked_fields_by_annotation(cls, ints, floats):
     # field would match int or float, and every check would be skipped
     assert [f.name for f in fields(cls) if f.type is int] == ints
     assert [f.name for f in fields(cls) if f.type is float] == floats
+    # checked once, at construction: an assignment afterwards would skip the checks
+    assert cls.__dataclass_params__.frozen
