@@ -110,8 +110,8 @@ def sinr_all(h, w, noise_power):
 def wsr(gammas, weights):
     """Weighted sum rate in bits/s/Hz."""
     gammas = np.asarray(gammas, dtype=float)
-    if np.any(gammas < 0):
-        raise ValueError("SINRs must be nonnegative")
+    if not np.all(gammas >= 0):
+        raise ValueError("SINRs must be nonnegative numbers")
     return float(np.sum(np.asarray(weights) * np.log2(1.0 + gammas)))
 
 
@@ -669,14 +669,18 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
         raise ValueError(f"grouping of {grouping.num_elements} elements into "
                          f"{grouping.num_groups} groups, need {n} into {q}")
 
-    cascades_stat = np.stack([channels.cascade_stat(k) for k in range(channels.num_users)])
+    k_users, m = channels.h_bu.shape
+    # filled per user in np.stack's strides (N*M*16, 16, N*16): another layout moves stage 1's bits
+    cascades_stat = np.empty((k_users, m, n), dtype=complex).transpose(0, 2, 1)
+    for k in range(k_users):
+        cascades_stat[k] = channels.cascade_stat(k)
     w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
     g = grouping
     if g is None:
         stat = _grouping_from_statistics(channels, cascades_stat, w_stat, q, opts, weights, p_max)
         g, w_stat = stat.grouping, stat.precoder.w
 
-    c_hat = grp.combine_cascades(g, [channels.cascade(k) for k in range(channels.num_users)])
+    c_hat = grp.combine_cascades(g, (channels.cascade(k) for k in range(k_users)))
     v0 = heuristic_rcv(grp.combine_cascades(g, cascades_stat), w_stat, weights)
     res = solve_fp(c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, opts)
     res.grouping = g

@@ -10,7 +10,7 @@ dimensions, keeping the pilot budget comparable.
 
 import csv
 import io
-
+import math
 import time
 from dataclasses import dataclass
 
@@ -49,9 +49,12 @@ SWEEP_AXES = {
 class TrialResult:
     """One scheme's outcome on one channel realization: a CSV row and its solve.
 
-    wsr_bits and iterations are the solution's; recompute_wsr audits the row
-    from solution (a bf.SolveResult) and frozen_phases, the phases at which
-    the scheme's frozen elements were held.
+    wsr_bits, finite and >= 0, and iterations are the solution's;
+    recompute_wsr audits the row from solution (a bf.SolveResult) and
+    frozen_phases, the phases at which the scheme's frozen elements were
+    held. The row keeps those phases as frozen_state, the generator state
+    just before run_scheme drew them: frozen_phases redraws them from it on
+    each read and consumes no generator state.
     """
 
     scheme: str
@@ -65,11 +68,19 @@ class TrialResult:
     iterations: int
     runtime_ms: float
     solution: bf.SolveResult
-    frozen_phases: np.ndarray
+    frozen_state: dict
 
     def __post_init__(self):
-        if self.wsr_bits < 0:
-            raise ValueError("weighted sum rate cannot be negative")
+        if not 0.0 <= self.wsr_bits < math.inf:
+            raise ValueError(f"weighted sum rate must be finite and nonnegative, "
+                             f"got {self.wsr_bits}")
+
+    @property
+    def frozen_phases(self):
+        bit_generator = getattr(np.random, self.frozen_state["bit_generator"])()
+        bit_generator.state = self.frozen_state
+        n_frozen = SCHEME_DIMS[self.scheme](self.N, self.Q)[1]
+        return np.random.Generator(bit_generator).uniform(0.0, 2.0 * np.pi, size=n_frozen)
 
 
 def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
@@ -78,21 +89,22 @@ def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
     c_hat (K, rows, M) stacks the cascades steered in real time: combined
     under grouping for the grouped schemes, else the leading elements, as
     many as SCHEME_DIMS gives. h_bu_eff adds to the direct links the last
-    len(frozen) elements, held at the phases frozen.
+    len(frozen) elements, held at the phases frozen. Each user's (N, M)
+    cascade is formed and dropped in turn, so only one is alive at a time.
     """
-    k_users = channels.num_users
     realtime, _ = SCHEME_DIMS[scheme](channels.num_elements, q)
-    cascades = [channels.cascade(k) for k in range(k_users)]
-    if grouping is None:
-        c_hat = np.stack([c[:realtime] for c in cascades])
-    else:
-        c_hat = grp.combine_cascades(grouping, cascades)
-    h_bu_eff = channels.h_bu
-    if len(frozen):
-        vf = np.exp(1j * np.asarray(frozen))
-        h_bu_eff = np.stack([channels.h_bu[k] + cascades[k][-len(frozen):].conj().T @ vf
-                             for k in range(k_users)])
-    return c_hat, h_bu_eff
+    vf = np.exp(1j * np.asarray(frozen))
+    rows, direct = [], []
+    for k in range(channels.num_users):
+        c = channels.cascade(k)
+        if grouping is None:
+            # order "K" keeps np.stack's strides of the views, which the solve's bits depend on
+            rows.append(c[:realtime].copy(order="K"))
+        else:
+            rows.append(grp.combine_cascade(grouping, c))
+        if len(frozen):
+            direct.append(channels.h_bu[k] + c[-len(frozen):].conj().T @ vf)
+    return np.stack(rows), np.stack(direct) if direct else channels.h_bu
 
 
 def run_scheme(scheme, channels, config, rng):
@@ -111,6 +123,7 @@ def run_scheme(scheme, channels, config, rng):
     q = config.Q
     expected, n_frozen = SCHEME_DIMS[scheme](channels.num_elements, q)
     t0 = time.perf_counter()
+    frozen_state = rng.bit_generator.state
     frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
     if scheme in ("ieg", "aeg"):
         grouping = grp.adjacent_grouping(channels.num_elements, q) if scheme == "aeg" else None
@@ -127,7 +140,7 @@ def run_scheme(scheme, channels, config, rng):
     return TrialResult(
         scheme=scheme, axis="", axis_value=0.0, N=config.N, Q=q, trial=0, seed=0,
         wsr_bits=res.wsr_bits, iterations=res.iterations, runtime_ms=runtime_ms,
-        solution=res, frozen_phases=frozen,
+        solution=res, frozen_state=frozen_state,
     )
 
 
@@ -167,6 +180,7 @@ def run_monte_carlo(config, axis="single", axis_value=None, out=None, record_tim
                 res.trial = trial
                 res.seed = trial_seed
                 rows.append(res)
+            del channels            # so the next trial's draw does not hold two realizations
     finally:
         if out is not None and rows:
             write_csv(rows, out, timings=record_timings)

@@ -126,6 +126,10 @@ class TestSinrAndWsr:
         with pytest.raises(ValueError):
             wsr([-0.1], [1.0])
 
+    def test_wsr_refuses_nan(self):
+        with pytest.raises(ValueError, match="^SINRs must be nonnegative numbers$"):
+            wsr([np.nan, 1.0], [1.0, 1.0])
+
 
 class TestUpdateAuxiliaries:
     def test_hand_example_unit_everything(self):
@@ -1056,6 +1060,21 @@ def _stage1_scene(case):
 
 
 class TestStage1BitExact:
+    def test_statistical_stack_has_np_stack_strides(self, monkeypatch):
+        # stage 1's sums read the stack in this layout; another moves their last bits
+        ch, q, p_max, weights = _stage1_scene("q2")
+        seen = []
+
+        def record(channels, cascades_stat, *args):
+            seen.append(cascades_stat)
+            return grouping_from_statistics(channels, cascades_stat, *args)
+
+        grouping_from_statistics = bf._grouping_from_statistics
+        monkeypatch.setattr(bf, "_grouping_from_statistics", record)
+        two_stage_solve(ch, q, p_max, weights)
+        ref = _reference_stat_inputs(ch)[0]
+        assert seen[0].strides == ref.strides and seen[0].tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("case", ["c11_n256", "c11_n1024", "q2", "q16", "unobscured",
                                       "kappa0.1", "kappa10", "30dBm"])
     def test_matches_relaxed_refinement_reference(self, case, monkeypatch):

@@ -37,7 +37,7 @@ class TestValidate:
 
     def test_ok(self):
         g = GroupingMatrix(assignment=[1, 1, 2, 2], num_groups=2)
-        assert g.assignment.dtype == int and g.group_sizes().tolist() == [2, 2]
+        assert g.assignment.dtype == np.uint8 and g.group_sizes().tolist() == [2, 2]
 
     def test_empty_group_reported(self):
         with pytest.raises(ValueError, match="^group 2 is empty$"):
@@ -130,6 +130,28 @@ class TestAdjacent:
         assert np.array_equal(adjacent_grouping(3, 3).assignment, [1, 2, 3])
 
 
+def _check_against_add_at(n, q):
+    """combine_cascade(s) of n elements into q groups: same sums, same order, same
+    zero signs as np.add.at into zeros with the caller's int64 labels, though the
+    grouping stores them as uint8 (q < 256) or uint16."""
+    rng = np.random.default_rng(q)
+    assignment = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, size=n - q)])
+    rng.shuffle(assignment)
+    g = GroupingMatrix(assignment=assignment, num_groups=q)
+    assert g.assignment.dtype == (np.uint8 if q < 256 else np.uint16)
+    c = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 3)) + 1j * rng.standard_normal((n, 3))
+    c[rng.random(n) < 0.3] = -0.0 - 0.0j
+    users = (c, c[:, ::-1], c[::-1], np.asfortranarray(c))
+    for x in users + (c.real.copy(), c[:, 0].copy(), c[:, 1].real.copy()):
+        expected = np.zeros((q,) + x.shape[1:], dtype=x.dtype)
+        np.add.at(expected, assignment - 1, x)
+        out = combine_cascade(g, x)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+    expected = np.stack([combine_cascade(g, x) for x in users])
+    assert grp.combine_cascades(g, iter(users)).tobytes() == expected.tobytes()
+
+
 class TestCombineCascade:
     def test_identity_grouping_is_noop(self):
         rng = np.random.default_rng(4)
@@ -175,20 +197,18 @@ class TestCombineCascade:
 
     @pytest.mark.parametrize("q", [1, 7, 300])
     def test_bitwise_equal_to_add_at(self, q):
-        # same sums, same order, same zero signs as np.add.at into zeros
-        rng = np.random.default_rng(q)
-        n = 300
-        assignment = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, size=n - q)])
-        rng.shuffle(assignment)
-        g = GroupingMatrix(assignment=assignment, num_groups=q)
-        c = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 8, (n, 3)) + 1j * rng.standard_normal((n, 3))
-        c[rng.random(n) < 0.3] = -0.0 - 0.0j
-        for x in (c, c.real.copy(), c[:, 0].copy(), c[:, 1].real.copy(), c[:, ::-1], c[::-1]):
-            expected = np.zeros((q,) + x.shape[1:], dtype=x.dtype)
-            np.add.at(expected, g.assignment - 1, x)
-            out = combine_cascade(g, x)
-            assert out.dtype == expected.dtype and out.shape == expected.shape
-            assert out.tobytes() == expected.tobytes()
+        _check_against_add_at(300, q)
+
+    @pytest.mark.parametrize("q", [4, 256])
+    def test_full_scale_compact_labels_bitwise_equal_to_add_at(self, q):
+        _check_against_add_at(10000, q)
+
+    @pytest.mark.parametrize("q, dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16),
+                                          (65536, np.uint32)])
+    def test_labels_stored_in_smallest_unsigned_type(self, q, dtype):
+        g = GroupingMatrix(assignment=np.arange(1, q + 1), num_groups=q)
+        assert g.assignment.dtype == dtype
+        assert np.array_equal(g.assignment, np.arange(1, q + 1))
 
 
 def _deterministic_cascade(kappa, theta, n):

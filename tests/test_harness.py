@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import importlib
 import importlib.util
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +16,8 @@ from iegirs.channel import ChannelSet, build_scenario
 from iegirs.cli import build_parser, main as cli_main
 from iegirs.config import SCHEMES, ScenarioConfig, trial_seed_sequence
 from iegirs.grouping import GroupingMatrix
-from iegirs.harness import (aggregate, recompute_wsr, rows_to_csv_text, run_monte_carlo,
-                            run_scheme, sweep, write_csv)
+from iegirs.harness import (SCHEME_DIMS, aggregate, recompute_wsr, rows_to_csv_text,
+                            run_monte_carlo, run_scheme, scheme_problem, sweep, write_csv)
 
 TINY = dict(N=32, Q=2, M=2, K=2, trials=2, seed=13)
 
@@ -91,7 +95,9 @@ class TestRunScheme:
 
 class TestAudit:
     def test_recomputed_rates_match(self):
-        # bit for bit: the returned phases are exactly those the rate was computed at
+        # bit for bit: the returned phases are exactly those the rate was computed at;
+        # the second audit of each row proves that reading frozen_phases redraws the
+        # same phases, so it consumes no generator state
         for cfg in (ScenarioConfig(N=256, Q=4, trials=3), ScenarioConfig(N=16, Q=16, trials=3),
                     ScenarioConfig(N=64, Q=8, trials=3, weights=(1.0, 2.0, 0.5, 1.5))):
             rows = run_monte_carlo(cfg)
@@ -99,7 +105,17 @@ class TestAudit:
             for row in rows:
                 ss = trial_seed_sequence(cfg.seed, row.trial)
                 channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+                assert len(row.frozen_phases) == SCHEME_DIMS[row.scheme](cfg.N, cfg.Q)[1]
                 assert recompute_wsr(channels, row, cfg) == row.wsr_bits
+                assert recompute_wsr(channels, row, cfg) == row.wsr_bits
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_row_refuses_a_rate_that_is_not_finite_and_nonnegative(self, rate):
+        cfg = _tiny_config(trials=1)
+        row = run_scheme("no_irs", build_scenario(cfg, np.random.default_rng(0)), cfg,
+                         np.random.default_rng(1))
+        with pytest.raises(ValueError, match="^weighted sum rate must be finite and nonnegative"):
+            dataclasses.replace(row, wsr_bits=rate)
 
     def test_schemes_share_channels(self):
         # both schemes' stored solutions audit against the same realization
@@ -109,6 +125,48 @@ class TestAudit:
         channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
         for row in rows:
             assert abs(recompute_wsr(channels, row, cfg) - row.wsr_bits) <= 1e-9
+
+
+class TestRowMemory:
+    def test_rows_hold_no_array_of_length_n(self):
+        # bytes the rows of one trial keep, from the rows of trials 1 and 2 of
+        # three: each row keeps O(Q) arrays, plus one byte per element for the
+        # grouping of ieg and of aeg. Holding the frozen phases or an int
+        # grouping costs 8 bytes per element each, about 34 in all.
+        n = 8192
+        cfg = ScenarioConfig(N=n, Q=4, K=1, M=1, trials=3)
+        tracemalloc.start()
+        try:
+            rows = run_monte_carlo(cfg)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del rows[len(cfg.schemes):]
+            gc.collect()
+            per_trial = (held - tracemalloc.get_traced_memory()[0]) / 2
+        finally:
+            tracemalloc.stop()
+        assert 0 < per_trial <= 4 * n + 64 * 1024
+
+
+class TestSchemeProblem:
+    @pytest.mark.parametrize("scheme", ["uirs_q", "random_rcv", "no_irs"])
+    def test_stacks_keep_np_stack_layout(self, scheme):
+        # the solve's sums read c_hat in this layout; another one moves their last bits
+        cfg = _tiny_config()
+        ch = build_scenario(cfg, np.random.default_rng(0))
+        realtime, n_frozen = SCHEME_DIMS[scheme](cfg.N, cfg.Q)
+        frozen = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=n_frozen)
+        c_hat, h_bu = scheme_problem(scheme, ch, cfg.Q, frozen=frozen)
+        cascades = [ch.cascade(k) for k in range(cfg.K)]
+        ref = np.stack([c[:realtime] for c in cascades])
+        assert c_hat.strides == ref.strides and c_hat.tobytes() == ref.tobytes()
+        if n_frozen:
+            vf = np.exp(1j * frozen)
+            ref_bu = np.stack([ch.h_bu[k] + cascades[k][-n_frozen:].conj().T @ vf
+                               for k in range(cfg.K)])
+            assert h_bu.tobytes() == ref_bu.tobytes()
+        else:
+            assert h_bu is ch.h_bu
 
 
 class TestDeterminism:
