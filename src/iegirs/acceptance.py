@@ -287,7 +287,8 @@ def c10_alternating_convergence():
         worst = min(worst, float(rel.min()))
         max_iters = max(max_iters, res.iterations)
         if not res.converged:
-            return False, f"seed {seed} did not converge within 200 outer iterations"
+            return False, (f"seed {seed} did not converge within "
+                           f"{bf.SolverOptions().max_outer} outer iterations")
         if rel.min() < -1e-8:
             return False, f"seed {seed}: objective decreased by {rel.min():.2e} relative"
     return True, f"20 instances: worst relative step {worst:.2e}, max outer iterations {max_iters}"
@@ -337,20 +338,10 @@ def c12_end_to_end_determinism():
     return ok, f"two runs, {len(b1)} CSV bytes, identical: {b1 == b2}"
 
 
-CRITERIA = (
-    ("c01_special_function_oracle", c01_special_function_oracle),
-    ("c02_ungrouped_gain_monte_carlo", c02_ungrouped_gain_monte_carlo),
-    ("c03_grouped_cascade_law", c03_grouped_cascade_law),
-    ("c04_scaling_law_slopes", c04_scaling_law_slopes),
-    ("c05_group_gap_constants", c05_group_gap_constants),
-    ("c06_performance_loss_consistency", c06_performance_loss_consistency),
-    ("c07_auxiliary_closed_forms", c07_auxiliary_closed_forms),
-    ("c08_precoder_update", c08_precoder_update),
-    ("c09_reflection_majorization", c09_reflection_majorization),
-    ("c10_alternating_convergence", c10_alternating_convergence),
-    ("c11_trend_reproduction", c11_trend_reproduction),
-    ("c12_end_to_end_determinism", c12_end_to_end_determinism),
-)
+CRITERIA = (c01_special_function_oracle, c02_ungrouped_gain_monte_carlo, c03_grouped_cascade_law,
+            c04_scaling_law_slopes, c05_group_gap_constants, c06_performance_loss_consistency,
+            c07_auxiliary_closed_forms, c08_precoder_update, c09_reflection_majorization,
+            c10_alternating_convergence, c11_trend_reproduction, c12_end_to_end_determinism)
 
 
 @dataclass
@@ -364,12 +355,15 @@ class CheckResult:
 def run(names=None):
     """Run selected (default: all) acceptance criteria, one PASS/FAIL line each on stdout;
     a name is a full name or a number (c05), and one that selects none is a ValueError."""
-    short = [name.split("_")[0] for name, _ in CRITERIA]
-    unknown = [n for n in names or () if n not in short and n not in dict(CRITERIA)]
+    full = [fn.__name__ for fn in CRITERIA]
+    short = [name.split("_")[0] for name in full]
+    unknown = [n for n in names or () if n not in short + full]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; choose from {short} or their full names")
     results = []
-    for name, fn in [c for key, c in zip(short, CRITERIA) if not names or {key, c[0]} & set(names)]:
+    for key, name, fn in zip(short, full, CRITERIA):
+        if names and not {key, name} & set(names):
+            continue
         t0 = time.perf_counter()
         passed, detail = fn()
         dt = time.perf_counter() - t0

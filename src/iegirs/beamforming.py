@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grouping as grp
-from .config import check_fields
+from .config import MAX_WEIGHT, check_fields
 from .grouping import GroupingMatrix
 
 
 def _checked_weights(weights, k):
-    """weights as a float array; ValueError unless it has shape (k,) and finite entries >= 0."""
+    """weights as a float array; ValueError unless of shape (k,) with entries in [0, MAX_WEIGHT]."""
     weights = np.array(weights, dtype=float)
-    if weights.shape != (k,) or not all(0.0 <= x < math.inf for x in weights.tolist()):
+    if weights.shape != (k,) or not all(0.0 <= x <= MAX_WEIGHT for x in weights.tolist()):
         raise ValueError(f"weights must have shape ({k},), one per user, with finite, "
-                         f"nonnegative entries; got {weights.tolist()}")
+                         f"nonnegative entries of at most {MAX_WEIGHT:g}; got {weights.tolist()}")
     return weights
 
 
@@ -498,18 +498,15 @@ def stat_matched_beams(cascades_stat, h_bu_stat):
     return matched_precoder(h, 1.0)
 
 
-def _aggregate(cascades, w, coef):
-    """sum_k coef_k C_k w_k over the users' cascades C_k and beams w_k, in user order."""
+def heuristic_rcv(cascades, w, coef):
+    """Phases (rows,) of sum_k coef_k (C_k @ w_k), summed in user order, over the
+    users' cascades C_k (a (K, rows, M) stack, grouped or per element), beams
+    w_k (columns of w) and coefficients coef_k; a zero sum has phase 0. Every
+    reflection start and every arc partition of a weighted aggregate reads it."""
     agg = np.zeros(cascades.shape[1], dtype=complex)
     for k in range(cascades.shape[0]):
         agg += coef[k] * (cascades[k] @ w[:, k])
-    return agg
-
-
-def heuristic_rcv(c_hat_stat, w_stat, weights):
-    """Statistical reflection phases (Q,): align each group with the weighted
-    aggregate of its statistical cascade responses to the users' beams."""
-    return np.angle(_aggregate(c_hat_stat, w_stat, weights))
+    return np.angle(agg)
 
 
 def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
@@ -570,31 +567,6 @@ def _arc_from_phases(phases, q):
     return grp.arc_grouping(np.mod(-np.asarray(phases) / (2 * np.pi), 1.0), q)
 
 
-def _arc_from_solved(cascades_stat, stat, q):
-    """Arc partition of the cascade phases under the statistical solve stat's
-    precoders, each user's contribution rotated into its alignment frame."""
-    return _arc_from_phases(np.angle(_aggregate(cascades_stat, stat.precoder.w,
-                                                stat.aux.alpha_conj_xi)), q)
-
-
-def _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, w_align, w0=None):
-    """Solve the alternating loop on the deterministic channels at grouping g.
-
-    The solve starts from the heuristic reflection aligned to the beams
-    w_align and from the beams w0 (solve_fp's matched start if None). A
-    warm start passes the incumbent's beams as both: solving every candidate
-    grouping from the same warm point isolates the grouping's own
-    contribution from the nonconvex multi-user solve's run-to-run spread.
-    Returns the SolveResult, its grouping set to g.
-    """
-    c_hat_stat = grp.combine_cascades(g, cascades_stat)
-    v0 = heuristic_rcv(c_hat_stat, w_align, weights)
-    stat = solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power, p_max, weights,
-                    v0, opts, w0)
-    stat.grouping = g
-    return stat
-
-
 def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_max):
     """Stage-1 arc search on statistical CSI.
 
@@ -608,17 +580,31 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
     every grouping relabels the identity, the seed is adjacent blocks (the
     identity itself): a relabelled arc seed reaches the same rate up to the
     order of its sums, so only its last bits would differ.
+
+    Each statistical solve, solve(g, w_align, w0), starts from the heuristic
+    reflection under the beams w_align and from w0 (solve_fp's matched start
+    if None). A warm start passes the incumbent's beams as both: solving
+    every candidate from the same warm point isolates the grouping's own
+    contribution from the nonconvex multi-user solve's run-to-run spread.
     """
+    def solve(g, w_align, w0=None):
+        c_hat_stat = grp.combine_cascades(g, cascades_stat)
+        stat = solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power, p_max, weights,
+                        heuristic_rcv(c_hat_stat, w_align, weights), opts, w0)
+        stat.grouping = g
+        return stat
+
     n = channels.num_elements
     if q == n:
         g = grp.adjacent_grouping(n, q)
     else:
-        g = _arc_from_phases(np.angle(_aggregate(cascades_stat, w_mf, weights)), q)
-    best = _statistical_solve(channels, cascades_stat, g, weights, p_max, opts, w_mf)
+        g = _arc_from_phases(heuristic_rcv(cascades_stat, w_mf, weights), q)
+    best = solve(g, w_mf)
 
-    # candidate arcs, all ranked by warm-started statistical solves: the
-    # mixed-user fixed point (regroup under the solved precoders) plus one
-    # arc per user (serving a single user's ramp coherently can beat any
+    # candidate arcs, all ranked by statistical solves warm-started from the
+    # current best: the mixed-user fixed point (regroup under the solved
+    # precoders, each user rotated into its alignment frame) plus one arc
+    # per user (serving a single user's ramp coherently can beat any
     # cross-user compromise when the direct links already carry the rest).
     # A solve is deterministic in (candidate, warm state), and one that did
     # not raise the best rate left best as it was, so an assignment already
@@ -626,18 +612,16 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
     # is known not to win. solved holds exactly those assignments.
     solved = {g.assignment.tobytes()}
     for _ in range(3):
-        candidates = [_arc_from_solved(cascades_stat, best, q)]
-        for k in range(channels.num_users):
-            ramp = cascades_stat[k] @ best.precoder.w[:, k]
-            candidates.append(_arc_from_phases(np.angle(ramp), q))
+        w = best.precoder.w
+        candidates = [_arc_from_phases(heuristic_rcv(cascades_stat, w, best.aux.alpha_conj_xi), q)]
+        candidates += [_arc_from_phases(np.angle(cascades_stat[k] @ w[:, k]), q)
+                       for k in range(channels.num_users)]
         improved = False
         for candidate in candidates:
             key = candidate.assignment.tobytes()
             if key in solved:
                 continue
-            w_best = best.precoder.w
-            stat = _statistical_solve(channels, cascades_stat, candidate, weights, p_max, opts,
-                                      w_best, w_best)
+            stat = solve(candidate, best.precoder.w, best.precoder.w)
             solved.add(key)
             if stat.wsr_bits > best.wsr_bits:
                 best = stat

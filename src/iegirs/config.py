@@ -19,6 +19,7 @@ _POSITIONS = ("bs_pos", "irs_pos", "user_center")     # each lists 3 finite coor
 # lower bounds of fields (a negative radius would mirror the users through the centre)
 _AT_LEAST = {"user_radius": 0, "kappa_bi": 0, "kappa_iu": 0, "kappa_bu": 0, "seed": 0,
              "M": 1, "K": 1, "trials": 1}
+MAX_WEIGHT = 1e100     # largest rate weight; a solve's precoder power turns NaN from about 1e200
 
 
 def check_fields(obj, at_least):
@@ -92,8 +93,9 @@ class ScenarioConfig:
             object.__setattr__(self, name, value if name == "schemes" else tuple(map(float, value)))
         if len(self.weights) != self.K:
             raise ValueError("weights length must equal K")
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-            raise ValueError(f"weights must be finite and nonnegative, got {self.weights}")
+        if not all(0 <= w <= MAX_WEIGHT for w in self.weights):
+            raise ValueError(f"weights must be finite and nonnegative, at most {MAX_WEIGHT:g}, "
+                             f"got {self.weights}")
         if not self.schemes:
             raise ValueError("schemes must list at least one scheme")
         unknown = [s for s in self.schemes if s not in SCHEMES]

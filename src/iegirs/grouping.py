@@ -251,10 +251,10 @@ def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q,
     proj = np.stack([cascades_stat[k] @ w_stat for k in range(k_users)])
     d_rows = np.stack([np.conj(h_bu_stat[k]) @ w_stat for k in range(k_users)])
 
-    aggregate = np.einsum("k,knk->n", aux.alpha_conj_xi, proj)
-    starts = [adjacent_grouping(n, q)]
-    starts.append(arc_grouping(np.mod(-np.angle(aggregate) / (2 * np.pi), 1.0), q))
-    starts.extend(extra_starts)
+    from .beamforming import heuristic_rcv       # here: beamforming imports this module
+    phases = heuristic_rcv(cascades_stat, w_stat, aux.alpha_conj_xi)
+    starts = [adjacent_grouping(n, q), arc_grouping(np.mod(-phases / (2 * np.pi), 1.0), q),
+              *extra_starts]
 
     def binary_obj(gm):
         return grouping_objective(gm, cascades_stat, h_bu_stat, w_stat, v_stat, aux)

@@ -9,9 +9,9 @@ import pytest
 from iegirs import acceptance
 
 
-@pytest.mark.parametrize("name,criterion", acceptance.CRITERIA,
-                         ids=[name for name, _ in acceptance.CRITERIA])
-def test_acceptance_criterion(name, criterion):
+@pytest.mark.parametrize("criterion", acceptance.CRITERIA, ids=lambda fn: fn.__name__)
+def test_acceptance_criterion(criterion):
+    name = criterion.__name__
     passed, detail = criterion()
     print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
     assert passed, f"{name}: {detail}"

@@ -9,15 +9,17 @@ from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, SolverOptions,
                                 two_stage_solve, update_auxiliaries, update_precoder,
                                 update_rcv_mm, wsr)
 from iegirs.channel import ChannelSet, build_scenario
-from iegirs.config import ScenarioConfig
+from iegirs.config import MAX_WEIGHT, ScenarioConfig
 from iegirs.grouping import GroupingMatrix, adjacent_grouping
 
 
-# weights of a K = 4 problem that are not (K,), finite and nonnegative
+# weights of a K = 4 problem that are not (K,), finite, nonnegative and at most MAX_WEIGHT;
+# before the bound, 1e200 ended in a NaN precoder power and 1e308 in an OverflowError
 BAD_WEIGHTS = pytest.mark.parametrize(
     "weights", [[2.0], [1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0],
-                [np.inf, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0, 1.0]]],
-    ids=["one", "three", "negative", "nan", "inf", "2d"])
+                [np.inf, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.0, 1.0, 1.0, 1e200],
+                [1.0, 1.0, 1.0, 1e308]],
+    ids=["one", "three", "negative", "nan", "inf", "2d", "1e200", "1e308"])
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -607,6 +609,14 @@ class TestSolveLoop:
         with np.errstate(all="raise"), pytest.raises(ValueError, match="weights"):
             two_stage_solve(ch, 2, cfg.power_watts, weights, grouping=grouping)
 
+    def test_largest_weight_solves_to_finite_rate(self):
+        # the bound leaves room: no overflow or NaN anywhere in the solve
+        cfg = ScenarioConfig(N=16, Q=4, seed=5, power_dbm=100.0, weights=(1, 1, 1, MAX_WEIGHT))
+        ch = build_scenario(cfg, np.random.default_rng(5))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            res = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights)
+        assert np.isfinite(res.wsr_bits) and res.wsr_bits > 0
+
     def test_q_bounds(self):
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
         ch = build_scenario(cfg, np.random.default_rng(5))
@@ -957,7 +967,7 @@ def _reference_stat_inputs(channels):
 def _reference_arc_seed(channels, weights, q):
     """Equal-arc partition of the weighted aggregate statistical cascade phase."""
     cascades_stat, w_mf = _reference_stat_inputs(channels)
-    return bf._arc_from_phases(np.angle(bf._aggregate(cascades_stat, w_mf, weights)), q)
+    return bf._arc_from_phases(bf.heuristic_rcv(cascades_stat, w_mf, weights), q)
 
 
 def _reference_statistical_solve(channels, g, weights, p_max, opts, incumbent=None):
@@ -1001,7 +1011,8 @@ def _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max
         if best is None or stat.wsr_bits > best.wsr_bits:
             best = stat
     for _ in range(3):
-        candidates = [bf._arc_from_solved(cascades_stat, best, q)]
+        candidates = [bf._arc_from_phases(bf.heuristic_rcv(cascades_stat, best.precoder.w,
+                                                            best.aux.alpha_conj_xi), q)]
         for k in range(channels.num_users):
             ramp = cascades_stat[k] @ best.precoder.w[:, k]
             candidates.append(bf._arc_from_phases(np.angle(ramp), q))
@@ -1057,6 +1068,61 @@ def _stage1_scene(case):
     cfg = ScenarioConfig(**{"Q": 4, "seed": 11, **kw})
     rng = np.random.default_rng(trial_seed_sequence(cfg.seed, trial).spawn(1)[0])
     return build_scenario(cfg, rng), cfg.Q, cfg.power_watts, cfg.weights
+
+
+class TestHeuristicRcv:
+    """The one phase rule against sum_k coef_k C_k w_k, row by row, by np.einsum."""
+
+    @staticmethod
+    def _stage1_inputs(monkeypatch):
+        """The statistical stack two_stage_solve builds, its matched beams, and a scene."""
+        ch, q, p_max, weights = _stage1_scene("q16")
+        seen = []
+
+        def record(channels, cascades_stat, w_mf, *args):
+            seen.append((cascades_stat, w_mf))
+            raise StopIteration
+
+        monkeypatch.setattr(bf, "_grouping_from_statistics", record)
+        with pytest.raises(StopIteration):
+            two_stage_solve(ch, q, p_max, weights)
+        return ch, q, *seen[0]
+
+    @staticmethod
+    def _assert_phases(cascades, w, coef):
+        phases = bf.heuristic_rcv(cascades, w, coef)
+        oracle = np.einsum("k,krm,mk->r", coef, cascades, w)
+        zero = oracle == 0
+        assert phases.shape == zero.shape and np.all(phases[zero] == 0.0)
+        unit = oracle[~zero] / np.abs(oracle[~zero])
+        assert np.abs(np.exp(1j * phases[~zero]) - unit).max() <= 1e-12
+        return zero
+
+    @pytest.mark.parametrize("stack", ["statistical", "grouped"])
+    @pytest.mark.parametrize("coef", ["weights_with_a_zero", "alpha_conj_xi"])
+    def test_matches_einsum(self, stack, coef, monkeypatch):
+        from iegirs import grouping as grp
+        ch, q, cascades_stat, w_mf = self._stage1_inputs(monkeypatch)
+        assert cascades_stat.strides[1:] == (16, 16 * ch.num_elements)    # (K, N, M), strided
+        weights = np.array([1.0, 0.0, 2.5, 0.75])
+        c_hat = grp.combine_cascades(grp.adjacent_grouping(ch.num_elements, q), cascades_stat)
+        if coef == "alpha_conj_xi":
+            # beams off the matched filter, so that xi is far from real
+            h = effective_channels(np.ones(q), c_hat, ch.h_bu_stat)
+            w_off = w_mf * np.exp(1j * np.arange(1, 5))
+            coef = update_auxiliaries(*rx_stats(h, w_off, ch.noise_power), weights).alpha_conj_xi
+            assert np.abs(np.angle(coef[weights > 0])).min() > 0.1
+        else:
+            coef = weights
+        cascades = cascades_stat if stack == "statistical" else c_hat
+        assert not self._assert_phases(cascades, w_mf, coef).any()
+
+    def test_zero_sum_has_phase_zero(self, monkeypatch):
+        from iegirs import grouping as grp
+        ch, q, cascades_stat, w_mf = self._stage1_inputs(monkeypatch)
+        c_hat = grp.combine_cascades(grp.adjacent_grouping(ch.num_elements, q), cascades_stat)
+        c_hat[:, 5] = 0.0
+        assert np.flatnonzero(self._assert_phases(c_hat, w_mf, np.ones(4))).tolist() == [5]
 
 
 class TestStage1BitExact:

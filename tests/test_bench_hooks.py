@@ -1,21 +1,33 @@
-"""The names the benchmark under perfbench/ hooks into, checked without running it.
+"""The names and hooks of the benchmark under perfbench/, checked without running it.
 
 perfbench/spans.py wraps every function its TRACED table names, and
 perfbench/child.py patches and calls names of the modules it imports; a
 name that goes missing breaks a traced or audited benchmark run, which no
-other test starts. The benchmark's files are read as syntax trees.
+other test starts. The name checks read the benchmark's files as syntax
+trees; TestBenchmarkHooks loads its tracer and row capture and runs them
+on small scenes.
 """
 
 import ast
 import importlib
+import importlib.util
 import types
 from pathlib import Path
 
-from iegirs.beamforming import SolverOptions
-from iegirs.config import ScenarioConfig
+import numpy as np
+import yaml
+
+from iegirs.beamforming import SolverOptions, two_stage_solve
+from iegirs.channel import build_scenario
+from iegirs.cli import main as cli_main
+from iegirs.config import SCHEMES, ScenarioConfig
 from iegirs.harness import run_monte_carlo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _tiny_config(**overrides):
+    return ScenarioConfig(**{**dict(N=32, Q=2, M=2, K=2, trials=2, seed=13), **overrides})
 
 
 def _tree(name):
@@ -74,3 +86,77 @@ def test_row_rate_assignable():
     row.wsr_bits *= 1.0 + 1e-6
     row.wsr_bits = float("nan")
     assert row.wsr_bits != row.wsr_bits
+
+
+def _load_perfbench(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkHooks:
+    def test_monte_carlo_spans_nest_under_the_simulator(self):
+        # the Tracer keeps one span stack per process, so every traced call
+        # of a Monte Carlo run must come from the calling thread, nested
+        # under the simulator's span
+        from iegirs import asymptotics
+        spans = _load_perfbench("spans")
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.active = True
+            per = asymptotics.DRAW_BLOCK_BYTES // (4 * 64 * 8)
+            asymptotics.simulate_grouped_cascades(asymptotics.AsymptoticInputs(N=64, Q=4),
+                                                  2 * per + 3, np.random.default_rng(0))
+        finally:
+            tracer.active = False
+            tracer.uninstall()
+        names = [tracer.names[span[0]] for span in tracer.spans]
+        assert names[0] == "asymptotics.simulate_grouped_cascades"
+        # one combine_cascade per block of draws
+        assert names[1:] == ["grouping.combine_cascade"] * 3
+        assert all(span[3] == 0 for span in tracer.spans[1:])
+
+    def test_loop_block_updates_are_traced(self):
+        # the alternating loop calls the public block updates, so the traced
+        # run counts its auxiliary updates, objective evaluations and MM steps
+        from iegirs.grouping import adjacent_grouping
+        spans = _load_perfbench("spans")
+        cfg = _tiny_config(N=16, Q=4)
+        ch = build_scenario(cfg, np.random.default_rng(1))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            tracer.active = True
+            res = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights,
+                                  grouping=adjacent_grouping(16, 4))
+        finally:
+            tracer.active = False
+            tracer.uninstall()
+        calls = {name.split(".")[1]: n for name, n in tracer.summary()["calls"].items()
+                 if name.startswith("beamforming.")}
+        assert calls["solve_fp"] == 1 and res.iterations > 1
+        assert calls["update_auxiliaries"] == calls["update_precoder"] == res.iterations
+        assert calls["fp_objective"] == len(res.trace_steps)
+        assert calls["mm_step"] >= calls["update_rcv_mm"] > 0
+
+    def test_benchmark_rows_audit_clean(self, tmp_path):
+        # perfbench/child.py reads the rows run_monte_carlo returns and audits
+        # each one with recompute_wsr; a row it cannot re-derive fails every
+        # benchmark run, so catch it here
+        child = _load_perfbench("child")
+        cfg_path = tmp_path / "scene.yaml"
+        cfg_path.write_text(yaml.safe_dump(_tiny_config(trials=1).to_dict()))
+        capture = child.Capture()
+        capture.install()
+        try:
+            cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out.csv"),
+                      "--quiet"])
+        finally:
+            capture.uninstall()
+        rows = [r for batch in capture.rows for r in batch]
+        assert {r.scheme for r in rows} == set(SCHEMES)
+        assert child.audit_trial_rows(capture.rows, capture.draws) == 0
+        assert len(capture.solve_refs) == len(rows)

@@ -468,9 +468,10 @@ class TestScenarioConfig:
             setattr(cfg, field, value)
         assert cfg == ScenarioConfig()
 
-    @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan"), 1e200, 1e308])
     def test_bad_weights_rejected_at_construction(self, bad):
         # caught here, not as a failed precoder update deep inside a solve
+        # (1e200 made its power NaN, 1e308 overflowed |xi|^2)
         with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
             ScenarioConfig(weights=(bad, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
