@@ -233,7 +233,6 @@ def c09_reflection_majorization():
         h = bf.effective_channels(np.ones(q), c_hat, h_bu)
         aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1.0), np.ones(k))
         u, phi = bf.build_rcv_quadratic(w, aux, c_hat, h_bu)
-        u = (u + u.conj().T) / 2
         lam = bf.top_eigenvalue(u)
         scale = max(1.0, float(np.linalg.norm(u)) + float(np.linalg.norm(phi)))
 
@@ -275,7 +274,8 @@ def c09_reflection_majorization():
 
 
 def c10_alternating_convergence():
-    """Monotone trace and convergence of the full two-stage solve."""
+    """Monotone trace (one closing objective per outer iteration) and
+    convergence of the full two-stage solve."""
     worst = 0.0
     max_iters = 0
     for seed in range(20):

@@ -49,7 +49,7 @@ class FPAuxiliaries:
     def __post_init__(self):
         varsigma = np.array(self.varsigma, dtype=float)
         xi = np.array(self.xi, dtype=complex)
-        if (varsigma < 0).any() or not np.isfinite(varsigma).all():
+        if not all(0.0 <= x < math.inf for x in varsigma.ravel().tolist()):
             raise ValueError("varsigma must be finite and nonnegative")
         weights = _checked_weights(self.weights, varsigma.size)
         for a in (varsigma, xi, weights):
@@ -153,11 +153,11 @@ def update_auxiliaries(omega, inr, weights):
     mag2 = mag ** 2
     chi = inr + mag2
     scale = np.sqrt(chi * inr)                # sqrt(chi^2 - |omega|^2 chi), cancellation-free
-    if (scale <= 0).any() or not np.isfinite(scale).all():
+    if not all(0.0 < x < math.inf for x in scale.ravel().tolist()):
         raise ValueError("ill-posed auxiliary update; check channel/noise inputs")
     a = mag / scale
     b = mag2 / scale
-    xi = np.sqrt(weights) * a * np.exp(1j * np.angle(omega))
+    xi = np.sqrt(weights) * a * np.exp(1j * np.arctan2(omega.imag, omega.real))
     b2 = b ** 2
     varsigma = (b2 + b * np.sqrt(b2 + 4.0)) / 2.0
     return FPAuxiliaries(varsigma=varsigma, xi=xi, weights=weights)
@@ -293,7 +293,9 @@ def build_rcv_quadratic(w, aux, c_hat, h_bu, *, work=None):
     """Quadratic model (U, phi) of the reflection subproblem.
 
     The objective to maximize over unit-modulus v is -v^H U v - 2 Re{v^H phi};
-    U is Hermitian positive semidefinite. U is built in work[0] of work, a
+    U is Hermitian positive semidefinite: the sum is checked to be Hermitian
+    to 1e-8 relative (ValueError otherwise) and returned symmetrized,
+    (U + U^H) / 2, so it is Hermitian exactly. U is built in work[0] of work, a
     (2, Q, Q) complex array, with work[1] as scratch; without it one is
     allocated. A caller that reuses work keeps the (Q, Q) buffers off the
     heap's trim path: freed and re-faulted on every call, they cost more
@@ -323,6 +325,15 @@ def build_rcv_quadratic(w, aux, c_hat, h_bu, *, work=None):
         u += term
         phi += aux.xi_sq_pow[k] * a_h[k]
         phi -= aux.alpha_conj_xi[k] * c_w[k]
+    # the transposed skew conj(U) - U^T, so that its memory holds the
+    # entries of U^H - U in the order np.linalg.norm once summed them
+    np.conjugate(u, out=term)
+    term -= u.T
+    if _frobenius(term) > 1e-8 * max(1.0, _frobenius(u)):
+        raise ValueError("reflection quadratic is not Hermitian")
+    np.conjugate(u.T, out=term)
+    u += term
+    u /= 2.0
     return u, phi
 
 
@@ -351,7 +362,7 @@ def mm_step(v, uv, phi, lam):
     """One majorization step from v, with the product uv = U v given:
     align with (lam I - U) v - phi.
 
-    Here and in _align_global_phase, arctan2(z.imag, z.real) is np.angle(z)
+    Here and in every block update, arctan2(z.imag, z.real) is np.angle(z)
     without its wrapper, which costs as much as the arithmetic at small Q.
     """
     direction = (lam * v - uv) - phi
@@ -396,7 +407,7 @@ def joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
         g -= aux.xi_sq_pow[k] * cross[k]
     if g == 0:
         return rcv_values, w
-    rot = np.exp(-1j * np.angle(g))
+    rot = np.exp(-1j * np.arctan2(g.imag, g.real))
     return rot * rcv_values, rot * w
 
 
@@ -407,21 +418,9 @@ def update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner, tol, work=None):
     Each step maximizes a tangent surrogate of the quadratic objective, so
     the true objective is non-decreasing across steps. Stops on relative
     improvement below tol or after max_inner steps. work is the (2, Q, Q)
-    scratch of build_rcv_quadratic; U is checked and symmetrized in it.
+    scratch of build_rcv_quadratic, which holds U.
     """
-    if work is None:
-        work = np.empty((2, c_hat.shape[1], c_hat.shape[1]), dtype=complex)
     u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu, work=work)
-    scratch = work[1]
-    # the transposed skew conj(U) - U^T, so that its memory holds the
-    # entries of U^H - U in the order np.linalg.norm once summed them
-    np.conjugate(u, out=scratch)
-    scratch -= u.T
-    if _frobenius(scratch) > 1e-8 * max(1.0, _frobenius(u)):
-        raise ValueError("reflection quadratic is not Hermitian")
-    np.conjugate(u.T, out=scratch)
-    u += scratch
-    u /= 2.0
     lam = top_eigenvalue(u)
     uv = u @ v                                # shared by the step and the objective
     obj = rcv_objective(v, uv, phi)
@@ -433,7 +432,7 @@ def update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner, tol, work=None):
         obj = obj_new
         if done:
             break
-    return np.angle(v)
+    return np.arctan2(v.imag, v.real)
 
 
 def _frobenius(x):
@@ -466,8 +465,8 @@ class SolveResult:
     grouping is set by the caller that chose it (None from solve_fp); rcv
     holds the reflection phases (Q,), of values np.exp(1j * rcv); aux is the
     last iteration's; wsr_bits, in bits/s/Hz, is the rate at (precoder, rcv);
-    trace_steps holds the internal objective after every block update, three
-    per outer iteration.
+    trace_steps holds the internal objective at the close of every outer
+    iteration, the value the stopping rule reads.
     """
 
     grouping: GroupingMatrix | None
@@ -520,12 +519,13 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     The values np.exp(1j * theta) are formed once per new reflection, and h
     and its received statistics (rx_stats) once per iteration, at the new
     reflection: they give the closing objective and carry over as the next
-    iteration's h, auxiliary input and opening objective, and the last h
-    gives the returned rate. At Q = 0 the reflection block leaves h
-    unchanged, so the statistics after the precoder update close the
-    iteration. Each carried value is the same call on the same inputs that
-    would recompute it, so every output is bit for bit that of forming h and
-    rx_stats anew after every block.
+    iteration's h and auxiliary input, and the last h gives the returned
+    rate. At Q = 0 the reflection block leaves h unchanged, so the
+    statistics after the precoder update close the iteration. Each carried
+    value is the same call on the same inputs that would recompute it, so
+    every output is bit for bit that of forming h and rx_stats anew after
+    every block. The objective is formed once per iteration, at its close;
+    its values between blocks would change no output.
     """
     q = c_hat.shape[1]
     theta = np.asarray(v0, dtype=float)
@@ -538,20 +538,16 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     stats = rx_stats(h, w, noise_power)
     for it in range(1, opts.max_outer + 1):
         aux = update_auxiliaries(*stats, weights)
-        trace_steps.append(fp_objective(*stats, aux))
         pm = update_precoder(aux, h, p_max)
         w = pm.w
-        stats = rx_stats(h, w, noise_power)
-        current = fp_objective(*stats, aux)
-        trace_steps.append(current)
         if q > 0:
             theta = update_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=MM_ITERS, tol=MM_TOL, work=work)
             rotated, w = joint_phase_rotation(np.exp(1j * theta), w, aux, c_hat, h_bu)
-            theta = np.angle(rotated)
+            theta = np.arctan2(rotated.imag, rotated.real)
             v = np.exp(1j * theta)
             h = effective_channels(v, c_hat, h_bu)
-            stats = rx_stats(h, w, noise_power)
-            current = fp_objective(*stats, aux)
+        stats = rx_stats(h, w, noise_power)
+        current = fp_objective(*stats, aux)
         trace_steps.append(current)
         if it > 1 and abs(current - previous) <= opts.tol * max(1.0, abs(previous)):
             converged = True

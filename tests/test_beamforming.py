@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, SolverOptions,
                                 two_stage_solve, update_auxiliaries, update_precoder,
                                 update_rcv_mm, wsr)
 from iegirs.channel import ChannelSet, build_scenario
-from iegirs.config import MAX_WEIGHT, ScenarioConfig
+from iegirs.config import MAX_WEIGHT, SCHEMES, ScenarioConfig
 from iegirs.grouping import GroupingMatrix, adjacent_grouping
 
 
@@ -181,6 +183,22 @@ class TestUpdateAuxiliaries:
     def test_noise_guard(self):
         with pytest.raises(ValueError):
             rx_stats(np.ones((1, 1)), np.ones((1, 1)), -1.0)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -np.inf, np.inf, np.nan])
+    def test_bad_varsigma_refused(self, bad):
+        for good in (0.0, -0.0):
+            FPAuxiliaries(varsigma=np.array([1.0, good]), xi=np.ones(2, dtype=complex),
+                          weights=np.ones(2))
+        with pytest.raises(ValueError, match="^varsigma must be finite and nonnegative$"):
+            FPAuxiliaries(varsigma=np.array([1.0, bad]), xi=np.ones(2, dtype=complex),
+                          weights=np.ones(2))
+
+    @pytest.mark.parametrize("inr", [0.0, -1.0, np.inf, np.nan])
+    def test_ill_posed_statistics_refused(self, inr):
+        # a received-statistics pair whose scale sqrt(chi inr) is not a
+        # positive finite number: zero, NaN (negative inr) or infinite
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^ill-posed"):
+            update_auxiliaries(np.array([1.0 + 0j, 1.0 + 0j]), np.array([1.0, inr]), np.ones(2))
 
     @BAD_WEIGHTS
     def test_bad_weights_named(self, weights):
@@ -496,17 +514,17 @@ class TestReflectionUpdate:
         tol_grid = (2 * lam * 2.0 + 2 * np.linalg.norm(phi)) * (np.pi / res) * np.sqrt(2.0)
         assert abs(f_mm - best) <= tol_grid
 
-    def test_non_hermitian_rejected(self, monkeypatch):
+    def test_non_hermitian_rejected(self):
+        # an imaginary per-user scale turns each user's Hermitian term
+        # skew-Hermitian: build_rcv_quadratic refuses the sum, and so the
+        # reflection update refuses it before any step
         rng = np.random.default_rng(11)
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, q=2)
-
-        def bad_quadratic(*args, **kwargs):
-            return (np.array([[1.0, 2.0], [0.5, 1.0]], dtype=complex),
-                    np.zeros(2, dtype=complex))
-
-        monkeypatch.setattr(bf, "build_rcv_quadratic", bad_quadratic)
-        with pytest.raises(ValueError):
-            update_rcv_mm(np.ones(2, dtype=complex), w, aux, c_hat, h_bu,
+        bad = types.SimpleNamespace(xi_sq_pow=(1j,) * 3, alpha_conj_xi=aux.alpha_conj_xi)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            build_rcv_quadratic(w, bad, c_hat, h_bu)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            update_rcv_mm(np.ones(2, dtype=complex), w, bad, c_hat, h_bu,
                           max_inner=50, tol=1e-10)
 
 
@@ -678,7 +696,8 @@ def _reference_combine(grouping, cascade):
 
 
 def _reference_rcv_quadratic(w, aux, c_hat, h_bu):
-    """(U, phi) with every product and scaling in a fresh temporary."""
+    """(U, phi) with every product and scaling in a fresh temporary, U
+    returned symmetrized as (U + U^H) / 2."""
     alpha = np.sqrt(aux.weights * (1.0 + aux.varsigma))
     ww = w @ w.conj().T
     u = np.zeros((c_hat.shape[1],) * 2, dtype=complex)
@@ -688,7 +707,7 @@ def _reference_rcv_quadratic(w, aux, c_hat, h_bu):
         u += np.abs(aux.xi[k]) ** 2 * (a_k @ c_hat[k].conj().T)
         phi += np.abs(aux.xi[k]) ** 2 * (a_k @ h_bu[k])
         phi -= alpha[k] * np.conj(aux.xi[k]) * (c_hat[k] @ w[:, k])
-    return u, phi
+    return (u + u.conj().T) / 2.0, phi
 
 
 def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
@@ -707,9 +726,8 @@ def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
 
 
 def _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
-    """Reflection update that forms U, its symmetrization and U v anew in every step."""
+    """Reflection update that forms U v anew in every step."""
     u, phi = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
-    u = (u + u.conj().T) / 2.0
     lam = bf.top_eigenvalue(u)
     obj = rcv_objective(v, u @ v, phi)
     for _ in range(max_inner):
@@ -727,10 +745,14 @@ def _matched_start(v0, c_hat, h_bu, p_max):
     return matched_precoder(effective_channels(np.exp(1j * v0), c_hat, h_bu), p_max)
 
 
-def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
+def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None, *,
+                        blocks=False):
     """Alternating loop that re-evaluates every quantity after every block,
     and the rate at the end from a fresh effective channel; w0 defaults to
-    _matched_start."""
+    _matched_start. trace_steps holds the closing objective of every outer
+    iteration, as solve_fp's does; with blocks, the objective after every
+    block update instead, three per iteration, of which every third closes
+    one."""
     phases = v0
     w = _matched_start(v0, c_hat, h_bu, p_max) if w0 is None else np.asarray(w0, dtype=complex)
     weights = np.asarray(weights, dtype=float)
@@ -760,13 +782,15 @@ def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=N
     h = effective_channels(np.exp(1j * phases), c_hat, h_bu)
     rate = wsr(sinr_all(h, pm.w, noise_power), weights)
     return bf.SolveResult(grouping=None, precoder=pm, rcv=phases, aux=aux, wsr_bits=rate,
-                          trace_steps=np.asarray(steps), iterations=it, converged=converged)
+                          trace_steps=np.asarray(steps if blocks else trace), iterations=it,
+                          converged=converged)
 
 
 def _loop_problem(case):
     """(c_hat, h_bu, noise, p_max, weights, v0) of a seeded scene."""
     from iegirs.grouping import adjacent_grouping, combine_cascade
-    n, q = {"no_irs": (64, 4), "identity": (64, 64), "uirs_q": (256, 16), "q64": (256, 64)}[case]
+    n, q = {"no_irs": (64, 4), "q4": (64, 4), "identity": (64, 64), "uirs_q": (256, 16),
+            "q64": (256, 64)}[case]
     cfg = ScenarioConfig(N=n, Q=q, seed=8)
     ch = build_scenario(cfg, np.random.default_rng(40 + q))
     weights = np.asarray(cfg.weights, dtype=float)
@@ -796,7 +820,7 @@ def _assert_same_solve(a, b):
 
 
 class TestLoopBitExact:
-    @pytest.mark.parametrize("case", ["no_irs", "identity", "uirs_q", "q64"])
+    @pytest.mark.parametrize("case", ["no_irs", "q4", "identity", "uirs_q", "q64"])
     def test_solve_fp_matches_reference(self, case):
         problem = _loop_problem(case)
         opts = SolverOptions(max_outer=60)
@@ -805,6 +829,18 @@ class TestLoopBitExact:
         if case == "uirs_q":
             assert not problem[0].flags.c_contiguous
         _assert_same_solve(out, _reference_solve_fp(*problem, opts))
+
+    @pytest.mark.parametrize("case", ["no_irs", "q4", "identity", "uirs_q", "q64"])
+    def test_block_trace_monotone(self, case):
+        # solve_fp records only the closing objective of each iteration; the
+        # reference, whose iterates are solve_fp's bit for bit, records the
+        # objective after every block, and it never falls by more than rounding
+        problem = _loop_problem(case)
+        opts = SolverOptions(max_outer=60)
+        steps = _reference_solve_fp(*problem, opts, blocks=True).trace_steps
+        assert np.array_equal(steps[2::3], solve_fp(*problem, opts).trace_steps)
+        rel = np.diff(steps) / np.maximum(1.0, np.abs(steps[:-1]))
+        assert rel.min() >= -1e-8
 
     @pytest.mark.parametrize("case", ["no_irs", "q64", "uirs_q"])
     def test_default_start_is_matched_filter(self, case):
@@ -952,6 +988,29 @@ def _assert_same_two_stage(a, b):
     assert np.array_equal(a.precoder.w, b.precoder.w)
     assert np.array_equal(a.rcv, b.rcv)
     assert a.wsr_bits == b.wsr_bits and a.iterations == b.iterations
+
+
+class TestObjectiveCalls:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_objective_per_outer_iteration(self, scheme, monkeypatch):
+        # a scheme's solves evaluate the objective once per outer iteration,
+        # stage 1's statistical solves included
+        from iegirs.harness import run_scheme
+        cfg = ScenarioConfig(N=32, Q=4, M=2, K=2, seed=4)
+        ch = build_scenario(cfg, np.random.default_rng(4))
+        objectives, iterations = [], []
+        fp_objective_, solve_fp_ = bf.fp_objective, bf.solve_fp
+
+        def counted_solve(*args, **kwargs):
+            res = solve_fp_(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(bf, "fp_objective", lambda *a: objectives.append(a) or fp_objective_(*a))
+        monkeypatch.setattr(bf, "solve_fp", counted_solve)
+        row = run_scheme(scheme, ch, cfg, np.random.default_rng(5))
+        assert len(objectives) == sum(iterations) >= row.iterations > 0
+        assert len(iterations) > (1 if scheme == "ieg" else 0)
 
 
 # ---------------------------------------------------------------------------
