@@ -15,17 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grouping as grp
-from .config import MAX_WEIGHT, check_fields
+from .config import check_fields, checked_weights
 from .grouping import GroupingMatrix
-
-
-def _checked_weights(weights, k):
-    """weights as a float array; ValueError unless of shape (k,) with entries in [0, MAX_WEIGHT]."""
-    weights = np.array(weights, dtype=float)
-    if weights.shape != (k,) or not all(0.0 <= x <= MAX_WEIGHT for x in weights.tolist()):
-        raise ValueError(f"weights must have shape ({k},), one per user, with finite, "
-                         f"nonnegative entries of at most {MAX_WEIGHT:g}; got {weights.tolist()}")
-    return weights
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,7 @@ class FPAuxiliaries:
         xi = np.array(self.xi, dtype=complex)
         if not all(0.0 <= x < math.inf for x in varsigma.ravel().tolist()):
             raise ValueError("varsigma must be finite and nonnegative")
-        weights = _checked_weights(self.weights, varsigma.size)
+        weights = checked_weights(self.weights, varsigma.size)
         for a in (varsigma, xi, weights):
             a.flags.writeable = False
         alpha = np.sqrt(weights * (1.0 + varsigma))
@@ -148,7 +139,7 @@ def update_auxiliaries(omega, inr, weights):
     symbol and scales with sqrt(weight). weights is checked before any
     arithmetic.
     """
-    weights = _checked_weights(weights, len(omega))
+    weights = checked_weights(weights, len(omega))
     mag = np.abs(omega)
     mag2 = mag ** 2
     chi = inr + mag2
@@ -642,7 +633,7 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
     """
     opts = opts or SolverOptions()
     n = channels.num_elements
-    weights = _checked_weights(weights, channels.num_users)
+    weights = checked_weights(weights, channels.num_users)
     if not 1 <= q <= n:
         raise ValueError("need 1 <= Q <= N")
     if grouping is not None and (grouping.num_elements, grouping.num_groups) != (n, q):

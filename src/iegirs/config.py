@@ -22,6 +22,17 @@ _AT_LEAST = {"user_radius": 0, "kappa_bi": 0, "kappa_iu": 0, "kappa_bu": 0, "see
 MAX_WEIGHT = 1e100     # largest rate weight; a solve's precoder power turns NaN from about 1e200
 
 
+def checked_weights(weights, k):
+    """weights as a float array; ValueError unless of shape (k,) with entries in [0, MAX_WEIGHT]."""
+    weights = np.array(weights, dtype=float)
+    if weights.shape != (k,):
+        raise ValueError(f"weights length must equal K = {k}, got shape {weights.shape}")
+    if not all(0.0 <= x <= MAX_WEIGHT for x in weights.tolist()):
+        raise ValueError(f"weights must be finite and nonnegative, at most {MAX_WEIGHT:g}, "
+                         f"got {weights.tolist()}")
+    return weights
+
+
 def check_fields(obj, at_least):
     """Check a dataclass's numeric fields by annotation, then its lower bounds.
 
@@ -91,11 +102,7 @@ class ScenarioConfig:
             if name in _POSITIONS and (len(value) != 3 or not all(map(math.isfinite, value))):
                 raise ValueError(f"{name} must list 3 finite coordinates (x, y, z), got {value!r}")
             object.__setattr__(self, name, value if name == "schemes" else tuple(map(float, value)))
-        if len(self.weights) != self.K:
-            raise ValueError("weights length must equal K")
-        if not all(0 <= w <= MAX_WEIGHT for w in self.weights):
-            raise ValueError(f"weights must be finite and nonnegative, at most {MAX_WEIGHT:g}, "
-                             f"got {self.weights}")
+        checked_weights(self.weights, self.K)
         if not self.schemes:
             raise ValueError("schemes must list at least one scheme")
         unknown = [s for s in self.schemes if s not in SCHEMES]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import beamforming as bf
 from . import grouping as grp
-from .channel import build_scenario
+from .channel import build_scenario, cascaded_channel
 from .config import trial_seed_sequence
 
 CSV_HEADER = ("scheme", "axis", "axis_value", "N", "Q", "trial", "seed",
@@ -89,22 +89,24 @@ def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
     c_hat (K, rows, M) stacks the cascades steered in real time: combined
     under grouping for the grouped schemes, else the leading elements, as
     many as SCHEME_DIMS gives. h_bu_eff adds to the direct links the last
-    len(frozen) elements, held at the phases frozen. Each user's (N, M)
-    cascade is formed and dropped in turn, so only one is alive at a time.
+    len(frozen) elements, held at the phases frozen. Only the element rows
+    a scheme steers or freezes are formed, one user at a time.
     """
-    realtime, _ = SCHEME_DIMS[scheme](channels.num_elements, q)
-    vf = np.exp(1j * np.asarray(frozen))
-    rows, direct = [], []
-    for k in range(channels.num_users):
-        c = channels.cascade(k)
-        if grouping is None:
-            # order "K" keeps np.stack's strides of the views, which the solve's bits depend on
-            rows.append(c[:realtime].copy(order="K"))
-        else:
-            rows.append(grp.combine_cascade(grouping, c))
-        if len(frozen):
-            direct.append(channels.h_bu[k] + c[-len(frozen):].conj().T @ vf)
-    return np.stack(rows), np.stack(direct) if direct else channels.h_bu
+    n, users = channels.num_elements, range(channels.num_users)
+    realtime, _ = SCHEME_DIMS[scheme](n, q)
+
+    def cascade_rows(k, rows):
+        # column-major, as a copy of these rows of the full cascade: the solve's bits depend on it
+        return cascaded_channel(channels.h_iu[k, rows], channels.h_bi[:, rows])
+
+    if grouping is None:
+        c_hat = np.stack([cascade_rows(k, slice(realtime)) for k in users])
+    else:
+        c_hat = grp.combine_cascades(grouping, map(channels.cascade, users))
+    if not len(frozen):
+        return c_hat, channels.h_bu
+    vf, tail = np.exp(1j * np.asarray(frozen)), slice(n - len(frozen), n)
+    return c_hat, np.stack([channels.h_bu[k] + cascade_rows(k, tail).conj().T @ vf for k in users])
 
 
 def run_scheme(scheme, channels, config, rng):

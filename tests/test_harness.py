@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from iegirs.beamforming import SolverOptions, two_stage_solve
 from iegirs.channel import ChannelSet, build_scenario
 from iegirs.cli import build_parser, main as cli_main
 from iegirs.config import SCHEMES, ScenarioConfig, trial_seed_sequence
-from iegirs.grouping import GroupingMatrix
+from iegirs.grouping import GroupingMatrix, adjacent_grouping, combine_cascade
 from iegirs.harness import (SCHEME_DIMS, aggregate, recompute_wsr, rows_to_csv_text,
                             run_monte_carlo, run_scheme, scheme_problem, sweep, write_csv)
 
@@ -145,6 +146,34 @@ class TestRowMemory:
         assert 0 < per_trial <= 4 * n + 64 * 1024
 
 
+def _reference_scheme_problem(scheme, channels, q, grouping=None, frozen=()):
+    # the former formula: every user's full (N, M) cascade, sliced per scheme
+    realtime, _ = SCHEME_DIMS[scheme](channels.num_elements, q)
+    vf = np.exp(1j * np.asarray(frozen))
+    rows, direct = [], []
+    for k in range(channels.num_users):
+        c = channels.cascade(k)
+        if grouping is None:
+            rows.append(c[:realtime].copy(order="K"))
+        else:
+            rows.append(combine_cascade(grouping, c))
+        if len(frozen):
+            direct.append(channels.h_bu[k] + c[-len(frozen):].conj().T @ vf)
+    return np.stack(rows), np.stack(direct) if direct else channels.h_bu
+
+
+def _scheme_inputs(scheme, cfg, rng):
+    """(grouping, frozen) of one scheme's audit: a random grouping for ieg, blocks for aeg."""
+    n_frozen = SCHEME_DIMS[scheme](cfg.N, cfg.Q)[1]
+    frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
+    if scheme == "aeg":
+        return adjacent_grouping(cfg.N, cfg.Q), frozen
+    if scheme == "ieg":
+        labels = rng.permutation(np.arange(cfg.N) % cfg.Q) + 1
+        return GroupingMatrix(assignment=labels, num_groups=cfg.Q), frozen
+    return None, frozen
+
+
 class TestSchemeProblem:
     @pytest.mark.parametrize("scheme", ["uirs_q", "random_rcv", "no_irs"])
     def test_stacks_keep_np_stack_layout(self, scheme):
@@ -164,6 +193,83 @@ class TestSchemeProblem:
             assert h_bu.tobytes() == ref_bu.tobytes()
         else:
             assert h_bu is ch.h_bu
+
+    @pytest.mark.parametrize("n, q", [(16, 4), (16, 16), (1, 1)])
+    @pytest.mark.parametrize("k, m", [(2, 2), (3, 2)], ids=["K=M=2", "K=3>M=2"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_equals_reference_value_and_stride(self, scheme, n, q, k, m):
+        # the solve's sums read c_hat in its layout, so the strides must match too
+        cfg = ScenarioConfig(N=n, Q=q, K=k, M=m, seed=3)
+        ch = build_scenario(cfg, np.random.default_rng(7))
+        grouping, frozen = _scheme_inputs(scheme, cfg, np.random.default_rng(8))
+        c_hat, h_bu = scheme_problem(scheme, ch, q, grouping=grouping, frozen=frozen)
+        ref_c, ref_bu = _reference_scheme_problem(scheme, ch, q, grouping=grouping, frozen=frozen)
+        for got, ref in ((c_hat, ref_c), (h_bu, ref_bu)):
+            assert got.shape == ref.shape and got.strides == ref.strides
+            assert got.tobytes() == ref.tobytes()
+        assert (h_bu is ch.h_bu) == (not len(frozen))
+
+    def test_element_rows_formed_per_user(self, monkeypatch):
+        # rows of the per-element cascade formed for one solve or audit, per user:
+        # no_irs forms none, uirs_q its Q head and N - Q tail rows
+        cfg = ScenarioConfig(N=16, Q=4, K=3, M=2, trials=1, seed=3)
+        rows = run_monte_carlo(cfg)
+        ss = trial_seed_sequence(cfg.seed, 0)
+        channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+        formed = []
+
+        def counted(form):
+            def wrapper(*args):
+                out = form(*args)
+                formed.append(len(out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(harness, "cascaded_channel", counted(harness.cascaded_channel))
+        monkeypatch.setattr(ChannelSet, "cascade", counted(ChannelSet.cascade))
+        expected = {"ieg": cfg.N, "aeg": cfg.N, "uirs_q": cfg.N, "random_rcv": cfg.N, "no_irs": 0}
+        for row in rows:
+            formed.clear()
+            assert recompute_wsr(channels, row, cfg) == row.wsr_bits
+            assert sum(formed) == expected[row.scheme] * cfg.K, row.scheme
+            if row.scheme in ("uirs_q", "random_rcv", "no_irs"):
+                formed.clear()
+                run_scheme(row.scheme, channels, cfg, np.random.default_rng(0))
+                assert sum(formed) == expected[row.scheme] * cfg.K, row.scheme
+
+
+# ROADMAP item 7's probes: scenes the default grid never reaches
+DEGENERATE_SCENES = {
+    "kappa0-all": dict(kappa_bi=0.0, kappa_iu=0.0, kappa_bu=0.0),
+    "kappa_bi0": dict(kappa_bi=0.0),
+    "kappa_iu0": dict(kappa_iu=0.0),
+    "coincident-users": dict(user_radius=0.0),
+    "K4>M2": dict(K=4, M=2),
+    "M=K=1": dict(M=1, K=1),
+    "N=Q=1": dict(N=1, Q=1),
+    "Q=1": dict(Q=1),
+    "Q=N": dict(Q=16),
+    "zero-weight": dict(weights=(0.0, 1.0, 1.0, 1.0)),
+    "all-zero-weights": dict(weights=(0.0, 0.0, 0.0, 0.0)),
+    "unobscured": dict(scenario="unobscured"),
+}
+
+
+@pytest.mark.parametrize("scene", DEGENERATE_SCENES.values(), ids=DEGENERATE_SCENES)
+def test_degenerate_scene_rows_audit(scene):
+    # every scheme on each scene: a finite rate, the audit bit for bit, the budget kept,
+    # and no warning (each is raised as an error)
+    cfg = ScenarioConfig(**{"N": 16, "Q": 4, "trials": 2, "seed": 21, **scene})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_monte_carlo(cfg)
+        assert len(rows) == cfg.trials * len(SCHEMES)
+        for row in rows:
+            ss = trial_seed_sequence(cfg.seed, row.trial)
+            channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+            assert 0.0 <= row.wsr_bits < math.inf
+            assert recompute_wsr(channels, row, cfg) == row.wsr_bits
+            assert row.solution.precoder.power <= cfg.power_watts * (1 + 1e-9)
 
 
 class TestDeterminism:

@@ -60,3 +60,19 @@ def test_checked_fields_by_annotation(cls, ints, floats):
     assert [f.name for f in fields(cls) if f.type is float] == floats
     # checked once, at construction: an assignment afterwards would skip the checks
     assert cls.__dataclass_params__.frozen
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_weights_rule_only_in_config(path):
+    # one rule for the rate weights, config.checked_weights: no other module reads
+    # MAX_WEIGHT or raises an error about the weights, so the rule cannot split again
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "MAX_WEIGHT"
+             or isinstance(node, ast.Attribute) and node.attr == "MAX_WEIGHT"
+             or isinstance(node, ast.ImportFrom) and "MAX_WEIGHT" in (a.name for a in node.names)]
+    checks = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and any(isinstance(c, ast.Constant) and "weights" in str(c.value)
+                      for c in ast.walk(node))]
+    assert path.name == "config.py" or reads == checks == [], \
+        f"{path.name} reads MAX_WEIGHT on lines {reads}, checks weights on lines {checks}"
