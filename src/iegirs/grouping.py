@@ -34,7 +34,11 @@ class GroupingMatrix:
     converged: bool = True
 
     def __post_init__(self):
-        a = np.array(self.assignment, dtype=int)
+        raw = np.asarray(self.assignment)
+        a = raw.astype(int)
+        frac = np.flatnonzero(a != raw)
+        if frac.size:
+            raise ValueError(f"element {frac[0]} has non-integral label {raw[frac[0]]}")
         q = self.num_groups
         bad = np.where((a < 1) | (a > q))[0]
         if bad.size:
@@ -89,16 +93,26 @@ def adjacent_grouping(n, q):
 _ARC_QUANTUM = 2.0 ** 40
 
 
+def _wrap(x):
+    """x - floor(x): np.mod(x, 1.0) bit for bit (exact by Sterbenz for |x| >= 1), 30x faster."""
+    return x - np.floor(x)
+
+
 def arc_grouping(frac_pos, q):
-    """Equal-arc grouping of fractional positions: label 1 + floor(q * frac), at most q.
+    """Equal-arc grouping of positions modulo 1: label 1 + floor(q * frac), at most q.
 
     Positions are quantized at 2^-40 first so that a boundary atom (e.g. the
     zero-phase leading element of a ramp) bins identically whether its
     position was computed as 0 or as 1 - epsilon. Each empty group then takes
     the element circularly nearest its arc's center from the groups of >= 2.
+    A non-finite position raises ValueError.
     """
-    frac_pos = np.asarray(frac_pos)
-    frac = np.mod(np.round(frac_pos * _ARC_QUANTUM) / _ARC_QUANTUM, 1.0)
+    frac_pos = np.asarray(frac_pos, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(frac_pos))
+    if bad.size:
+        raise ValueError(f"position {bad[0]} is {frac_pos[bad[0]]}, not finite")
+    frac_pos = _wrap(frac_pos)
+    frac = _wrap(np.round(frac_pos * _ARC_QUANTUM) / _ARC_QUANTUM)
     assignment = 1 + np.minimum((q * frac).astype(int), q - 1)
     sizes = np.bincount(assignment - 1, minlength=q)
     for label in range(1, q + 1):
@@ -112,6 +126,11 @@ def arc_grouping(frac_pos, q):
     return GroupingMatrix(assignment=assignment, num_groups=q)
 
 
+def phase_arc_grouping(phases, q):
+    """Stage 1's beam-domain rule: the equal-arc grouping of phases (radians) at -phases / 2pi."""
+    return arc_grouping(-np.asarray(phases) / (2 * np.pi), q)
+
+
 def phase_partition_grouping(delta, n, q):
     """Equal-arc partition of the fractional phase ramp frac((n-1)*delta).
 
@@ -123,7 +142,7 @@ def phase_partition_grouping(delta, n, q):
     """
     if not 1 <= q <= n:
         raise ValueError("need 1 <= q <= n")
-    return arc_grouping(np.mod(np.arange(n) * float(delta), 1.0), q)
+    return arc_grouping(np.arange(n) * float(delta), q)
 
 
 def combine_cascade(grouping, cascade):
@@ -253,8 +272,7 @@ def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q,
 
     from .beamforming import heuristic_rcv       # here: beamforming imports this module
     phases = heuristic_rcv(cascades_stat, w_stat, aux.alpha_conj_xi)
-    starts = [adjacent_grouping(n, q), arc_grouping(np.mod(-phases / (2 * np.pi), 1.0), q),
-              *extra_starts]
+    starts = [adjacent_grouping(n, q), phase_arc_grouping(phases, q), *extra_starts]
 
     def binary_obj(gm):
         return grouping_objective(gm, cascades_stat, h_bu_stat, w_stat, v_stat, aux)

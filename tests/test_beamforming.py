@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iegirs import beamforming as bf
+from iegirs import grouping as grp
 from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, SolverOptions,
                                 build_rcv_quadratic, effective_channels,
                                 fp_objective, matched_precoder, mm_step, mm_surrogate,
@@ -891,6 +892,33 @@ class TestLoopBitExact:
                 u_ref, phi_ref = _reference_rcv_quadratic(w, aux, stack, h_bu)
                 assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
 
+    @pytest.mark.parametrize("q", [1, 4, 256])
+    @pytest.mark.parametrize("kind", ["random", "statistical", "zero"])
+    def test_rcv_quadratic_halved_on_float_view(self, kind, q):
+        # U is halved on its float view; complex division by 2.0 would turn a
+        # -0.0 part into +0.0, so the two forms agree bit for bit only while
+        # no part of U is -0.0
+        rng = np.random.default_rng(27)
+        c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=4, m=4, q=q)
+        if kind == "statistical":               # rank-one cascades of a scene
+            ch = build_scenario(ScenarioConfig(N=256, Q=q, seed=2), np.random.default_rng(2))
+            cascades = np.stack([ch.cascade_stat(k) for k in range(ch.num_users)])
+            c_hat = grp.combine_cascades(adjacent_grouping(256, q), cascades)
+            h_bu, w = ch.h_bu_stat, bf.stat_matched_beams(cascades, ch.h_bu_stat)
+            aux = update_auxiliaries(*rx_stats(effective_channels(np.ones(q), c_hat, h_bu), w,
+                                                ch.noise_power), np.ones(4))
+            assert np.linalg.matrix_rank(cascades[0]) == 1
+        elif kind == "zero":
+            c_hat = np.zeros_like(c_hat)
+        u, _ = build_rcv_quadratic(w, aux, c_hat, h_bu)
+        parts = u.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any()
+        assert np.abs(parts[parts != 0.0]).min(initial=np.inf) > 4 * np.finfo(float).tiny
+        summed = (parts * 2.0).view(complex)    # U + U^H, exactly: no part is subnormal
+        assert np.array_equal((summed / 2.0).view(np.uint64), u.view(np.uint64))
+        u_ref, _ = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
+        assert np.array_equal(u_ref.view(np.uint64), u.view(np.uint64))
+
     def test_hermitian_check_norms_match_linalg(self):
         rng = np.random.default_rng(26)
         for q in (1, 4, 37, 256):
@@ -963,7 +991,6 @@ class TestLoopBitExact:
     def test_two_stage_solve_matches_reference(self, stage1, monkeypatch):
         # "phase-partition" passes the arc search's seed as a fixed grouping,
         # so stage 1 runs no statistical solve
-        from iegirs import grouping as grp
         cfg = ScenarioConfig(N=1024, Q=4, seed=1)
         ch = build_scenario(cfg, np.random.default_rng(9))
         grouping = None
@@ -1026,7 +1053,7 @@ def _reference_stat_inputs(channels):
 def _reference_arc_seed(channels, weights, q):
     """Equal-arc partition of the weighted aggregate statistical cascade phase."""
     cascades_stat, w_mf = _reference_stat_inputs(channels)
-    return bf._arc_from_phases(bf.heuristic_rcv(cascades_stat, w_mf, weights), q)
+    return grp.phase_arc_grouping(bf.heuristic_rcv(cascades_stat, w_mf, weights), q)
 
 
 def _reference_statistical_solve(channels, g, weights, p_max, opts, incumbent=None):
@@ -1036,7 +1063,6 @@ def _reference_statistical_solve(channels, g, weights, p_max, opts, incumbent=No
     matched beams and the matched precoder at that reflection; with one, the
     heuristic reflection under the incumbent's beams and those beams.
     """
-    from iegirs import grouping as grp
     cascades_stat, w_mf = _reference_stat_inputs(channels)
     c_hat_stat = grp.combine_cascades(g, cascades_stat)
     if incumbent is None:
@@ -1060,8 +1086,8 @@ def _check_stat_inputs(channels, cascades_stat, w_mf):
 def _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max):
     """The arc search that solves every candidate, repeats included, from
     starts it forms itself. Returns the statistical SolveResult of the
-    chosen grouping, as _grouping_from_statistics does."""
-    from iegirs import grouping as grp
+    chosen grouping and that grouping's statistical cascade, as
+    _grouping_from_statistics does."""
     _check_stat_inputs(channels, cascades_stat, w_mf)
     best = None
     for seed_g in (grp.adjacent_grouping(channels.num_elements, q),
@@ -1070,11 +1096,11 @@ def _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max
         if best is None or stat.wsr_bits > best.wsr_bits:
             best = stat
     for _ in range(3):
-        candidates = [bf._arc_from_phases(bf.heuristic_rcv(cascades_stat, best.precoder.w,
-                                                            best.aux.alpha_conj_xi), q)]
+        candidates = [grp.phase_arc_grouping(bf.heuristic_rcv(cascades_stat, best.precoder.w,
+                                                               best.aux.alpha_conj_xi), q)]
         for k in range(channels.num_users):
             ramp = cascades_stat[k] @ best.precoder.w[:, k]
-            candidates.append(bf._arc_from_phases(np.angle(ramp), q))
+            candidates.append(grp.phase_arc_grouping(np.angle(ramp), q))
         improved = False
         for candidate in candidates:
             if np.array_equal(candidate.assignment, best.grouping.assignment):
@@ -1086,7 +1112,7 @@ def _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max
                 improved = True
         if not improved:
             break
-    return best
+    return best, grp.combine_cascades(best.grouping, cascades_stat)
 
 
 def _reference_grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_max,
@@ -1094,8 +1120,8 @@ def _reference_grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, 
     """Arc search, then up to one relaxed-program refinement kept only if it
     raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
     15 projected-gradient steps, the incumbent as an extra start)."""
-    from iegirs import grouping as grp
-    best = _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max)
+    best, c_hat_stat = _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights,
+                                             p_max)
     relaxed_calls.append(q)
     refined = grp.relaxed_qp_grouping(_reference_stat_inputs(channels)[0], channels.h_bu_stat,
                                       best.precoder.w, np.exp(1j * best.rcv), best.aux, q,
@@ -1104,8 +1130,8 @@ def _reference_grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, 
     if not np.array_equal(refined.assignment, best.grouping.assignment):
         stat = _reference_statistical_solve(channels, refined, weights, p_max, opts)
         if stat.wsr_bits > best.wsr_bits:
-            best = stat
-    return best
+            best, c_hat_stat = stat, grp.combine_cascades(refined, cascades_stat)
+    return best, c_hat_stat
 
 
 def _stage1_scene(case):
@@ -1160,7 +1186,6 @@ class TestHeuristicRcv:
     @pytest.mark.parametrize("stack", ["statistical", "grouped"])
     @pytest.mark.parametrize("coef", ["weights_with_a_zero", "alpha_conj_xi"])
     def test_matches_einsum(self, stack, coef, monkeypatch):
-        from iegirs import grouping as grp
         ch, q, cascades_stat, w_mf = self._stage1_inputs(monkeypatch)
         assert cascades_stat.strides[1:] == (16, 16 * ch.num_elements)    # (K, N, M), strided
         weights = np.array([1.0, 0.0, 2.5, 0.75])
@@ -1177,7 +1202,6 @@ class TestHeuristicRcv:
         assert not self._assert_phases(cascades, w_mf, coef).any()
 
     def test_zero_sum_has_phase_zero(self, monkeypatch):
-        from iegirs import grouping as grp
         ch, q, cascades_stat, w_mf = self._stage1_inputs(monkeypatch)
         c_hat = grp.combine_cascades(grp.adjacent_grouping(ch.num_elements, q), cascades_stat)
         c_hat[:, 5] = 0.0

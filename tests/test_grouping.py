@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestValidate:
             GroupingMatrix(assignment=[1, 3], num_groups=2)
         with pytest.raises(ValueError, match=r"^element 0 has label 0 outside \[1, 2\]$"):
             GroupingMatrix(assignment=[0, 1, 2], num_groups=2)
+
+    def test_non_integral_label(self):
+        # an int cast would truncate these to [1 2] without a word
+        with pytest.raises(ValueError, match=r"^element 0 has non-integral label 1.5$"):
+            GroupingMatrix(assignment=np.array([1.5, 2.7]), num_groups=2)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match=r"^element 1 has non-integral label nan$"):
+            GroupingMatrix(assignment=[1.0, np.nan, 2.0], num_groups=2)
+
+    def test_whole_float_labels_keep_bytes(self):
+        ints = GroupingMatrix(assignment=np.array([1, 2, 2, 1]), num_groups=2).assignment
+        for labels in ([1.0, 2.0, 2.0, 1.0], np.array([1, 2, 2, 1], dtype=np.uint8)):
+            got = GroupingMatrix(assignment=labels, num_groups=2).assignment
+            assert got.dtype == ints.dtype and got.tobytes() == ints.tobytes()
 
     def test_callers_array_is_copied_and_assignment_read_only(self):
         labels = np.array([1, 2, 2, 1])
@@ -116,6 +131,89 @@ class TestPhasePartition:
     def test_needs_enough_elements(self):
         with pytest.raises(ValueError):
             phase_partition_grouping(0.3, 2, 4)
+
+
+def _mod_arc_grouping(frac_pos, q):
+    """Labels of arc_grouping as written with np.mod, its callers wrapping
+    the positions by np.mod first."""
+    frac_pos = np.mod(np.asarray(frac_pos), 1.0)
+    frac = np.mod(np.round(frac_pos * 2.0 ** 40) / 2.0 ** 40, 1.0)
+    assignment = 1 + np.minimum((q * frac).astype(int), q - 1)
+    sizes = np.bincount(assignment - 1, minlength=q)
+    for label in range(1, q + 1):
+        while sizes[label - 1] == 0:
+            movable = np.where(sizes[assignment - 1] >= 2)[0]
+            d = np.abs(frac_pos[movable] - (label - 0.5) / q)
+            pick = movable[np.argmin(np.minimum(d, 1.0 - d))]
+            sizes[assignment[pick] - 1] -= 1
+            assignment[pick] = label
+            sizes[label - 1] += 1
+    return assignment
+
+
+class TestArcWrap:
+    """The one wrap, grp._wrap = x - floor(x), against np.mod(x, 1.0) bit for bit."""
+
+    @staticmethod
+    def _assert_same_bits(x):
+        with np.errstate(invalid="ignore"):
+            ref, got = np.mod(x, 1.0), grp._wrap(x)
+        assert got.dtype == ref.dtype and np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_edge_values(self):
+        tiny = 2.0 ** -1074
+        self._assert_same_bits(np.array([0.0, -0.0, tiny, -tiny, -1e-17, 1.0 - 2.0 ** -53,
+                                         2.0 ** 52 + 0.5, -(2.0 ** 52 + 0.5), 1e300, -1e300,
+                                         np.inf, -np.inf, np.nan]))
+
+    def test_random_values(self):
+        # raw bit patterns (every exponent, subnormals, infinities, NaN
+        # payloads) and values near the unit interval
+        rng = np.random.default_rng(31)
+        bits = rng.integers(0, 2 ** 64, 500_000, dtype=np.uint64).view(float)
+        self._assert_same_bits(np.concatenate([bits, rng.uniform(-3.0, 3.0, 500_000)]))
+
+    @pytest.mark.parametrize("q", [1, 2, 4, 16, 256])
+    def test_stage1_arcs_match_mod_form(self, q):
+        from iegirs.channel import build_scenario
+        from iegirs.config import ScenarioConfig
+        ch = build_scenario(ScenarioConfig(N=1024, Q=4, seed=3), np.random.default_rng(3))
+        cascades_stat = np.stack([ch.cascade_stat(k) for k in range(ch.num_users)])
+        w_mf = bf.stat_matched_beams(cascades_stat, ch.h_bu_stat)
+        rng = np.random.default_rng(q)
+        tiny = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, np.pi, -np.pi])
+        for phases in (bf.heuristic_rcv(cascades_stat, w_mf, np.ones(ch.num_users)),
+                       np.angle(cascades_stat[0] @ w_mf[:, 0]),
+                       rng.uniform(-np.pi, np.pi, 1024), np.resize(tiny, 1024),
+                       np.full(1024, 0.25)):
+            got = grp.phase_arc_grouping(phases, q).assignment
+            assert np.array_equal(got, _mod_arc_grouping(-phases / (2 * np.pi), q))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3, -0.7, 1.0 / np.sqrt(2.0), 769 / 2048,
+                                       1e-17, -1e-17, 123.456])
+    def test_phase_partition_matches_mod_form(self, delta):
+        for n, q in ((6, 2), (64, 4), (1024, 16), (4096, 256)):
+            got = phase_partition_grouping(delta, n, q).assignment
+            assert np.array_equal(got, _mod_arc_grouping(np.arange(n) * delta, q))
+
+
+class TestArcGrouping:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position(self, bad):
+        # refused before any arithmetic: no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^position 2 is {bad}, not finite$"):
+                grp.arc_grouping([0.1, 0.6, bad, 0.3, bad], 2)
+
+    def test_non_finite_delta(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^position 0 is nan, not finite$"):
+                phase_partition_grouping(float("nan"), 8, 2)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="^position 0 is nan, not finite$"):
+            phase_partition_grouping(float("inf"), 8, 2)           # 0 * inf
 
 
 class TestAdjacent:
