@@ -494,9 +494,15 @@ def heuristic_rcv(cascades, w, coef):
     users' cascades C_k (a (K, rows, M) stack, grouped or per element), beams
     w_k (columns of w) and coefficients coef_k; a zero sum has phase 0. Every
     reflection start and every arc partition of a weighted aggregate reads it."""
-    agg = np.zeros(cascades.shape[1], dtype=complex)
-    for k in range(cascades.shape[0]):
-        agg += coef[k] * (cascades[k] @ w[:, k])
+    return _phase_of_sum((cascades[k] @ w[:, k] for k in range(cascades.shape[0])), coef,
+                         cascades.shape[1])
+
+
+def _phase_of_sum(products, coef, rows):
+    """heuristic_rcv from the users' beam products C_k @ w_k, each (rows,), in user order."""
+    agg = np.zeros(rows, dtype=complex)
+    for c, p in zip(coef, products):
+        agg += c * p
     return np.angle(agg)
 
 
@@ -579,6 +585,14 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
         stat.grouping = g
         return stat, c_hat_stat
 
+    def beam_products(w, own):
+        # each user's beam product C_k w_k in turn, formed once: the mixed sum
+        # reads it, and its phases, the user's own arc, go into own
+        for k in range(channels.num_users):
+            product = cascades_stat[k] @ w[:, k]
+            own.append(np.angle(product))
+            yield product
+
     n = channels.num_elements
     if q == n:
         g = grp.adjacent_grouping(n, q)
@@ -597,10 +611,9 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
     # is known not to win. solved holds exactly those assignments.
     solved = {g.assignment.tobytes()}
     for _ in range(3):
-        w = best.precoder.w
-        phases = [heuristic_rcv(cascades_stat, w, best.aux.alpha_conj_xi)]
-        phases += [np.angle(cascades_stat[k] @ w[:, k]) for k in range(channels.num_users)]
-        candidates = [grp.phase_arc_grouping(p, q) for p in phases]
+        own = []
+        mixed = _phase_of_sum(beam_products(best.precoder.w, own), best.aux.alpha_conj_xi, n)
+        candidates = [grp.phase_arc_grouping(p, q) for p in [mixed] + own]
         improved = False
         for candidate in candidates:
             key = candidate.assignment.tobytes()
@@ -639,10 +652,13 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
                          f"{grouping.num_groups} groups, need {n} into {q}")
 
     k_users, m = channels.h_bu.shape
-    # filled per user in np.stack's strides (N*M*16, 16, N*16): another layout moves stage 1's bits
+    # each user's cascaded_channel(h_iu_stat[k], h_bi_stat), written in place in
+    # np.stack's strides (N*M*16, 16, N*16): another layout moves stage 1's bits
     cascades_stat = np.empty((k_users, m, n), dtype=complex).transpose(0, 2, 1)
+    bi_conj_t = np.conj(channels.h_bi_stat).T
     for k in range(k_users):
-        cascades_stat[k] = channels.cascade_stat(k)
+        np.multiply(np.conj(channels.h_iu_stat[k])[:, None], bi_conj_t, out=cascades_stat[k])
+    del bi_conj_t
     w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
     if grouping is None:
         stat, c_hat_stat = _grouping_from_statistics(channels, cascades_stat, w_stat, q, opts,
@@ -650,9 +666,10 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
         g, w_stat = stat.grouping, stat.precoder.w
     else:
         g, c_hat_stat = grouping, grp.combine_cascades(grouping, cascades_stat)
+    v0 = heuristic_rcv(c_hat_stat, w_stat, weights)
+    del cascades_stat                 # released before the instantaneous cascades are formed
 
     c_hat = grp.combine_cascades(g, (channels.cascade(k) for k in range(k_users)))
-    v0 = heuristic_rcv(c_hat_stat, w_stat, weights)
     res = solve_fp(c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, opts)
     res.grouping = g
     return res

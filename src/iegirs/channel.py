@@ -8,9 +8,11 @@ the direction cosine of the 3-D unit link vector onto each array axis
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .config import check_fields
 from .mathkit import array_response
 
 _PL_COEF = {"los": (42.0, 22.0), "nlos": (40.9, 36.7)}
@@ -31,21 +33,21 @@ def path_loss_amplitude(model, d):
     return 10.0 ** (-path_loss_db(model, d) / 20.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RicianLink:
-    """One Rician-faded link: amplitude factor, Rician factor, LoS component."""
+    """One Rician-faded link: amplitude factor delta and Rician factor kappa,
+    each finite and >= 0, and the LoS component."""
 
     delta: float
     kappa: float
     los: np.ndarray          # unit-modulus entries, shape = link dims
 
     def __post_init__(self):
-        if self.delta < 0 or self.kappa < 0:
-            raise ValueError("delta and kappa must be nonnegative")
+        check_fields(self, {"delta": 0, "kappa": 0})
 
-    @property
+    @cached_property
     def stat_component(self):
-        """Deterministic part delta*sqrt(kappa/(1+kappa))*los (the S-CSI channel)."""
+        """Deterministic part delta*sqrt(kappa/(1+kappa))*los (the S-CSI channel), formed once."""
         return self.delta * np.sqrt(self.kappa / (1.0 + self.kappa)) * self.los
 
     @property
@@ -147,16 +149,17 @@ class ChannelSet:
         """Instantaneous per-element cascade for user k, shape (N, M)."""
         return cascaded_channel(self.h_iu[k], self.h_bi)
 
-    def cascade_stat(self, k):
-        """Statistical per-element cascade for user k, shape (N, M)."""
-        return cascaded_channel(self.h_iu_stat[k], self.h_bi_stat)
-
 
 def _unit(v):
     d = np.linalg.norm(v)
     if d <= 0:
         raise ValueError("coincident endpoints in scene geometry")
     return v / d, d
+
+
+def _draw(link, rng):
+    """A realization of link and its statistical component, formed once for both."""
+    return sample_rician(link, rng), link.stat_component
 
 
 def build_scenario(config, rng):
@@ -181,36 +184,37 @@ def build_scenario(config, rng):
     x_axis = np.array([1.0, 0.0, 0.0])
     z_axis = np.array([0.0, 0.0, 1.0])
 
-    # BS -> IRS
+    # BS -> IRS: the LoS outer product of the BS ULA and IRS UPA responses
     e_bi, d_bi = _unit(irs - bs)
-    delta_bi = path_loss_amplitude("los", d_bi)
-    bs_resp = array_response(config.M, np.arcsin(np.clip(e_bi @ y_axis, -1, 1)))
-    irs_resp_bi = upa_response(n1, n2, np.clip(-e_bi @ x_axis, -1, 1), np.clip(-e_bi @ z_axis, -1, 1))
-    link_bi = RicianLink(delta=delta_bi, kappa=config.kappa_bi,
-                         los=np.outer(bs_resp, np.conj(irs_resp_bi)))
+    h_bi, h_bi_stat = _draw(RicianLink(
+        delta=path_loss_amplitude("los", d_bi), kappa=config.kappa_bi,
+        los=np.outer(array_response(config.M, np.arcsin(np.clip(e_bi @ y_axis, -1, 1))),
+                     np.conj(upa_response(n1, n2, np.clip(-e_bi @ x_axis, -1, 1),
+                                          np.clip(-e_bi @ z_axis, -1, 1)))),
+    ), rng)
 
+    # draws in the order h_bi, h_iu by user, h_bu by user; each link, with its
+    # LoS array, goes when its draw is stored, and N-length rows go straight
+    # into their (K, N) stacks
     direct_model = "nlos" if config.scenario == "obscured" else "los"
-    links_iu, links_bu = [], []
+    h_iu = np.empty((config.K, config.N), dtype=complex)
+    h_iu_stat = np.empty_like(h_iu)
+    links_bu = []
     for k in range(config.K):
         e_iu, d_iu = _unit(users[k] - irs)
-        links_iu.append(RicianLink(
+        h_iu[k], h_iu_stat[k] = _draw(RicianLink(
             delta=path_loss_amplitude("los", d_iu), kappa=config.kappa_iu,
             los=upa_response(n1, n2, np.clip(e_iu @ x_axis, -1, 1), np.clip(e_iu @ z_axis, -1, 1)),
-        ))
+        ), rng)
         e_bu, d_bu = _unit(users[k] - bs)
         links_bu.append(RicianLink(
             delta=path_loss_amplitude(direct_model, d_bu), kappa=config.kappa_bu,
             los=array_response(config.M, np.arcsin(np.clip(e_bu @ y_axis, -1, 1))),
         ))
-
-    h_bi = sample_rician(link_bi, rng)
-    h_iu = np.stack([sample_rician(lk, rng) for lk in links_iu])
     h_bu = np.stack([sample_rician(lk, rng) for lk in links_bu])
 
     return ChannelSet(
-        h_bi=h_bi, h_iu=h_iu, h_bu=h_bu,
-        h_bi_stat=link_bi.stat_component,
-        h_iu_stat=np.stack([lk.stat_component for lk in links_iu]),
+        h_bi=h_bi, h_iu=h_iu, h_bu=h_bu, h_bi_stat=h_bi_stat, h_iu_stat=h_iu_stat,
         h_bu_stat=np.stack([lk.stat_component for lk in links_bu]),
         noise_power=config.noise_watts,
     )

@@ -11,7 +11,7 @@ from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, SolverOptions,
                                 precoder_quadratic, rcv_objective, rx_stats, sinr_all, solve_fp,
                                 two_stage_solve, update_auxiliaries, update_precoder,
                                 update_rcv_mm, wsr)
-from iegirs.channel import ChannelSet, build_scenario
+from iegirs.channel import ChannelSet, build_scenario, cascaded_channel
 from iegirs.config import MAX_WEIGHT, SCHEMES, ScenarioConfig
 from iegirs.grouping import GroupingMatrix, adjacent_grouping
 
@@ -902,7 +902,8 @@ class TestLoopBitExact:
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=4, m=4, q=q)
         if kind == "statistical":               # rank-one cascades of a scene
             ch = build_scenario(ScenarioConfig(N=256, Q=q, seed=2), np.random.default_rng(2))
-            cascades = np.stack([ch.cascade_stat(k) for k in range(ch.num_users)])
+            cascades = np.stack([cascaded_channel(ch.h_iu_stat[k], ch.h_bi_stat)
+                                 for k in range(ch.num_users)])
             c_hat = grp.combine_cascades(adjacent_grouping(256, q), cascades)
             h_bu, w = ch.h_bu_stat, bf.stat_matched_beams(cascades, ch.h_bu_stat)
             aux = update_auxiliaries(*rx_stats(effective_channels(np.ones(q), c_hat, h_bu), w,
@@ -1046,8 +1047,13 @@ class TestObjectiveCalls:
 
 def _reference_stat_inputs(channels):
     """Stacked statistical cascades (K, N, M) and their matched beams."""
-    cascades_stat = np.stack([channels.cascade_stat(k) for k in range(channels.num_users)])
+    cascades_stat = np.stack([cascaded_channel(channels.h_iu_stat[k], channels.h_bi_stat)
+                              for k in range(channels.num_users)])
     return cascades_stat, bf.stat_matched_beams(cascades_stat, channels.h_bu_stat)
+
+
+def _stepped_strides(a):
+    return [s for s, d in zip(a.strides, a.shape) if d > 1]
 
 
 def _reference_arc_seed(channels, weights, q):
@@ -1223,6 +1229,65 @@ class TestStage1BitExact:
         two_stage_solve(ch, q, p_max, weights)
         ref = _reference_stat_inputs(ch)[0]
         assert seen[0].strides == ref.strides and seen[0].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kw", [dict(), dict(K=1), dict(M=1), dict(K=1, M=1, N=37),
+                                    dict(N=37), dict(kappa_bi=0.0), dict(kappa_iu=0.0)],
+                             ids=["K=M=4", "K=1", "M=1", "K=M=1_N=37", "N=37", "kappa_bi=0",
+                                  "kappa_iu=0"])
+    @pytest.mark.parametrize("given", [False, True], ids=["searched", "given"])
+    def test_statistical_stack_filled_in_place(self, kw, given, monkeypatch):
+        # the stack both stages read, written user by user in place, against
+        # np.stack of each user's cascaded_channel: same bytes, same strides
+        cfg = ScenarioConfig(**{"N": 64, "Q": 2, "seed": 6, **kw})
+        ch = build_scenario(cfg, np.random.default_rng(6))
+        seen = []
+
+        def record(cascades_stat, h_bu_stat):
+            seen.append(cascades_stat)
+            raise StopIteration
+
+        monkeypatch.setattr(bf, "stat_matched_beams", record)
+        with pytest.raises(StopIteration):
+            two_stage_solve(ch, cfg.Q, cfg.power_watts, cfg.weights,
+                            grouping=adjacent_grouping(cfg.N, cfg.Q) if given else None)
+        ref = np.stack([cascaded_channel(ch.h_iu_stat[k], ch.h_bi_stat) for k in range(cfg.K)])
+        assert seen[0].shape == ref.shape and seen[0].tobytes() == ref.tobytes()
+        # the stride of a length-1 axis is never stepped (at M = 1 it is N*16, not 16)
+        assert _stepped_strides(seen[0]) == _stepped_strides(ref)
+
+    @pytest.mark.parametrize("case", ["c11_n256", "q2", "30dBm_t3"])
+    def test_round_forms_each_beam_product_once(self, case, monkeypatch):
+        # each search round forms the K per-user products C_k w_k once, for the
+        # mixed arc and the users' own arcs; the seed's heuristic_rcv forms K more
+        ch, q, p_max, weights = _stage1_scene(case)
+        k_users, n = ch.num_users, ch.num_elements
+        products, arcs = [], []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ other
+                if out.shape == (n,):
+                    products.append(1)
+                return out
+
+        grouping_from_statistics = bf._grouping_from_statistics
+        phase_arc_grouping = grp.phase_arc_grouping
+
+        def counted(channels, cascades_stat, *args):
+            return grouping_from_statistics(channels, cascades_stat.view(Counted), *args)
+
+        def counted_arcs(phases, q):
+            arcs.append(len(phases))
+            return phase_arc_grouping(phases, q)
+
+        new = two_stage_solve(ch, q, p_max, weights)
+        monkeypatch.setattr(bf, "_grouping_from_statistics", counted)
+        monkeypatch.setattr(grp, "phase_arc_grouping", counted_arcs)
+        ref = two_stage_solve(ch, q, p_max, weights)
+        _assert_same_two_stage(new, ref)
+        rounds, rest = divmod(arcs.count(n) - 1, k_users + 1)
+        assert rest == 0 and rounds >= 1
+        assert len(products) == k_users * (1 + rounds)
 
     @pytest.mark.parametrize("case", ["c11_n256", "c11_n1024", "q2", "q16", "unobscured",
                                       "kappa0.1", "kappa10", "30dBm"])

@@ -74,6 +74,22 @@ class TestSampleRician:
         with pytest.raises(ValueError):
             RicianLink(delta=1.0, kappa=-0.1, los=np.ones(2))
 
+    @pytest.mark.parametrize("field, value", [("delta", np.nan), ("delta", np.inf),
+                                              ("kappa", np.nan), ("kappa", np.inf)])
+    def test_non_finite_link_refused(self, field, value):
+        # before, these built a link whose statistical part and draws were all NaN
+        kw = {"delta": 1.0, "kappa": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a finite real number"):
+            RicianLink(los=np.ones(2), **kw)
+
+    def test_stat_component_formed_once(self):
+        # the draw and build_scenario read one array, not two formed in turn
+        link = RicianLink(delta=0.7, kappa=2.0, los=_phase_ramp_los((3, 8), np.random.default_rng(5)))
+        stat = link.stat_component
+        sample_rician(link, np.random.default_rng(6))
+        assert link.stat_component is stat
+        assert stat.tobytes() == (0.7 * np.sqrt(2.0 / 3.0) * link.los).tobytes()
+
 
 def _reference_complex_normal(shape, rng):
     """The two-draw form: real parts, then imaginary parts, divided by sqrt(2)."""
@@ -178,7 +194,77 @@ class TestGeometryHelpers:
         assert np.allclose(upa_response(1, 8, 0.0, u), array_response(8, np.arcsin(u)))
 
 
+def _reference_build_scenario(config, rng):
+    """The former scene construction: every link built first, then drawn
+    through lists and np.stack, its statistical part read once more."""
+    bs = np.asarray(config.bs_pos, dtype=float)
+    irs = np.asarray(config.irs_pos, dtype=float)
+    center = np.asarray(config.user_center, dtype=float)
+    directions = rng.standard_normal((config.K, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = config.user_radius * rng.uniform(size=config.K) ** (1.0 / 3.0)
+    users = center[None, :] + radii[:, None] * directions
+    n1, n2 = near_square_factors(config.N)
+    y_axis, x_axis, z_axis = np.eye(3)[[1, 0, 2]]
+
+    def unit(v):
+        d = np.linalg.norm(v)
+        return v / d, d
+
+    e_bi, d_bi = unit(irs - bs)
+    bs_resp = array_response(config.M, np.arcsin(np.clip(e_bi @ y_axis, -1, 1)))
+    irs_resp_bi = upa_response(n1, n2, np.clip(-e_bi @ x_axis, -1, 1), np.clip(-e_bi @ z_axis, -1, 1))
+    link_bi = RicianLink(delta=path_loss_amplitude("los", d_bi), kappa=config.kappa_bi,
+                         los=np.outer(bs_resp, np.conj(irs_resp_bi)))
+    direct_model = "nlos" if config.scenario == "obscured" else "los"
+    links_iu, links_bu = [], []
+    for k in range(config.K):
+        e_iu, d_iu = unit(users[k] - irs)
+        links_iu.append(RicianLink(
+            delta=path_loss_amplitude("los", d_iu), kappa=config.kappa_iu,
+            los=upa_response(n1, n2, np.clip(e_iu @ x_axis, -1, 1), np.clip(e_iu @ z_axis, -1, 1))))
+        e_bu, d_bu = unit(users[k] - bs)
+        links_bu.append(RicianLink(
+            delta=path_loss_amplitude(direct_model, d_bu), kappa=config.kappa_bu,
+            los=array_response(config.M, np.arcsin(np.clip(e_bu @ y_axis, -1, 1)))))
+
+    def stat(link):                              # formed anew, as the property once was
+        return link.delta * np.sqrt(link.kappa / (1.0 + link.kappa)) * link.los
+
+    def draw(link):
+        return rician_from_normals(stat(link), link.nlos_scale,
+                                   rng.standard_normal((2,) + link.los.shape))
+
+    h_bi = draw(link_bi)
+    h_iu = np.stack([draw(lk) for lk in links_iu])
+    h_bu = np.stack([draw(lk) for lk in links_bu])
+    return ChannelSet(h_bi=h_bi, h_iu=h_iu, h_bu=h_bu, h_bi_stat=stat(link_bi),
+                      h_iu_stat=np.stack([stat(lk) for lk in links_iu]),
+                      h_bu_stat=np.stack([stat(lk) for lk in links_bu]),
+                      noise_power=config.noise_watts)
+
+
+SCENE_ARRAYS = ("h_bi", "h_iu", "h_bu", "h_bi_stat", "h_iu_stat", "h_bu_stat")
+
+
 class TestBuildScenario:
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(K=1), dict(M=1), dict(K=1, M=1, N=37), dict(N=37), dict(kappa_bi=0.0),
+        dict(kappa_iu=0.0), dict(kappa_bu=0.0), dict(scenario="unobscured"), dict(N=1)],
+        ids=["default", "K=1", "M=1", "K=M=1_N=37", "N=37", "kappa_bi=0", "kappa_iu=0",
+             "kappa_bu=0", "unobscured", "N=1"])
+    def test_equals_reference_bytes(self, kw):
+        # N = 37 is prime, so its UPA is 1 x 37; kappa = 0 zeroes a statistical part
+        cfg = ScenarioConfig(**{"N": 64, "Q": 1, "M": 3, "K": 2, "seed": 4, **kw})
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got, ref = build_scenario(cfg, rng), _reference_build_scenario(cfg, ref_rng)
+        for name in SCENE_ARRAYS:
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a.shape, a.dtype, a.strides) == (b.shape, b.dtype, b.strides), name
+            assert a.tobytes() == b.tobytes(), name
+        assert got.noise_power == ref.noise_power
+        assert rng.standard_normal() == ref_rng.standard_normal()   # the same draws, in order
+
     # user_radius = 0 puts every user at user_center, so each distance is
     # known; at kappa = 1 every entry of a *_stat array has modulus delta/sqrt(2)
     def test_obscured_direct_link_uses_nlos(self):

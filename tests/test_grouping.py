@@ -175,10 +175,11 @@ class TestArcWrap:
 
     @pytest.mark.parametrize("q", [1, 2, 4, 16, 256])
     def test_stage1_arcs_match_mod_form(self, q):
-        from iegirs.channel import build_scenario
+        from iegirs.channel import build_scenario, cascaded_channel
         from iegirs.config import ScenarioConfig
         ch = build_scenario(ScenarioConfig(N=1024, Q=4, seed=3), np.random.default_rng(3))
-        cascades_stat = np.stack([ch.cascade_stat(k) for k in range(ch.num_users)])
+        cascades_stat = np.stack([cascaded_channel(ch.h_iu_stat[k], ch.h_bi_stat)
+                                  for k in range(ch.num_users)])
         w_mf = bf.stat_matched_beams(cascades_stat, ch.h_bu_stat)
         rng = np.random.default_rng(q)
         tiny = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, np.pi, -np.pi])

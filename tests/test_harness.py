@@ -146,6 +146,43 @@ class TestRowMemory:
         assert 0 < per_trial <= 4 * n + 64 * 1024
 
 
+class TestTrialMemory:
+    # traced peaks of one full trial's two big steps, N = 8192 and K = M = 4:
+    # a scene returns four N-length stacks of 64 bytes per element, and stage
+    # 1 needs one (K, N, M) statistical stack of 256. Before each array was
+    # formed once, the peaks were 466 and 467 bytes per element; now about
+    # 321 and 358.
+    N = 8192
+    CFG = ScenarioConfig(N=N, Q=4, K=4, M=4)
+
+    @staticmethod
+    def _traced_peak(call):
+        """(result, peak traced bytes above those held when call starts)."""
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def test_scene_peak_within_its_arrays(self):
+        ch, peak = self._traced_peak(lambda: build_scenario(self.CFG, np.random.default_rng(1)))
+        returned = sum(getattr(ch, name).nbytes for name in
+                       ("h_bi", "h_iu", "h_bu", "h_bi_stat", "h_iu_stat", "h_bu_stat"))
+        assert returned >= 256 * self.N
+        assert peak <= 1.4 * returned
+
+    def test_solve_peak_within_one_statistical_stack(self):
+        cfg = self.CFG
+        ch = build_scenario(cfg, np.random.default_rng(1))
+        res, peak = self._traced_peak(lambda: two_stage_solve(ch, cfg.Q, cfg.power_watts,
+                                                              cfg.weights))
+        assert res.iterations >= 1
+        assert peak <= 1.5 * cfg.K * cfg.N * cfg.M * 16
+
+
 def _reference_scheme_problem(scheme, channels, q, grouping=None, frozen=()):
     # the former formula: every user's full (N, M) cascade, sliced per scheme
     realtime, _ = SCHEME_DIMS[scheme](channels.num_elements, q)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from iegirs import AsymptoticInputs, ScenarioConfig, SolverOptions
+from iegirs import AsymptoticInputs, RicianLink, ScenarioConfig, SolverOptions
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "iegirs").glob("*.py"))
 
@@ -50,8 +50,9 @@ def test_scipy_imported_only_by_acceptance(path):
     (ScenarioConfig, ["M", "K", "N", "Q", "trials", "seed"],
      ["user_radius", "kappa_bi", "kappa_iu", "kappa_bu", "power_dbm", "noise_dbm"]),
     (SolverOptions, ["max_outer"], ["tol"]),
-    (AsymptoticInputs, ["N", "Q"], ["delta_bi", "delta_iu", "kappa_bi", "kappa_iu"])],
-    ids=["ScenarioConfig", "SolverOptions", "AsymptoticInputs"])
+    (AsymptoticInputs, ["N", "Q"], ["delta_bi", "delta_iu", "kappa_bi", "kappa_iu"]),
+    (RicianLink, [], ["delta", "kappa"])],
+    ids=["ScenarioConfig", "SolverOptions", "AsymptoticInputs", "RicianLink"])
 def test_checked_fields_by_annotation(cls, ints, floats):
     # check_fields reads each field's annotation as its kind; under
     # `from __future__ import annotations` every annotation is a string, no
