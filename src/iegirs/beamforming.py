@@ -651,14 +651,7 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
         raise ValueError(f"grouping of {grouping.num_elements} elements into "
                          f"{grouping.num_groups} groups, need {n} into {q}")
 
-    k_users, m = channels.h_bu.shape
-    # each user's cascaded_channel(h_iu_stat[k], h_bi_stat), written in place in
-    # np.stack's strides (N*M*16, 16, N*16): another layout moves stage 1's bits
-    cascades_stat = np.empty((k_users, m, n), dtype=complex).transpose(0, 2, 1)
-    bi_conj_t = np.conj(channels.h_bi_stat).T
-    for k in range(k_users):
-        np.multiply(np.conj(channels.h_iu_stat[k])[:, None], bi_conj_t, out=cascades_stat[k])
-    del bi_conj_t
+    cascades_stat = channels.stat_cascades()
     w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
     if grouping is None:
         stat, c_hat_stat = _grouping_from_statistics(channels, cascades_stat, w_stat, q, opts,
@@ -669,7 +662,7 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
     v0 = heuristic_rcv(c_hat_stat, w_stat, weights)
     del cascades_stat                 # released before the instantaneous cascades are formed
 
-    c_hat = grp.combine_cascades(g, (channels.cascade(k) for k in range(k_users)))
+    c_hat = grp.combine_cascades(g, map(channels.cascade, range(channels.num_users)))
     res = solve_fp(c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, opts)
     res.grouping = g
     return res

@@ -91,16 +91,22 @@ def cascade_coefficients(kappa_bi, kappa_iu):
     return a_bar, a_tilde, b_bar, b_tilde
 
 
-def cascaded_channel(h_iu_k, h_bi):
+def cascaded_channel(h_iu_k, h_bi, out=None):
     """Per-element cascade matrix of h_iu_k (N,) and h_bi (M, N), rows indexed by IRS element.
 
-    Row n is conj(h_iu_k[n]) * conj(h_bi[:, n])^T, shape (N, M). For M = 1
-    this is the entrywise product conj(h_iu) * conj(h_bi).
+    Row n is conj(h_iu_k[n]) * conj(h_bi[:, n])^T, shape (N, M), in out if given, else
+    column-major (row-major with an axis of length 1). Formed a column at a time from one row of
+    h_bi, never a conjugated copy of it, with the bits of conj(h_iu_k)[:, None] * conj(h_bi).T.
     """
     h_iu_k, h_bi = np.asarray(h_iu_k), np.asarray(h_bi)
     if h_bi.ndim != 2 or h_bi.shape[1:] != h_iu_k.shape:
         raise ValueError(f"need h_iu_k (N,) and h_bi (M, N), got {h_iu_k.shape} and {h_bi.shape}")
-    return np.conj(h_iu_k)[:, None] * np.conj(h_bi).T
+    if out is None:
+        out = np.empty(h_bi.T.shape, complex, order="F" if min(h_bi.shape) > 1 else "C")
+    conj_iu, conj_row = np.conjugate(h_iu_k), np.empty(h_iu_k.shape, complex)
+    for m, row in enumerate(h_bi):
+        np.multiply(conj_iu, np.conjugate(row, out=conj_row), out=out[:, m])
+    return out
 
 
 def near_square_factors(n):
@@ -145,9 +151,16 @@ class ChannelSet:
     def num_elements(self):
         return self.h_bi.shape[1]
 
-    def cascade(self, k):
-        """Instantaneous per-element cascade for user k, shape (N, M)."""
-        return cascaded_channel(self.h_iu[k], self.h_bi)
+    def cascade(self, k, rows=slice(None)):
+        """User k's instantaneous per-element cascade at the given element rows, shape (rows, M)."""
+        return cascaded_channel(self.h_iu[k, rows], self.h_bi[:, rows])
+
+    def stat_cascades(self):
+        """The (K, N, M) statistical cascades in np.stack's strides: another moves stage 1's bits."""
+        stack = np.empty((len(self.h_iu_stat), *self.h_bi_stat.shape), complex).transpose(0, 2, 1)
+        for k, h_iu_k in enumerate(self.h_iu_stat):
+            cascaded_channel(h_iu_k, self.h_bi_stat, out=stack[k])
+        return stack
 
 
 def _unit(v):

@@ -59,9 +59,6 @@ class GroupingMatrix:
         g[self.assignment - 1, np.arange(self.num_elements)] = 1.0
         return g
 
-    def group_sizes(self):
-        return np.bincount(self.assignment - 1, minlength=self.num_groups)
-
 
 def count_groupings(n, q):
     """Exact number of distinct groupings of n elements into q groups.

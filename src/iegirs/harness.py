@@ -18,7 +18,7 @@ import numpy as np
 
 from . import beamforming as bf
 from . import grouping as grp
-from .channel import build_scenario, cascaded_channel
+from .channel import build_scenario
 from .config import trial_seed_sequence
 
 CSV_HEADER = ("scheme", "axis", "axis_value", "N", "Q", "trial", "seed",
@@ -95,18 +95,14 @@ def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
     n, users = channels.num_elements, range(channels.num_users)
     realtime, _ = SCHEME_DIMS[scheme](n, q)
 
-    def cascade_rows(k, rows):
-        # column-major, as a copy of these rows of the full cascade: the solve's bits depend on it
-        return cascaded_channel(channels.h_iu[k, rows], channels.h_bi[:, rows])
-
     if grouping is None:
-        c_hat = np.stack([cascade_rows(k, slice(realtime)) for k in users])
+        c_hat = np.stack([channels.cascade(k, slice(realtime)) for k in users])
     else:
         c_hat = grp.combine_cascades(grouping, map(channels.cascade, users))
     if not len(frozen):
         return c_hat, channels.h_bu
     vf, tail = np.exp(1j * np.asarray(frozen)), slice(n - len(frozen), n)
-    return c_hat, np.stack([channels.h_bu[k] + cascade_rows(k, tail).conj().T @ vf for k in users])
+    return c_hat, np.stack([channels.h_bu[k] + channels.cascade(k, tail).conj().T @ vf for k in users])
 
 
 def run_scheme(scheme, channels, config, rng):

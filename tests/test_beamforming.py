@@ -1218,6 +1218,9 @@ class TestStage1BitExact:
     def test_statistical_stack_has_np_stack_strides(self, monkeypatch):
         # stage 1's sums read the stack in this layout; another moves their last bits
         ch, q, p_max, weights = _stage1_scene("q2")
+        stack = ch.stat_cascades()
+        ref = _reference_stat_inputs(ch)[0]
+        assert stack.strides == ref.strides and stack.tobytes() == ref.tobytes()
         seen = []
 
         def record(channels, cascades_stat, *args):
@@ -1227,8 +1230,7 @@ class TestStage1BitExact:
         grouping_from_statistics = bf._grouping_from_statistics
         monkeypatch.setattr(bf, "_grouping_from_statistics", record)
         two_stage_solve(ch, q, p_max, weights)
-        ref = _reference_stat_inputs(ch)[0]
-        assert seen[0].strides == ref.strides and seen[0].tobytes() == ref.tobytes()
+        assert seen[0].strides == stack.strides and seen[0].tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("kw", [dict(), dict(K=1), dict(M=1), dict(K=1, M=1, N=37),
                                     dict(N=37), dict(kappa_bi=0.0), dict(kappa_iu=0.0)],
@@ -1236,10 +1238,17 @@ class TestStage1BitExact:
                                   "kappa_iu=0"])
     @pytest.mark.parametrize("given", [False, True], ids=["searched", "given"])
     def test_statistical_stack_filled_in_place(self, kw, given, monkeypatch):
-        # the stack both stages read, written user by user in place, against
-        # np.stack of each user's cascaded_channel: same bytes, same strides
+        # ChannelSet.stat_cascades, user by user in place, against np.stack of the
+        # former two-conjugate formula: same bytes (signs of zeros at kappa = 0
+        # included), same strides; both stages read the stack it fills
         cfg = ScenarioConfig(**{"N": 64, "Q": 2, "seed": 6, **kw})
         ch = build_scenario(cfg, np.random.default_rng(6))
+        stack = ch.stat_cascades()
+        ref = np.stack([np.conj(ch.h_iu_stat[k])[:, None] * np.conj(ch.h_bi_stat).T
+                        for k in range(cfg.K)])
+        assert stack.shape == ref.shape and stack.tobytes() == ref.tobytes()
+        # the stride of a length-1 axis is never stepped (at M = 1 it is N*16, not 16)
+        assert _stepped_strides(stack) == _stepped_strides(ref)
         seen = []
 
         def record(cascades_stat, h_bu_stat):
@@ -1250,10 +1259,7 @@ class TestStage1BitExact:
         with pytest.raises(StopIteration):
             two_stage_solve(ch, cfg.Q, cfg.power_watts, cfg.weights,
                             grouping=adjacent_grouping(cfg.N, cfg.Q) if given else None)
-        ref = np.stack([cascaded_channel(ch.h_iu_stat[k], ch.h_bi_stat) for k in range(cfg.K)])
-        assert seen[0].shape == ref.shape and seen[0].tobytes() == ref.tobytes()
-        # the stride of a length-1 axis is never stepped (at M = 1 it is N*16, not 16)
-        assert _stepped_strides(seen[0]) == _stepped_strides(ref)
+        assert seen[0].strides == stack.strides and seen[0].tobytes() == stack.tobytes()
 
     @pytest.mark.parametrize("case", ["c11_n256", "q2", "30dBm_t3"])
     def test_round_forms_each_beam_product_once(self, case, monkeypatch):

@@ -147,6 +147,22 @@ class TestCascadeDecompose:
         assert np.allclose(c1, expected)
 
 
+def _two_conjugate_cascade(h_iu_k, h_bi):
+    # the former formula, kept as the reference: a conjugated copy of each link, then their product
+    return np.conj(h_iu_k)[:, None] * np.conj(h_bi).T
+
+
+def _assert_same_cascade(got, ref, stepped_only=False):
+    # bit for bit: each part's values and the signs of its zeros, and the strides;
+    # stepped_only skips length-1 axes, never stepped (a stack slab's is N*16 at M = 1)
+    assert got.shape == ref.shape
+    assert [s for s, d in zip(got.strides, got.shape) if d > 1 or not stepped_only] == \
+        [s for s, d in zip(ref.strides, ref.shape) if d > 1 or not stepped_only]
+    for part in ("real", "imag"):
+        g, r = getattr(got, part), getattr(ref, part)
+        assert np.array_equal(g, r) and np.array_equal(np.signbit(g), np.signbit(r))
+
+
 class TestCascadedChannel:
     def test_all_ones(self):
         c = cascaded_channel(np.ones(4), np.ones((1, 4)))
@@ -180,6 +196,43 @@ class TestCascadedChannel:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cascaded_channel(np.ones(4), np.ones((2, 5)))
+
+    @pytest.mark.parametrize("links", ["drawn", "signed_zero_user_link"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [1, 17, 1024, 10000])
+    def test_equals_two_conjugate_formula(self, n, m, links):
+        # full rows, uirs_q's Q head rows and N - Q frozen tail rows, and the
+        # statistical stack's per-user slabs. A user link of mixed-sign zeros (a
+        # statistical component at kappa = 0) fails conj(h_iu_k[:, None] * h_bi.T),
+        # which flips zero imaginary parts' signs; N = M = 1 fails a product taken
+        # in place, which numpy rounds without the fused multiply-add on one element
+        rng = np.random.default_rng(n * 10 + m)
+        k_users, q = 3, min(4, n)
+        h_iu = rng.standard_normal((k_users, n)) + 1j * rng.standard_normal((k_users, n))
+        h_bi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        if links == "signed_zero_user_link":
+            h_iu *= 0.0
+        for rows in (slice(None), slice(q), slice(q, n)):
+            _assert_same_cascade(cascaded_channel(h_iu[0, rows], h_bi[:, rows]),
+                                 _two_conjugate_cascade(h_iu[0, rows], h_bi[:, rows]))
+        stack = np.empty((k_users, m, n), dtype=complex).transpose(0, 2, 1)
+        for k in range(k_users):
+            slab = stack[k]
+            assert cascaded_channel(h_iu[k], h_bi, out=slab) is slab
+            _assert_same_cascade(slab, _two_conjugate_cascade(h_iu[k], h_bi), stepped_only=True)
+
+    def test_channel_set_rows_and_stack(self):
+        ch = build_scenario(ScenarioConfig(N=17, Q=4, kappa_iu=0.0), np.random.default_rng(4))
+        for k in range(ch.num_users):
+            for rows in (slice(None), slice(4), slice(4, 17)):
+                _assert_same_cascade(ch.cascade(k, rows),
+                                     _two_conjugate_cascade(ch.h_iu[k, rows], ch.h_bi[:, rows]))
+        stack = ch.stat_cascades()
+        ref = np.stack([_two_conjugate_cascade(ch.h_iu_stat[k], ch.h_bi_stat)
+                        for k in range(ch.num_users)])
+        _assert_same_cascade(stack, ref)
+        # at kappa_iu = 0 the statistical cascades are zeros of both signs
+        assert not ref.any() and np.signbit(ref.imag).any() and not np.signbit(ref.imag).all()
 
 
 class TestGeometryHelpers:

@@ -255,15 +255,13 @@ class TestSchemeProblem:
         channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
         formed = []
 
-        def counted(form):
-            def wrapper(*args):
-                out = form(*args)
-                formed.append(len(out))
-                return out
-            return wrapper
+        def counted(*args):
+            out = cascade(*args)
+            formed.append(len(out))
+            return out
 
-        monkeypatch.setattr(harness, "cascaded_channel", counted(harness.cascaded_channel))
-        monkeypatch.setattr(ChannelSet, "cascade", counted(ChannelSet.cascade))
+        cascade = ChannelSet.cascade
+        monkeypatch.setattr(ChannelSet, "cascade", counted)
         expected = {"ieg": cfg.N, "aeg": cfg.N, "uirs_q": cfg.N, "random_rcv": cfg.N, "no_irs": 0}
         for row in rows:
             formed.clear()

@@ -91,3 +91,26 @@ def test_no_float_modulo(path):
             or isinstance(node, ast.ImportFrom) and node.module == "numpy"
             and banned & {a.name for a in node.names}]
     assert uses == [], f"{path.name} uses np.mod, np.remainder or np.fmod on lines {uses}"
+
+
+CASCADE_LINKS = {"h_bi", "h_iu", "h_bi_stat", "h_iu_stat"}
+LINKS = CASCADE_LINKS | {"h_bu", "h_bu_stat"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_cascade_formed_only_in_channel(path):
+    # one rule forms a cascade, channel.cascaded_channel, behind ChannelSet.cascade and
+    # stat_cascades: beamforming.py and harness.py name none of the links a cascade
+    # is formed from, and no module makes a conjugated copy of a ChannelSet link or of its rows
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in CASCADE_LINKS
+             or isinstance(node, ast.Name) and node.id in CASCADE_LINKS]
+    conj = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr in ("conj", "conjugate")
+            and any(isinstance(a, ast.Attribute) and a.attr in LINKS
+                    for a in (b.value if isinstance(b, ast.Subscript) else b
+                              for b in node.args[:1] + [node.func.value]))]
+    assert path.name not in ("beamforming.py", "harness.py") or names == [], \
+        f"{path.name} names a link on lines {names}"
+    assert conj == [], f"{path.name} conjugates a ChannelSet link on lines {conj}"
