@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RicianLink, cascade_coefficients, rician_from_normals
-from .config import check_fields
+from .channel import RicianLink, cascade_coefficients, cascade_draws
+from .config import check_fields, checked_group_count
 from .grouping import combine_cascade, phase_partition_grouping
 from .mathkit import array_response, group_shrink_factor, laguerre_half, virtual_los_direction
 
@@ -30,8 +30,7 @@ class AsymptoticInputs:
 
     def __post_init__(self):
         check_fields(self, dict.fromkeys(("delta_bi", "delta_iu", "kappa_bi", "kappa_iu"), 0))
-        if not 1 <= self.Q <= self.N:
-            raise ValueError("group count Q must satisfy 1 <= Q <= N")
+        checked_group_count(self.Q, self.N)
         if self.N % self.Q:
             raise ValueError("N must be an integer multiple of Q (equal group sizes)")
 
@@ -122,32 +121,6 @@ def _ramp_links(n, inputs):
     return link_bi, link_iu
 
 
-DRAW_BLOCK_BYTES = 2 ** 19      # bytes of normals per block of trials, or one trial's if more
-
-
-def _map_cascade_blocks(link_iu, link_bi, trials, rng, reduce):
-    """[reduce(c) for c in blocks of conj(h_iu) * conj(h_bi) over `trials` joint draws].
-
-    c holds one row per trial and equals the serial loop's
-    conj(sample_rician(link_iu, rng)) * conj(sample_rician(link_bi, rng)) bit
-    for bit (conj(a) * conj(b) == conj(a * b) exactly). The blocks are drawn
-    in the serial order, so rng ends where the serial loop leaves it.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    per = max(1, DRAW_BLOCK_BYTES // (4 * link_iu.los.size * 8))
-    buffer = np.empty((min(per, trials), 2, 2) + link_iu.los.shape)
-    stat_iu, scale_iu = link_iu.stat_component, link_iu.nlos_scale
-    stat_bi, scale_bi = link_bi.stat_component, link_bi.nlos_scale
-    out = []
-    for start in range(0, trials, per):
-        z_iu, z_bi = np.moveaxis(rng.standard_normal(out=buffer[:trials - start]), 0, 2)
-        c = rician_from_normals(stat_iu, scale_iu, z_iu)
-        c *= rician_from_normals(stat_bi, scale_bi, z_bi)
-        out.append(reduce(np.conj(c, out=c)))
-    return out
-
-
 def simulate_grouped_cascades(inputs, trials, rng):
     """Monte Carlo draws of the combined grouped cascade, shape (trials, Q).
 
@@ -156,8 +129,7 @@ def simulate_grouped_cascades(inputs, trials, rng):
     """
     link_bi, link_iu = _ramp_links(inputs.N, inputs)
     grouping = phase_partition_grouping(DELTA_RAMP, inputs.N, inputs.Q)
-    sums = _map_cascade_blocks(link_iu, link_bi, trials, rng,
-                               lambda c: combine_cascade(grouping, c.T))
+    sums = [combine_cascade(grouping, c.T) for c in cascade_draws(link_iu, link_bi, trials, rng)]
     # C order: the last bits of the law statistics over trials depend on the layout
     return np.ascontiguousarray(np.concatenate(sums, axis=1).T)
 
@@ -171,7 +143,7 @@ def simulate_grouped_gain(inputs, trials, rng):
 def simulate_ungrouped_gain(q, inputs, trials, rng):
     """Mean simulated phase-aligned gain of an ungrouped q-element surface."""
     link_bi, link_iu = _ramp_links(q, inputs)
-    sums = _map_cascade_blocks(link_iu, link_bi, trials, rng, lambda c: np.abs(c).sum(axis=1))
+    sums = [np.abs(c).sum(axis=1) for c in cascade_draws(link_iu, link_bi, trials, rng)]
     # libm pow, as the scalar s ** 2; the array square differs in the last bit for some s
     return float(np.mean(np.float_power(np.concatenate(sums), 2)))
 

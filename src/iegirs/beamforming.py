@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grouping as grp
-from .config import check_fields, checked_weights
+from .config import check_fields, checked_group_count, checked_positive, checked_weights
 from .grouping import GroupingMatrix
 
 
@@ -90,8 +90,7 @@ def effective_channels(rcv_values, c_hat, h_bu):
 
 def sinr_all(h, w, noise_power):
     """SINRs |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + noise) of all users, shape (K,)."""
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
+    checked_positive(noise_power, "noise power")
     rx = np.conj(h) @ w                       # rx[k, j] = h_k^H w_j
     cross = np.abs(rx) ** 2
     signal = np.diagonal(cross).copy()
@@ -113,8 +112,7 @@ def rx_stats(h, w, noise_power):
     accumulated directly (never by subtracting the signal term) so the
     varsigma == SINR identity of update_auxiliaries holds to machine precision.
     """
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
+    checked_positive(noise_power, "noise power")
     rx = np.conj(h) @ w
     cross = np.abs(rx) ** 2
     np.fill_diagonal(cross, 0.0)
@@ -217,8 +215,7 @@ def update_precoder(aux, h, p_max, *, tol=1e-6):
     The returned power never exceeds p_max; a binding solution that misses
     it by more than tol * p_max raises RuntimeError.
     """
-    if p_max <= 0:
-        raise ValueError("power budget must be positive")
+    checked_positive(p_max, "power budget")
     l0, z = precoder_quadratic(aux, h)
     if not (np.isfinite(l0).all() and np.isfinite(z).all()):
         raise ValueError("non-finite precoder inputs")
@@ -525,6 +522,7 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     every block. The objective is formed once per iteration, at its close;
     its values between blocks would change no output.
     """
+    checked_positive(p_max, "power budget")
     q = c_hat.shape[1]
     theta = np.asarray(v0, dtype=float)
     v = np.exp(1j * theta)
@@ -588,6 +586,7 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
     def beam_products(w, own):
         # each user's beam product C_k w_k in turn, formed once: the mixed sum
         # reads it, and its phases, the user's own arc, go into own
+        # (a generator: an inline loop keeps the last product alive as candidates are formed)
         for k in range(channels.num_users):
             product = cascades_stat[k] @ w[:, k]
             own.append(np.angle(product))
@@ -645,8 +644,8 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
     opts = opts or SolverOptions()
     n = channels.num_elements
     weights = checked_weights(weights, channels.num_users)
-    if not 1 <= q <= n:
-        raise ValueError("need 1 <= Q <= N")
+    checked_group_count(q, n)
+    checked_positive(p_max, "power budget")
     if grouping is not None and (grouping.num_elements, grouping.num_groups) != (n, q):
         raise ValueError(f"grouping of {grouping.num_elements} elements into "
                          f"{grouping.num_groups} groups, need {n} into {q}")

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import check_fields
+from .config import check_fields, checked_positive
 from .mathkit import array_response
 
 _PL_COEF = {"los": (42.0, 22.0), "nlos": (40.9, 36.7)}
@@ -109,6 +109,27 @@ def cascaded_channel(h_iu_k, h_bi, out=None):
     return out
 
 
+DRAW_BLOCK_BYTES = 2 ** 19      # bytes of normals per block of trials, or one trial's if more
+
+
+def cascade_draws(link_iu, link_bi, trials, rng):
+    """Blocks of conj(h_iu) * conj(h_bi) over `trials` joint draws of two links, one row per trial.
+
+    Formed out of place by cascaded_channel's conj-then-multiply rule from normals drawn into
+    one reused buffer in the serial order, so each row, and rng after the last block, equal
+    the serial loop of conj(sample_rician(link_iu, rng)) * conj(sample_rician(link_bi, rng)).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    per = max(1, DRAW_BLOCK_BYTES // (4 * link_iu.los.size * 8))
+    buffer = np.empty((min(per, trials), 2, 2) + link_iu.los.shape)
+    for start in range(0, trials, per):
+        z_iu, z_bi = np.moveaxis(rng.standard_normal(out=buffer[:trials - start]), 0, 2)
+        a = rician_from_normals(link_iu.stat_component, link_iu.nlos_scale, z_iu)
+        b = rician_from_normals(link_bi.stat_component, link_bi.nlos_scale, z_bi)
+        yield np.multiply(np.conj(a, out=a), np.conj(b, out=b))
+
+
 def near_square_factors(n):
     """(n1, n2) with n1*n2 = n and n1 the largest divisor <= sqrt(n)."""
     n1 = int(np.floor(np.sqrt(n)))
@@ -140,8 +161,7 @@ class ChannelSet:
     noise_power: float
 
     def __post_init__(self):
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
+        checked_positive(self.noise_power, "noise power")
 
     @property
     def num_users(self):

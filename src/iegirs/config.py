@@ -33,6 +33,26 @@ def checked_weights(weights, k):
     return weights
 
 
+def checked_group_count(q, n):
+    """ValueError unless 1 <= q <= n: a grouping of n elements into q non-empty groups."""
+    if not 1 <= q <= n:
+        raise ValueError(f"need 1 <= Q <= N, got Q={q}, N={n}")
+
+
+def checked_positive(value, name):
+    """ValueError naming value unless it is a finite number > 0 (NaN and inf are refused)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _watts(dbm):
+    """dBm as watts, inf past the float range (10.0 ** x raises OverflowError there)."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def check_fields(obj, at_least):
     """Check a dataclass's numeric fields by annotation, then its lower bounds.
 
@@ -85,8 +105,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_fields(self, _AT_LEAST)
-        if not 1 <= self.Q <= self.N:
-            raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
+        checked_group_count(self.Q, self.N)
+        for name in ("power_dbm", "noise_dbm"):
+            checked_positive(_watts(getattr(self, name)), f"{name} {getattr(self, name)!r} in watts")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.weights is None:
@@ -114,11 +135,11 @@ class ScenarioConfig:
 
     @property
     def power_watts(self):
-        return 10.0 ** ((self.power_dbm - 30.0) / 10.0)
+        return _watts(self.power_dbm)
 
     @property
     def noise_watts(self):
-        return 10.0 ** ((self.noise_dbm - 30.0) / 10.0)
+        return _watts(self.noise_dbm)
 
     def replace(self, **kw):
         """A checked copy with kw changed; all-ones (default) weights follow a new K."""

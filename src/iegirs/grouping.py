@@ -15,6 +15,8 @@ from math import comb, factorial
 
 import numpy as np
 
+from .config import checked_group_count
+
 
 @dataclass(frozen=True)
 class GroupingMatrix:
@@ -79,8 +81,7 @@ def count_groupings(n, q):
 
 def adjacent_grouping(n, q):
     """Contiguous index blocks of size ceil(n/q) or floor(n/q)."""
-    if not 1 <= q <= n:
-        raise ValueError("need 1 <= q <= n")
+    checked_group_count(q, n)
     assignment = np.empty(n, dtype=int)
     for label, block in enumerate(np.array_split(np.arange(n), q), start=1):
         assignment[block] = label
@@ -105,6 +106,7 @@ def arc_grouping(frac_pos, q):
     A non-finite position raises ValueError.
     """
     frac_pos = np.asarray(frac_pos, dtype=float)
+    checked_group_count(q, frac_pos.size)
     bad = np.flatnonzero(~np.isfinite(frac_pos))
     if bad.size:
         raise ValueError(f"position {bad[0]} is {frac_pos[bad[0]]}, not finite")
@@ -137,8 +139,6 @@ def phase_partition_grouping(delta, n, q):
     groups (degenerate delta or small n) are repaired by moving the elements
     whose position is closest to the empty arc's center.
     """
-    if not 1 <= q <= n:
-        raise ValueError("need 1 <= q <= n")
     return arc_grouping(np.arange(n) * float(delta), q)
 
 
@@ -261,8 +261,7 @@ def relaxed_qp_grouping(cascades_stat, h_bu_stat, w_stat, v_stat, aux, q,
     ratio auxiliaries (varsigma, xi and their weights).
     """
     k_users, n, _ = cascades_stat.shape
-    if not 1 <= q <= n:
-        raise ValueError("need 1 <= q <= n")
+    checked_group_count(q, n)
     alpha, xi = aux.two_alpha / 2.0, aux.xi
     proj = np.stack([cascades_stat[k] @ w_stat for k in range(k_users)])
     d_rows = np.stack([np.conj(h_bu_stat[k]) @ w_stat for k in range(k_users)])

@@ -15,7 +15,7 @@ from iegirs.asymptotics import (AsymptoticInputs, ieg_gain, combined_cascade_dis
                                 performance_loss, simulate_grouped_cascades,
                                 simulate_grouped_gain, simulate_ungrouped_gain, uirs_gain,
                                 validate_combined_cascade_monte_carlo, _kurtosis)
-from iegirs.channel import sample_rician
+from iegirs.channel import DRAW_BLOCK_BYTES, cascade_draws, sample_rician
 from iegirs.grouping import combine_cascade, phase_partition_grouping
 from iegirs.mathkit import group_shrink_factor
 
@@ -208,35 +208,53 @@ def _reference_ungrouped_gain(q, inputs, trials, rng):
 
 
 def _trials_per_block(n):
-    return max(1, asymptotics.DRAW_BLOCK_BYTES // (4 * n * 8))
+    return max(1, DRAW_BLOCK_BYTES // (4 * n * 8))
 
 
 # one n whose block holds many trials, one whose block holds a single trial
-BLOCK_NS = (256, asymptotics.DRAW_BLOCK_BYTES // 32)
+BLOCK_NS = (256, DRAW_BLOCK_BYTES // 32)
 
 
-def _trial_counts(n):
+def _draw_cases(n, base):
+    """(trials, seed) pairs: 1 to 3 trials and the per-block edges. Blocks of one to three
+    elements at N = 1 are where an in-place product differed from the serial loop's in the
+    last bits, in about a quarter to a half of all seeds, so those run 20 seeds each."""
     per = _trials_per_block(n)
-    return sorted({t for t in (1, per - 1, per, per + 1, 3 * per + 2) if t >= 1})
+    counts = sorted({t for t in (1, 2, 3, per - 1, per, per + 1, 3 * per + 2) if t >= 1})
+    return [(t, base + t + 1000 * s) for t in counts for s in range(20 if n == 1 and t <= 3 else 1)]
 
 
 class TestBlockedDraws:
-    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("n", (1,) + BLOCK_NS)
+    def test_blocks_match_serial_loop(self, n):
+        link_bi, link_iu = asymptotics._ramp_links(n, AsymptoticInputs(N=n, Q=1, kappa_bi=2.0,
+                                                                       kappa_iu=3.0))
+        for trials, seed in _draw_cases(n, 200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            blocks = list(cascade_draws(link_iu, link_bi, trials, rng))
+            assert [len(c) for c in blocks[:-1]] == [_trials_per_block(n)] * (len(blocks) - 1)
+            assert all(c.flags.c_contiguous for c in blocks)
+            ref = np.stack([np.conj(sample_rician(link_iu, ref_rng))
+                            * np.conj(sample_rician(link_bi, ref_rng)) for _ in range(trials)])
+            assert np.concatenate(blocks).tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", (1,) + BLOCK_NS)
     def test_grouped_cascades_match_serial_loop(self, n):
         assert _trials_per_block(BLOCK_NS[-1]) == 1
-        inp = AsymptoticInputs(N=n, Q=4, kappa_bi=1.0, kappa_iu=3.0)
-        for trials in _trial_counts(n):
-            rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+        inp = AsymptoticInputs(N=n, Q=min(n, 4), kappa_bi=1.0, kappa_iu=3.0)
+        for trials, seed in _draw_cases(n, 0):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             out = simulate_grouped_cascades(inp, trials, rng)
             ref = _reference_grouped_cascades(inp, trials, ref_rng)
             assert out.tobytes() == ref.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("n", (1,) + BLOCK_NS)
     def test_ungrouped_gain_matches_serial_loop(self, n):
         inp = AsymptoticInputs(N=n, Q=n, kappa_bi=0.5, kappa_iu=2.0)
-        for trials in _trial_counts(n):
-            rng, ref_rng = np.random.default_rng(100 + trials), np.random.default_rng(100 + trials)
+        for trials, seed in _draw_cases(n, 100):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             assert simulate_ungrouped_gain(n, inp, trials, rng) == \
                 _reference_ungrouped_gain(n, inp, trials, ref_rng)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -276,23 +294,20 @@ class TestBlockedDraws:
         assert len(calls) == 3
 
     def test_early_close_draws_no_further_block(self):
-        # a reducer that stops at block 2 runs on the calling thread, with no
-        # other thread started, and rng stands exactly two blocks in
+        # a caller that stops after block 2 draws on the calling thread, with no
+        # other thread started, and leaves rng exactly two blocks in
         per = _trials_per_block(256)
         link_bi, link_iu = asymptotics._ramp_links(256, AsymptoticInputs(N=256, Q=4))
         rng = np.random.default_rng(0)
         before = threading.active_count()
+        draws = cascade_draws(link_iu, link_bi, 10 * per, rng)
         seen = []
-
-        def reduce(c):
+        for c in draws:
             seen.append(threading.active_count())
             if len(seen) == 2:
-                raise RuntimeError("second block")
-            return c
-
-        with pytest.raises(RuntimeError, match="second block"):
-            asymptotics._map_cascade_blocks(link_iu, link_bi, 10 * per, rng, reduce)
-        assert seen == [before, before]
+                break
+        draws.close()
+        assert seen == [before, before] and threading.active_count() == before
         ref_rng = np.random.default_rng(0)
         ref_rng.standard_normal(2 * per * 4 * 256)
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import numpy as np
@@ -529,6 +530,44 @@ class TestReflectionUpdate:
                           max_inner=50, tol=1e-10)
 
 
+# a budget or noise power that is not a finite number > 0; NaN and inf passed the former
+# `<= 0` checks and failed inside stage 1 as an "ill-posed auxiliary update"
+NOT_POSITIVE = pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+
+
+class TestPositiveInputs:
+    @NOT_POSITIVE
+    def test_block_updates_name_the_input(self, value):
+        h, w = np.ones((2, 2), dtype=complex), np.ones((2, 2), dtype=complex)
+        aux = update_auxiliaries(*rx_stats(h, w, 1.0), np.ones(2))
+        for call, name in [(lambda: sinr_all(h, w, value), "noise power"),
+                           (lambda: rx_stats(h, w, value), "noise power"),
+                           (lambda: update_precoder(aux, h, value), "power budget")]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
+                call()
+
+    @NOT_POSITIVE
+    def test_channel_set_refuses_noise(self, value):
+        ch = build_scenario(ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5), np.random.default_rng(5))
+        with pytest.raises(ValueError, match="^noise power must be finite and positive, got "):
+            dataclasses.replace(ch, noise_power=value)
+
+    @NOT_POSITIVE
+    def test_budget_refused_before_any_solve(self, value, monkeypatch):
+        cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
+        ch = build_scenario(cfg, np.random.default_rng(5))
+        calls = []
+        monkeypatch.setattr(bf, "effective_channels", lambda *a: calls.append(a))
+        c_hat = grp.combine_cascades(adjacent_grouping(16, 2), map(ch.cascade, range(2)))
+        with pytest.raises(ValueError, match="^power budget must be finite and positive, got "):
+            solve_fp(c_hat, ch.h_bu, ch.noise_power, value, cfg.weights, np.zeros(2),
+                     SolverOptions())
+        monkeypatch.setattr(bf, "solve_fp", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^power budget must be finite and positive, got "):
+            two_stage_solve(ch, 2, value, cfg.weights)
+        assert calls == []
+
+
 class TestSolveLoop:
     def _manual_channelset(self, rng, n=32, m=1, k=1, direct=0.0):
         h_bi = random_complex(rng, (m, n))
@@ -639,9 +678,9 @@ class TestSolveLoop:
     def test_q_bounds(self):
         cfg = ScenarioConfig(N=16, Q=2, M=2, K=2, seed=5)
         ch = build_scenario(cfg, np.random.default_rng(5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need 1 <= Q <= N, got Q=0, N=16$"):
             two_stage_solve(ch, 0, cfg.power_watts, cfg.weights)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need 1 <= Q <= N, got Q=17, N=16$"):
             two_stage_solve(ch, 17, cfg.power_watts, cfg.weights)
 
     @pytest.mark.parametrize("assignment, q, message", [

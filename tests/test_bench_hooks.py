@@ -101,13 +101,13 @@ class TestBenchmarkHooks:
         # the Tracer keeps one span stack per process, so every traced call
         # of a Monte Carlo run must come from the calling thread, nested
         # under the simulator's span
-        from iegirs import asymptotics
+        from iegirs import asymptotics, channel
         spans = _load_perfbench("spans")
         tracer = spans.Tracer()
         tracer.install()
         try:
             tracer.active = True
-            per = asymptotics.DRAW_BLOCK_BYTES // (4 * 64 * 8)
+            per = channel.DRAW_BLOCK_BYTES // (4 * 64 * 8)
             asymptotics.simulate_grouped_cascades(asymptotics.AsymptoticInputs(N=64, Q=4),
                                                   2 * per + 3, np.random.default_rng(0))
         finally:

@@ -537,6 +537,20 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match=f"^{key} must be >= 0"):
             ScenarioConfig.from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["power_dbm", "noise_dbm"])
+    def test_powers_outside_float_watts_rejected(self, key):
+        # power_dbm = 4000 died with an OverflowError in power_watts at the first solve,
+        # and -4000 (0 W) reached "must be positive" only at the first solve or trial
+        for value in (4000, -4000, 3113, -3207):
+            message = f"^{key} {float(value)!r} in watts must be finite and positive, got "
+            with pytest.raises(ValueError, match=message):
+                ScenarioConfig(**{key: value})
+            with pytest.raises(ValueError, match=message):
+                ScenarioConfig.from_dict({key: value})
+        for value in (3112, -3206):
+            watts = getattr(ScenarioConfig(**{key: value}), key.replace("dbm", "watts"))
+            assert 0 < watts < np.inf
+
     @pytest.mark.parametrize("key", ["M", "K", "trials"])
     def test_counts_below_one_rejected(self, key):
         with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from iegirs import beamforming as bf
+from iegirs.asymptotics import AsymptoticInputs
 from iegirs import grouping as grp
 from iegirs.channel import cascade_coefficients
+from iegirs.config import ScenarioConfig
 from iegirs.grouping import (GroupingMatrix, adjacent_grouping, combine_cascade, count_groupings,
                              grouping_objective, phase_partition_grouping,
                              project_columns_to_simplex, relaxed_qp_grouping)
@@ -215,6 +217,26 @@ class TestArcGrouping:
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="^position 0 is nan, not finite$"):
             phase_partition_grouping(float("inf"), 8, 2)           # 0 * inf
+
+
+class TestGroupCountRule:
+    # one rule, config.checked_group_count: arc_grouping([0.1], 2) died inside np.argmin
+    # ("attempt to get argmin of an empty sequence"), and phase_arc_grouping(np.zeros(3), 0)
+    # inside np.bincount ("'list' argument must have no negative elements")
+    @pytest.mark.parametrize("call, q, n", [
+        (lambda: grp.arc_grouping([0.1], 2), 2, 1),
+        (lambda: grp.phase_arc_grouping(np.zeros(3), 0), 0, 3),
+        (lambda: phase_partition_grouping(0.3, 3, 4), 4, 3),
+        (lambda: phase_partition_grouping(0.3, 0, 1), 1, 0),
+        (lambda: adjacent_grouping(3, 0), 0, 3),
+        (lambda: grp.relaxed_qp_grouping(np.zeros((1, 3, 1)), None, None, None, None, 4), 4, 3),
+        (lambda: AsymptoticInputs(N=4, Q=8), 8, 4),
+        (lambda: ScenarioConfig(N=4, Q=0), 0, 4)],
+        ids=["arc", "phase_arc", "partition", "partition_empty", "adjacent", "relaxed",
+             "asymptotics", "config"])
+    def test_names_both_counts(self, call, q, n):
+        with pytest.raises(ValueError, match=f"^need 1 <= Q <= N, got Q={q}, N={n}$"):
+            call()
 
 
 class TestAdjacent:

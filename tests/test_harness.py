@@ -449,7 +449,8 @@ class TestSweepAndAggregate:
                                               ("power", [0, float("nan")]),
                                               ("distance", [150, float("inf")]),
                                               ("groups", [2, 64]), ("elements", [32, 1]),
-                                              ("groups", [2, 2])])
+                                              ("groups", [2, 2]), ("power", [10, 4000]),
+                                              ("power", [10, -4000])])
     def test_count_axis_rejects_fractions_before_any_trial(self, axis, values, tmp_path,
                                                            monkeypatch):
         # Q and N are counts: int() would solve Q = 2 and label its rows 2.5.

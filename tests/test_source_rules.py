@@ -100,8 +100,10 @@ LINKS = CASCADE_LINKS | {"h_bu", "h_bu_stat"}
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_cascade_formed_only_in_channel(path):
     # one rule forms a cascade, channel.cascaded_channel, behind ChannelSet.cascade and
-    # stat_cascades: beamforming.py and harness.py name none of the links a cascade
-    # is formed from, and no module makes a conjugated copy of a ChannelSet link or of its rows
+    # stat_cascades, and the same rule behind channel.cascade_draws: beamforming.py and
+    # harness.py name none of the links a cascade is formed from, asymptotics.py draws no
+    # Rician realization of its own, and no module makes a conjugated copy of a ChannelSet
+    # link or of its rows
     tree = ast.parse(path.read_text(), filename=str(path))
     names = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr in CASCADE_LINKS
@@ -111,6 +113,13 @@ def test_cascade_formed_only_in_channel(path):
             and any(isinstance(a, ast.Attribute) and a.attr in LINKS
                     for a in (b.value if isinstance(b, ast.Subscript) else b
                               for b in node.args[:1] + [node.func.value]))]
+    draws = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and {"rician_from_normals", "sample_rician"} & {a.name for a in node.names}
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "standard_normal"]
     assert path.name not in ("beamforming.py", "harness.py") or names == [], \
         f"{path.name} names a link on lines {names}"
+    assert path.name != "asymptotics.py" or draws == [], \
+        f"{path.name} draws a Rician realization on lines {draws}"
     assert conj == [], f"{path.name} conjugates a ChannelSet link on lines {conj}"
