@@ -1,8 +1,10 @@
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
 import threading
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,10 @@ from iegirs.asymptotics import (AsymptoticInputs, ieg_gain, combined_cascade_dis
                                 performance_loss, simulate_grouped_cascades,
                                 simulate_grouped_gain, simulate_ungrouped_gain, uirs_gain,
                                 validate_combined_cascade_monte_carlo, _kurtosis)
-from iegirs.channel import DRAW_BLOCK_BYTES, cascade_draws, sample_rician
-from iegirs.grouping import combine_cascade, phase_partition_grouping
+from iegirs.channel import DRAW_BLOCK_BYTES, cascade_draws
+from iegirs.grouping import combine_cascade
 from iegirs.mathkit import group_shrink_factor
+import oracles
 
 
 class TestInputs:
@@ -181,83 +184,76 @@ class TestMonteCarloValidators:
         assert samples.shape == (7, 4)
 
 
-def _reference_grouped_cascades(inputs, trials, rng):
-    """Serial per-trial loop: two sample_rician draws, then the group sums."""
-    link_bi, link_iu = asymptotics._ramp_links(inputs.N, inputs)
-    grouping = phase_partition_grouping(asymptotics.DELTA_RAMP, inputs.N, inputs.Q)
-    out = np.empty((trials, inputs.Q), dtype=complex)
-    for t in range(trials):
-        c = np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))
-        out[t] = combine_cascade(grouping, c)
-    return out
-
-
-def _reference_ungrouped_sums(q, inputs, trials, rng):
-    """Serial per-trial loop of the ungrouped sums ||cascade||_1, as np.float64 scalars."""
-    link_bi, link_iu = asymptotics._ramp_links(q, inputs)
-    return [np.abs(np.conj(sample_rician(link_iu, rng)) * np.conj(sample_rician(link_bi, rng))).sum()
-            for _ in range(trials)]
-
-
-def _reference_ungrouped_gain(q, inputs, trials, rng):
-    """Serial per-trial loop of the ungrouped phase-aligned gain."""
-    gains = np.empty(trials)
-    for t, s in enumerate(_reference_ungrouped_sums(q, inputs, trials, rng)):
-        gains[t] = s ** 2
-    return float(np.mean(gains))
-
-
 def _trials_per_block(n):
     return max(1, DRAW_BLOCK_BYTES // (4 * n * 8))
 
 
 # one n whose block holds many trials, one whose block holds a single trial
 BLOCK_NS = (256, DRAW_BLOCK_BYTES // 32)
+# the links of the draw checks: kappa = 2 and 3, where the N = 1 in-place product was seen
+DRAW_LINKS = dict(kappa_bi=2.0, kappa_iu=3.0)
 
 
-def _draw_cases(n, base):
-    """(trials, seed) pairs: 1 to 3 trials and the per-block edges. Blocks of one to three
-    elements at N = 1 are where an in-place product differed from the serial loop's in the
-    last bits, in about a quarter to a half of all seeds, so those run 20 seeds each."""
+def _draw_cases(n):
+    """(trials, seed) pairs: 1 to 3 trials and the per-block edges from seed 0. At N = 1, blocks
+    of one to three elements are where an in-place product differed from the serial loop's in
+    the last bits, in a quarter to a half of all seeds, so those also run from seeds 1 to 19."""
     per = _trials_per_block(n)
-    counts = sorted({t for t in (1, 2, 3, per - 1, per, per + 1, 3 * per + 2) if t >= 1})
-    return [(t, base + t + 1000 * s) for t in counts for s in range(20 if n == 1 and t <= 3 else 1)]
+    edges = sorted({t for t in (1, 2, 3, per - 1, per, per + 1, 3 * per + 2) if t >= 1})
+    return [(t, 0) for t in edges] + [(t, s) for s in range(1, 20 if n == 1 else 1)
+                                      for t in (1, 2, 3)]
+
+
+@functools.cache
+def _serial_run(n, seed):
+    """The serial loop's cascades for the most trials a case of (n, seed) asks, and rng's
+    state after each case's count: a serial run's first t trials are the draws for t trials."""
+    rng = np.random.default_rng(seed)
+    draws = oracles.serial_cascade_draws(n, AsymptoticInputs(N=n, Q=1, **DRAW_LINKS), rng)
+    cascades, states = [], {}
+    for t in sorted(t for t, s in _draw_cases(n) if s == seed):
+        cascades += islice(draws, t - len(cascades))
+        states[t] = rng.bit_generator.state
+    return cascades, states
 
 
 class TestBlockedDraws:
     @pytest.mark.parametrize("n", (1,) + BLOCK_NS)
     def test_blocks_match_serial_loop(self, n):
-        link_bi, link_iu = asymptotics._ramp_links(n, AsymptoticInputs(N=n, Q=1, kappa_bi=2.0,
-                                                                       kappa_iu=3.0))
-        for trials, seed in _draw_cases(n, 200):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        link_bi, link_iu = asymptotics._ramp_links(n, AsymptoticInputs(N=n, Q=1, **DRAW_LINKS))
+        for trials, seed in _draw_cases(n):
+            cascades, states = _serial_run(n, seed)
+            rng = np.random.default_rng(seed)
             blocks = list(cascade_draws(link_iu, link_bi, trials, rng))
             assert [len(c) for c in blocks[:-1]] == [_trials_per_block(n)] * (len(blocks) - 1)
             assert all(c.flags.c_contiguous for c in blocks)
-            ref = np.stack([np.conj(sample_rician(link_iu, ref_rng))
-                            * np.conj(sample_rician(link_bi, ref_rng)) for _ in range(trials)])
-            assert np.concatenate(blocks).tobytes() == ref.tobytes()
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert np.concatenate(blocks).tobytes() == np.stack(cascades[:trials]).tobytes()
+            assert rng.bit_generator.state == states[trials]
 
     @pytest.mark.parametrize("n", (1,) + BLOCK_NS)
     def test_grouped_cascades_match_serial_loop(self, n):
         assert _trials_per_block(BLOCK_NS[-1]) == 1
-        inp = AsymptoticInputs(N=n, Q=min(n, 4), kappa_bi=1.0, kappa_iu=3.0)
-        for trials, seed in _draw_cases(n, 0):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = simulate_grouped_cascades(inp, trials, rng)
-            ref = _reference_grouped_cascades(inp, trials, ref_rng)
-            assert out.tobytes() == ref.tobytes()
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        inp = AsymptoticInputs(N=n, Q=min(n, 4), **DRAW_LINKS)
+        for seed in sorted({s for _, s in _draw_cases(n)}):
+            cascades, states = _serial_run(n, seed)
+            ref = oracles.grouped_rows(inp, cascades)           # row t depends on trial t alone
+            for trials in states:
+                rng = np.random.default_rng(seed)
+                out = simulate_grouped_cascades(inp, trials, rng)
+                assert out.tobytes() == ref[:trials].tobytes()
+                assert rng.bit_generator.state == states[trials]
 
     @pytest.mark.parametrize("n", (1,) + BLOCK_NS)
     def test_ungrouped_gain_matches_serial_loop(self, n):
-        inp = AsymptoticInputs(N=n, Q=n, kappa_bi=0.5, kappa_iu=2.0)
-        for trials, seed in _draw_cases(n, 100):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert simulate_ungrouped_gain(n, inp, trials, rng) == \
-                _reference_ungrouped_gain(n, inp, trials, ref_rng)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        inp = AsymptoticInputs(N=n, Q=n, **DRAW_LINKS)
+        for seed in sorted({s for _, s in _draw_cases(n)}):
+            cascades, states = _serial_run(n, seed)
+            sums = oracles.ungrouped_sums(cascades)
+            for trials in states:
+                rng = np.random.default_rng(seed)
+                assert simulate_ungrouped_gain(n, inp, trials, rng) == \
+                    oracles.scalar_square_mean(sums[:trials])
+                assert rng.bit_generator.state == states[trials]
 
     def test_concurrent_callers_keep_their_streams(self):
         # four threads at once, each with its own generator: draws share no state
@@ -275,8 +271,8 @@ class TestBlockedDraws:
             t.join(timeout=30.0)
             assert not t.is_alive()
         for seed in range(4):
-            assert results[seed] == _reference_ungrouped_gain(256, inp, trials,
-                                                              np.random.default_rng(seed))
+            assert results[seed] == oracles.ungrouped_gain(256, inp, trials,
+                                                           np.random.default_rng(seed))
 
     def test_caller_exception_propagates(self, monkeypatch):
         calls = []
@@ -318,7 +314,7 @@ class TestBlockedDraws:
         inp = AsymptoticInputs(N=256, Q=4, kappa_bi=2.0, kappa_iu=5.0)
         trials = 3 * _trials_per_block(256) + 2
         report = validate_combined_cascade_monte_carlo(inp, trials, np.random.default_rng(21))
-        monkeypatch.setattr(asymptotics, "simulate_grouped_cascades", _reference_grouped_cascades)
+        monkeypatch.setattr(asymptotics, "simulate_grouped_cascades", oracles.grouped_cascades)
         ref = validate_combined_cascade_monte_carlo(inp, trials, np.random.default_rng(21))
         for field in dataclasses.fields(report):
             got, want = getattr(report, field.name), getattr(ref, field.name)
@@ -329,9 +325,10 @@ class TestBlockedDraws:
         # sums has a scalar square that differs in the last bit from the array
         # square, and over five trials that difference reaches the mean
         inp = AsymptoticInputs(N=16, Q=16, kappa_bi=0.5, kappa_iu=2.0)
-        sums = np.array(_reference_ungrouped_sums(16, inp, 5, np.random.default_rng(468)))
+        draws = oracles.serial_cascade_draws(16, inp, np.random.default_rng(468))
+        sums = np.array(oracles.ungrouped_sums(islice(draws, 5)))
         assert any(s ** 2 != s2 for s, s2 in zip(sums, sums ** 2))
-        ref = _reference_ungrouped_gain(16, inp, 5, np.random.default_rng(468))
+        ref = oracles.ungrouped_gain(16, inp, 5, np.random.default_rng(468))
         assert float(np.mean(sums ** 2)) != ref
         assert simulate_ungrouped_gain(16, inp, 5, np.random.default_rng(468)) == ref
 
@@ -378,25 +375,25 @@ def _run_fresh(code, check=True):
     return _run_python("-c", code, check=check)
 
 
-def _loaded_after_cli_import(module):
-    """Whether a fresh interpreter holds module after `import iegirs.cli`."""
-    code = f"import sys, iegirs.cli; print({module!r} in sys.modules)"
-    return _run_fresh(code).stdout.strip() == "True"
+@functools.cache
+def _cli_import_set():
+    """The modules a fresh interpreter holds after `import iegirs.cli`, one run for all tests."""
+    return set(_run_fresh("import sys, iegirs.cli; print(*sys.modules)").stdout.split())
 
 
 class TestCliImportSet:
     def test_cli_import_leaves_out_yaml(self):
         # ScenarioConfig.from_yaml imports it on the first YAML read (about 20 ms)
-        assert not _loaded_after_cli_import("yaml")
+        assert "yaml" not in _cli_import_set()
 
     def test_cli_import_leaves_out_acceptance(self):
         # only validate imports the suite (about 10 ms compiling from source)
-        assert not _loaded_after_cli_import("iegirs.acceptance")
+        assert "iegirs.acceptance" not in _cli_import_set()
 
     def test_cli_import_loads_asymptotics(self):
         # perfbench's tracer (perfbench/spans.py, Tracer.install) reads
         # sys.modules["iegirs.asymptotics"] right after `import iegirs.cli`
-        assert _loaded_after_cli_import("iegirs.asymptotics")
+        assert "iegirs.asymptotics" in _cli_import_set()
 
     def test_validate_from_cold_import(self):
         # the suite loads on demand inside a fresh interpreter, as for the `iegirs` script
@@ -421,10 +418,10 @@ class TestKurtosis:
             assert abs(_kurtosis(x) - expected) <= 1e-12 * expected
 
     def test_cli_import_leaves_out_scipy_stats(self):
-        assert not _loaded_after_cli_import("scipy.stats")
+        assert "scipy.stats" not in _cli_import_set()
 
     def test_cli_import_leaves_out_scipy_special(self):
-        assert not _loaded_after_cli_import("scipy.special")
+        assert "scipy.special" not in _cli_import_set()
 
     def test_asymptotics_run_leaves_out_scipy_special(self, tmp_path):
         # laguerre_half evaluates its Bessel factors itself; scipy.special costs about 19 MB
@@ -435,4 +432,4 @@ class TestKurtosis:
 
     def test_cli_import_leaves_out_concurrent_futures(self):
         # nothing in the package uses it; importing it costs about 10 ms, mostly logging
-        assert not _loaded_after_cli_import("concurrent.futures")
+        assert "concurrent.futures" not in _cli_import_set()

@@ -12,9 +12,10 @@ from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, SolverOptions,
                                 precoder_quadratic, rcv_objective, rx_stats, sinr_all, solve_fp,
                                 two_stage_solve, update_auxiliaries, update_precoder,
                                 update_rcv_mm, wsr)
-from iegirs.channel import ChannelSet, build_scenario, cascaded_channel
+from iegirs.channel import ChannelSet, build_scenario
 from iegirs.config import MAX_WEIGHT, SCHEMES, ScenarioConfig
-from iegirs.grouping import GroupingMatrix, adjacent_grouping
+from iegirs.grouping import GroupingMatrix, adjacent_grouping, combine_cascade
+import oracles
 
 
 # weights of a K = 4 problem that are not (K,), finite, nonnegative and at most MAX_WEIGHT;
@@ -28,27 +29,6 @@ BAD_WEIGHTS = pytest.mark.parametrize(
 
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def sinr(h, w, k, noise_power):
-    """SINR of user k: |h_k^H w_k|^2 / (sum_{j!=k} |h_k^H w_j|^2 + noise), one user at a time."""
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
-    rx = np.conj(h[k]) @ w
-    cross = np.abs(rx) ** 2
-    signal = cross[k]
-    return float(signal / (np.sum(cross) - signal + noise_power))
-
-
-def fp_at(rcv_values, w, aux, c_hat, h_bu, noise_power):
-    """fp_objective with h and its received statistics formed anew at (rcv_values, w)."""
-    return fp_objective(*rx_stats(effective_channels(rcv_values, c_hat, h_bu), w, noise_power), aux)
-
-
-def precoder_objective(w, l0, z):
-    """Concave precoder objective 2 Re tr(Z^H W) - sum_k w_k^H L0 w_k."""
-    return float(2.0 * np.real(np.vdot(z, w))
-                 - np.real(np.einsum("mk,mn,nk->", w.conj(), l0, w)))
 
 
 class TestEffectiveChannel:
@@ -69,17 +49,6 @@ class TestEffectiveChannel:
         h = effective_channels(np.zeros(0), np.zeros((2, 0, 1)), h_bu)
         assert np.array_equal(h, h_bu)
         assert np.array_equal(np.signbit(h.real), np.signbit(h_bu.real))
-
-    def test_matches_explicit_sum(self):
-        rng = np.random.default_rng(0)
-        k, q, m = 2, 5, 3
-        v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-        c_hat = random_complex(rng, (k, q, m))
-        h_bu = random_complex(rng, (k, m))
-        h = effective_channels(v, c_hat, h_bu)
-        for j in range(k):
-            row = sum(np.conj(v[i]) * c_hat[j, i] for i in range(q)) + np.conj(h_bu[j])
-            assert np.allclose(np.conj(h[j]), row)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -103,27 +72,28 @@ class TestSinrAndWsr:
     def test_zero_beam_gives_zero(self):
         h = np.ones((2, 3), dtype=complex)
         w = np.zeros((3, 2), dtype=complex)
-        assert sinr(h, w, 0, 1.0) == 0.0
+        assert np.array_equal(sinr_all(h, w, 1.0), [0.0, 0.0])
 
     def test_unit_snr(self):
         h = np.array([[1.0 + 0.0j]])
         w = np.array([[1.0 + 0.0j]])
-        assert abs(sinr(h, w, 0, 1.0) - 1.0) <= 1e-15
+        assert abs(sinr_all(h, w, 1.0)[0] - 1.0) <= 1e-15
 
     def test_matches_direct_formula(self):
+        # one user at a time: |h_k^H w_k|^2 / (sum_{j != k} |h_k^H w_j|^2 + noise)
         rng = np.random.default_rng(1)
         h = random_complex(rng, (3, 4))
         w = random_complex(rng, (4, 3))
         noise = 0.37
+        gammas = sinr_all(h, w, noise)
         for k in range(3):
             sig = abs(np.conj(h[k]) @ w[:, k]) ** 2
             intf = sum(abs(np.conj(h[k]) @ w[:, j]) ** 2 for j in range(3) if j != k)
-            assert abs(sinr(h, w, k, noise) - sig / (intf + noise)) <= 1e-12
-        assert np.allclose(sinr_all(h, w, noise), [sinr(h, w, k, noise) for k in range(3)])
+            assert abs(gammas[k] - sig / (intf + noise)) <= 1e-12
 
     def test_noise_guard(self):
         with pytest.raises(ValueError):
-            sinr(np.ones((1, 1)), np.ones((1, 1)), 0, 0.0)
+            sinr_all(np.ones((1, 1)), np.ones((1, 1)), 0.0)
 
     def test_wsr_values(self):
         assert wsr([0.0, 0.0], [1.0, 1.0]) == 0.0
@@ -177,9 +147,9 @@ class TestUpdateAuxiliaries:
             h = effective_channels(v, c_hat, h_bu)
             aux0 = FPAuxiliaries(varsigma=rng.uniform(0, 3, size=k), xi=random_complex(rng, k),
                                  weights=weights)
-            f0 = fp_at(v, w, aux0, c_hat, h_bu, 1.0)
+            f0 = oracles.fp_at(v, w, aux0, c_hat, h_bu, 1.0)
             aux1 = update_auxiliaries(*rx_stats(h, w, 1.0), weights)
-            f1 = fp_at(v, w, aux1, c_hat, h_bu, 1.0)
+            f1 = oracles.fp_at(v, w, aux1, c_hat, h_bu, 1.0)
             assert f1 >= f0 - 1e-10 * max(1.0, abs(f0))
 
     def test_noise_guard(self):
@@ -278,8 +248,8 @@ class TestUpdatePrecoder:
             aux = update_auxiliaries(*rx_stats(h, w_prev, 0.1), np.ones(k))
             l0, z = precoder_quadratic(aux, h)
             pm = update_precoder(aux, h, p_max=0.5)
-            assert (precoder_objective(pm.w, l0, z)
-                    >= precoder_objective(w_prev, l0, z) - 1e-10)
+            assert (oracles.precoder_objective(pm.w, l0, z)
+                    >= oracles.precoder_objective(w_prev, l0, z) - 1e-10)
 
     def test_budget_guard(self):
         aux = FPAuxiliaries(varsigma=np.zeros(1), xi=np.zeros(1, dtype=complex), weights=np.ones(1))
@@ -300,39 +270,18 @@ class TestUpdatePrecoder:
             PrecodingMatrix(w=w * np.sqrt(1 + 1e-6), p_max=p_max)
 
     def test_missed_budget_raises(self):
+        # tol = 0 demands the budget to the last bit: the budget is a float that power_at, on
+        # the kernels at hand, steps over between two adjacent multipliers, so none meets it
         rng = np.random.default_rng(4)
         h = random_complex(rng, (2, 2), 5.0)
         aux = update_auxiliaries(*rx_stats(h, random_complex(rng, (2, 2)), 1e-3), np.ones(2))
-        with pytest.raises(RuntimeError):    # tol = 0 demands the budget to the last bit
-            update_precoder(aux, h, p_max=1e-4, tol=0.0)
-
-
-def _bisection_multiplier(aux, h, p_max):
-    """Reference search: bracket doubling from max(1, top eigenvalue), then
-    bisection from [0, hi] down to adjacent floats (at most 200 halvings).
-    Returns (lam, w, power_at) for a binding budget."""
-    l0, z = precoder_quadratic(aux, h)
-    evals, vecs = np.linalg.eigh(l0)
-    evals = np.maximum(evals, 0.0)
-    c = vecs.conj().T @ z
-    c2 = np.abs(c) ** 2
-
-    def power_at(lam):
-        return float(np.sum(c2 / (evals[:, None] + lam) ** 2))
-
-    hi = max(1.0, float(evals.max()))
-    while power_at(hi) >= p_max:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
-            break
-        if power_at(mid) > p_max:
-            lo = mid
-        else:
-            hi = mid
-    return hi, vecs @ (c / (evals[:, None] + hi)), power_at
+        lam, _, power_at = oracles.bisection_multiplier(aux, h, 1e-4)
+        while np.nextafter(power_at(lam), np.inf) >= power_at(np.nextafter(lam, 0.0)):
+            lam = np.nextafter(lam, np.inf)
+        p_max = np.nextafter(power_at(lam), np.inf)
+        assert update_precoder(aux, h, p_max).lagrange == lam
+        with pytest.raises(RuntimeError, match="misses the budget"):
+            update_precoder(aux, h, p_max, tol=0.0)
 
 
 def _unconstrained_power(aux, h):
@@ -375,7 +324,7 @@ class TestPrecoderBitExact:
             # free power only along directions z never touches
             assert pm.power <= p_max
             return
-        lam, w, power_at = _bisection_multiplier(aux, h, p_max)
+        lam, w, power_at = oracles.bisection_multiplier(aux, h, p_max)
         assert pm.lagrange == lam
         assert np.array_equal(pm.w, w)
         assert power_at(lam) <= p_max < power_at(np.nextafter(lam, 0.0))
@@ -405,7 +354,7 @@ class TestPrecoderBitExact:
             if pm.lagrange == 0.0:
                 continue
             bound += 1
-            lam, w, _ = _bisection_multiplier(aux, h, p_max)
+            lam, w, _ = oracles.bisection_multiplier(aux, h, p_max)
             assert pm.lagrange == lam and np.array_equal(pm.w, w)
         assert bound >= 10
 
@@ -496,21 +445,17 @@ class TestReflectionUpdate:
                                         max_inner=300, tol=1e-14))
         f_mm = rcv_objective(out, u @ out, phi)
 
+        # the 64^4 phase grid, one chunk per first phase over the other three
         res = 64
         th = np.exp(1j * 2 * np.pi * np.arange(res) / res)
         best = -np.inf
         chunk = np.empty((res ** 3, 4), dtype=complex)
-        for a in range(res):
-            idx = 0
-            for b in range(res):
-                for c in range(res):
-                    chunk[idx * res:(idx + 1) * res, 0] = th[a]
-                    chunk[idx * res:(idx + 1) * res, 1] = th[b]
-                    chunk[idx * res:(idx + 1) * res, 2] = th[c]
-                    chunk[idx * res:(idx + 1) * res, 3] = th
-                    idx += 1
-            quad = np.einsum("ni,ij,nj->n", chunk.conj(), u, chunk).real
-            lin = 2 * (chunk.conj() @ phi).real
+        chunk[:, 1:] = np.stack(np.meshgrid(th, th, th, indexing="ij"), axis=-1).reshape(-1, 3)
+        for a in th:
+            chunk[:, 0] = a
+            conj = chunk.conj()
+            quad = np.einsum("ni,ni->n", conj @ u, chunk).real
+            lin = 2 * (conj @ phi).real
             best = max(best, float(np.max(-quad - lin)))
         lam = float(np.linalg.eigvalsh(u)[-1])
         tol_grid = (2 * lam * 2.0 + 2 * np.linalg.norm(phi)) * (np.pi / res) * np.sqrt(2.0)
@@ -585,7 +530,7 @@ class TestSolveLoop:
         n = ch.num_elements
         res = two_stage_solve(ch, n, 1.0, (1.0,), opts=SolverOptions(tol=1e-12, max_outer=500),
                               grouping=adjacent_grouping(n, n))
-        c = np.conj(ch.h_iu[0]) * np.conj(ch.h_bi[0])
+        c = ch.cascade(0)[:, 0]
         achieved = abs(np.vdot(np.exp(1j * res.rcv), c))
         assert abs(achieved - np.abs(c).sum()) <= 1e-6 * np.abs(c).sum()
 
@@ -616,8 +561,7 @@ class TestSolveLoop:
         q = 2
         res = two_stage_solve(ch, q, 1.0, (1.0,), opts=SolverOptions(tol=1e-12, max_outer=400),
                               grouping=adjacent_grouping(8, q))
-        from iegirs.grouping import combine_cascade
-        c_hat = combine_cascade(adjacent_grouping(8, q), np.conj(ch.h_iu[0])[:, None] * np.conj(ch.h_bi).T)
+        c_hat = combine_cascade(adjacent_grouping(8, q), ch.cascade(0))
         p_max, noise = 1.0, ch.noise_power
         gridsize = 256
         th = 2 * np.pi * np.arange(gridsize) / gridsize
@@ -701,7 +645,6 @@ class TestSolveLoop:
     def test_stationary_under_reflection_probes(self):
         # at convergence no small unit-modulus perturbation of the reflection
         # improves the internal objective at the converged beams/auxiliaries
-        from iegirs.grouping import combine_cascade
         cfg = ScenarioConfig(N=128, Q=4, M=3, K=3, seed=2)
         ch = build_scenario(cfg, np.random.default_rng(2))
         res = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights,
@@ -716,7 +659,7 @@ class TestSolveLoop:
         rng = np.random.default_rng(0)
         for _ in range(1000):
             v = np.exp(1j * (res.rcv + 1e-3 * rng.standard_normal(4)))
-            probed = fp_at(v, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
+            probed = oracles.fp_at(v, res.precoder.w, aux, c_hat, ch.h_bu, ch.noise_power)
             assert probed <= base + 1e-9 * max(1.0, abs(base))
 
 
@@ -724,111 +667,8 @@ class TestSolveLoop:
 # Bit-exactness of the alternating loop against its one-quantity-per-block form
 
 
-def _reference_combine(grouping, cascade):
-    """Grouped cascade by np.add.at, one row at a time into zeros."""
-    cascade = np.asarray(cascade)
-    vector_in = cascade.ndim == 1
-    if vector_in:
-        cascade = cascade[:, None]
-    out = np.zeros((grouping.num_groups, cascade.shape[1]), dtype=cascade.dtype)
-    np.add.at(out, grouping.assignment - 1, cascade)
-    return out[:, 0] if vector_in else out
-
-
-def _reference_rcv_quadratic(w, aux, c_hat, h_bu):
-    """(U, phi) with every product and scaling in a fresh temporary, U
-    returned symmetrized as (U + U^H) / 2."""
-    alpha = np.sqrt(aux.weights * (1.0 + aux.varsigma))
-    ww = w @ w.conj().T
-    u = np.zeros((c_hat.shape[1],) * 2, dtype=complex)
-    phi = np.zeros(c_hat.shape[1], dtype=complex)
-    for k in range(c_hat.shape[0]):
-        a_k = c_hat[k] @ ww
-        u += np.abs(aux.xi[k]) ** 2 * (a_k @ c_hat[k].conj().T)
-        phi += np.abs(aux.xi[k]) ** 2 * (a_k @ h_bu[k])
-        phi -= alpha[k] * np.conj(aux.xi[k]) * (c_hat[k] @ w[:, k])
-    return (u + u.conj().T) / 2.0, phi
-
-
-def _reference_joint_phase_rotation(rcv_values, w, aux, c_hat, h_bu):
-    """Shared-rotation line search with every product formed per user."""
-    alpha = np.sqrt(aux.weights * (1.0 + aux.varsigma))
-    g = 0.0 + 0.0j
-    for k in range(h_bu.shape[0]):
-        a_row = np.conj(rcv_values) @ (c_hat[k] @ w)
-        b_row = np.conj(h_bu[k]) @ w
-        g += alpha[k] * np.conj(aux.xi[k]) * b_row[k]
-        g -= np.abs(aux.xi[k]) ** 2 * (np.conj(a_row) * b_row).sum()
-    if g == 0:
-        return rcv_values, w
-    rot = np.exp(-1j * np.angle(g))
-    return rot * rcv_values, rot * w
-
-
-def _reference_rcv_mm(v, w, aux, c_hat, h_bu, max_inner=50, tol=1e-10):
-    """Reflection update that forms U v anew in every step."""
-    u, phi = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
-    lam = bf.top_eigenvalue(u)
-    obj = rcv_objective(v, u @ v, phi)
-    for _ in range(max_inner):
-        v = mm_step(v, u @ v, phi, lam)
-        obj_new = rcv_objective(v, u @ v, phi)
-        done = obj_new - obj <= tol * max(1.0, abs(obj))
-        obj = obj_new
-        if done:
-            break
-    return np.angle(v)
-
-
-def _matched_start(v0, c_hat, h_bu, p_max):
-    """Start beams formed outside solve_fp: the matched filter to the effective channels at v0."""
-    return matched_precoder(effective_channels(np.exp(1j * v0), c_hat, h_bu), p_max)
-
-
-def _reference_solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None, *,
-                        blocks=False):
-    """Alternating loop that re-evaluates every quantity after every block,
-    and the rate at the end from a fresh effective channel; w0 defaults to
-    _matched_start. trace_steps holds the closing objective of every outer
-    iteration, as solve_fp's does; with blocks, the objective after every
-    block update instead, three per iteration, of which every third closes
-    one."""
-    phases = v0
-    w = _matched_start(v0, c_hat, h_bu, p_max) if w0 is None else np.asarray(w0, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
-    trace, steps = [], []
-    pm, aux, converged, it = None, None, False, 0
-    for it in range(1, opts.max_outer + 1):
-        vals = np.exp(1j * phases)
-        h = effective_channels(vals, c_hat, h_bu)
-        aux = update_auxiliaries(*rx_stats(h, w, noise_power), weights)
-        steps.append(fp_at(vals, w, aux, c_hat, h_bu, noise_power))
-        pm = update_precoder(aux, h, p_max)
-        w = pm.w
-        steps.append(fp_at(vals, w, aux, c_hat, h_bu, noise_power))
-        if c_hat.shape[1] > 0:
-            phases = _reference_rcv_mm(vals, w, aux, c_hat, h_bu, max_inner=bf.MM_ITERS,
-                                       tol=bf.MM_TOL)
-            rotated, w = _reference_joint_phase_rotation(np.exp(1j * phases), w, aux, c_hat,
-                                                         h_bu)
-            phases = np.angle(rotated)
-        current = fp_at(np.exp(1j * phases), w, aux, c_hat, h_bu, noise_power)
-        steps.append(current)
-        trace.append(current)
-        if it > 1 and abs(trace[-1] - trace[-2]) <= opts.tol * max(1.0, abs(trace[-2])):
-            converged = True
-            break
-    pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange if pm is not None else 0.0)
-    h = effective_channels(np.exp(1j * phases), c_hat, h_bu)
-    rate = wsr(sinr_all(h, pm.w, noise_power), weights)
-    return bf.SolveResult(grouping=None, precoder=pm, rcv=phases, aux=aux, wsr_bits=rate,
-                          trace_steps=np.asarray(steps if blocks else trace), iterations=it,
-                          converged=converged)
-
-
 def _loop_problem(case):
     """(c_hat, h_bu, noise, p_max, weights, v0) of a seeded scene."""
-    from iegirs.grouping import adjacent_grouping, combine_cascade
     n, q = {"no_irs": (64, 4), "q4": (64, 4), "identity": (64, 64), "uirs_q": (256, 16),
             "q64": (256, 64)}[case]
     cfg = ScenarioConfig(N=n, Q=q, seed=8)
@@ -851,6 +691,8 @@ def _loop_problem(case):
 
 
 def _assert_same_solve(a, b):
+    assert (a.grouping is None) == (b.grouping is None)
+    assert a.grouping is None or np.array_equal(a.grouping.assignment, b.grouping.assignment)
     assert (a.iterations, a.converged) == (b.iterations, b.converged)
     assert np.array_equal(a.trace_steps, b.trace_steps)
     assert np.array_equal(a.precoder.w, b.precoder.w) and a.precoder.lagrange == b.precoder.lagrange
@@ -868,7 +710,7 @@ class TestLoopBitExact:
         assert out.iterations > 2
         if case == "uirs_q":
             assert not problem[0].flags.c_contiguous
-        _assert_same_solve(out, _reference_solve_fp(*problem, opts))
+        _assert_same_solve(out, oracles.solve_fp(*problem, opts))
 
     @pytest.mark.parametrize("case", ["no_irs", "q4", "identity", "uirs_q", "q64"])
     def test_block_trace_monotone(self, case):
@@ -877,7 +719,7 @@ class TestLoopBitExact:
         # objective after every block, and it never falls by more than rounding
         problem = _loop_problem(case)
         opts = SolverOptions(max_outer=60)
-        steps = _reference_solve_fp(*problem, opts, blocks=True).trace_steps
+        steps = oracles.solve_fp(*problem, opts, blocks=True).trace_steps
         assert np.array_equal(steps[2::3], solve_fp(*problem, opts).trace_steps)
         rel = np.diff(steps) / np.maximum(1.0, np.abs(steps[:-1]))
         assert rel.min() >= -1e-8
@@ -888,9 +730,9 @@ class TestLoopBitExact:
         # channels at v0, bit for bit as a caller once formed it
         problem = _loop_problem(case)
         c_hat, h_bu, _, p_max, _, v0 = problem
-        w0 = matched_precoder(effective_channels(np.exp(1j * v0), c_hat, h_bu), p_max)
         opts = SolverOptions(max_outer=60)
-        default, given = solve_fp(*problem, opts), solve_fp(*problem, opts, w0)
+        default = solve_fp(*problem, opts)
+        given = solve_fp(*problem, opts, oracles.matched_start(v0, c_hat, h_bu, p_max))
         assert default.iterations > 2
         _assert_same_solve(default, given)
 
@@ -900,7 +742,7 @@ class TestLoopBitExact:
         # the default start is the matched filter to that same h
         problem = _loop_problem("no_irs")
         c_hat, h_bu, _, p_max, _, v0 = problem
-        w0 = _matched_start(v0, c_hat, h_bu, p_max)
+        w0 = oracles.matched_start(v0, c_hat, h_bu, p_max)
         calls = []
         original = bf.effective_channels
         monkeypatch.setattr(bf, "effective_channels", lambda *a: calls.append(a) or original(*a))
@@ -917,7 +759,7 @@ class TestLoopBitExact:
             v = np.exp(1j * rng.uniform(0.0, 2 * np.pi, q))
             args = (v, w, aux, c_hat, h_bu)
             new = update_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
-            ref = _reference_rcv_mm(*args, max_inner=max_inner, tol=1e-12)
+            ref = oracles.rcv_mm(*args, max_inner=max_inner, tol=1e-12)
             assert np.array_equal(new, ref)
 
     def test_rcv_quadratic_matches_reference(self):
@@ -928,7 +770,7 @@ class TestLoopBitExact:
             c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=k, m=m, q=q)
             for stack in _strided_stacks(c_hat):
                 u, phi = build_rcv_quadratic(w, aux, stack, h_bu)
-                u_ref, phi_ref = _reference_rcv_quadratic(w, aux, stack, h_bu)
+                u_ref, phi_ref = oracles.rcv_quadratic(w, aux, stack, h_bu)
                 assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
 
     @pytest.mark.parametrize("q", [1, 4, 256])
@@ -941,10 +783,9 @@ class TestLoopBitExact:
         c_hat, h_bu, w, aux = _random_rcv_instance(rng, k=4, m=4, q=q)
         if kind == "statistical":               # rank-one cascades of a scene
             ch = build_scenario(ScenarioConfig(N=256, Q=q, seed=2), np.random.default_rng(2))
-            cascades = np.stack([cascaded_channel(ch.h_iu_stat[k], ch.h_bi_stat)
-                                 for k in range(ch.num_users)])
+            cascades, w = oracles.stat_inputs(ch)
             c_hat = grp.combine_cascades(adjacent_grouping(256, q), cascades)
-            h_bu, w = ch.h_bu_stat, bf.stat_matched_beams(cascades, ch.h_bu_stat)
+            h_bu = ch.h_bu_stat
             aux = update_auxiliaries(*rx_stats(effective_channels(np.ones(q), c_hat, h_bu), w,
                                                 ch.noise_power), np.ones(4))
             assert np.linalg.matrix_rank(cascades[0]) == 1
@@ -956,7 +797,7 @@ class TestLoopBitExact:
         assert np.abs(parts[parts != 0.0]).min(initial=np.inf) > 4 * np.finfo(float).tiny
         summed = (parts * 2.0).view(complex)    # U + U^H, exactly: no part is subnormal
         assert np.array_equal((summed / 2.0).view(np.uint64), u.view(np.uint64))
-        u_ref, _ = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
+        u_ref, _ = oracles.rcv_quadratic(w, aux, c_hat, h_bu)
         assert np.array_equal(u_ref.view(np.uint64), u.view(np.uint64))
 
     def test_hermitian_check_norms_match_linalg(self):
@@ -984,7 +825,7 @@ class TestLoopBitExact:
                                               weights=rng.uniform(0.5, 2.0, k))
                         args = (v, w, aux_w, stack, h_bu)
                         v_new, w_new = bf.joint_phase_rotation(*args)
-                        v_ref, w_ref = _reference_joint_phase_rotation(*args)
+                        v_ref, w_ref = oracles.joint_phase_rotation(*args)
                         assert np.array_equal(v_new, v_ref) and np.array_equal(w_new, w_ref)
 
     def test_scalar_pow_xi_kept(self):
@@ -1001,11 +842,11 @@ class TestLoopBitExact:
                             weights=np.array([1.0, 0.5, 2.0]))
         assert aux.xi_sq_pow[0] == 0.8472001102896298
         u, phi = build_rcv_quadratic(w, aux, c_hat, h_bu)
-        u_ref, phi_ref = _reference_rcv_quadratic(w, aux, c_hat, h_bu)
+        u_ref, phi_ref = oracles.rcv_quadratic(w, aux, c_hat, h_bu)
         assert np.array_equal(u, u_ref) and np.array_equal(phi, phi_ref)
         v = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 6))
         got = bf.joint_phase_rotation(v, w, aux, c_hat, h_bu)
-        ref = _reference_joint_phase_rotation(v, w, aux, c_hat, h_bu)
+        ref = oracles.joint_phase_rotation(v, w, aux, c_hat, h_bu)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     def test_aux_owns_its_weights(self):
@@ -1035,26 +876,18 @@ class TestLoopBitExact:
         ch = build_scenario(cfg, np.random.default_rng(9))
         grouping = None
         if stage1 == "phase-partition":
-            grouping = _reference_arc_seed(ch, np.asarray(cfg.weights, dtype=float), 4)
+            grouping = oracles.arc_seed(ch, np.asarray(cfg.weights, dtype=float), 4)
         new = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights, grouping=grouping)
-        monkeypatch.setattr(bf, "solve_fp", _reference_solve_fp)
-        monkeypatch.setattr(grp, "combine_cascade", _reference_combine)
+        monkeypatch.setattr(bf, "solve_fp", oracles.solve_fp)
+        monkeypatch.setattr(grp, "combine_cascade", oracles.combine)
         ref = two_stage_solve(ch, 4, cfg.power_watts, cfg.weights, grouping=grouping)
-        _assert_same_two_stage(new, ref)
+        _assert_same_solve(new, ref)
 
 
 def _strided_stacks(c_hat):
     """c_hat itself and the same values as a strided (K, Q, M) view, as uirs_q slices them."""
     q = c_hat.shape[1]
     return c_hat, np.concatenate([c_hat, c_hat], axis=1)[:, :q]
-
-
-def _assert_same_two_stage(a, b):
-    assert np.array_equal(a.grouping.assignment, b.grouping.assignment)
-    assert np.array_equal(a.trace_steps, b.trace_steps)
-    assert np.array_equal(a.precoder.w, b.precoder.w)
-    assert np.array_equal(a.rcv, b.rcv)
-    assert a.wsr_bits == b.wsr_bits and a.iterations == b.iterations
 
 
 class TestObjectiveCalls:
@@ -1084,101 +917,6 @@ class TestObjectiveCalls:
 # Stage 1 against the arc search followed by the relaxed-program refinement
 
 
-def _reference_stat_inputs(channels):
-    """Stacked statistical cascades (K, N, M) and their matched beams."""
-    cascades_stat = np.stack([cascaded_channel(channels.h_iu_stat[k], channels.h_bi_stat)
-                              for k in range(channels.num_users)])
-    return cascades_stat, bf.stat_matched_beams(cascades_stat, channels.h_bu_stat)
-
-
-def _stepped_strides(a):
-    return [s for s, d in zip(a.strides, a.shape) if d > 1]
-
-
-def _reference_arc_seed(channels, weights, q):
-    """Equal-arc partition of the weighted aggregate statistical cascade phase."""
-    cascades_stat, w_mf = _reference_stat_inputs(channels)
-    return grp.phase_arc_grouping(bf.heuristic_rcv(cascades_stat, w_mf, weights), q)
-
-
-def _reference_statistical_solve(channels, g, weights, p_max, opts, incumbent=None):
-    """Statistical solve at g from a start formed here, passed to solve_fp as w0.
-
-    Without an incumbent the start is the heuristic reflection under the
-    matched beams and the matched precoder at that reflection; with one, the
-    heuristic reflection under the incumbent's beams and those beams.
-    """
-    cascades_stat, w_mf = _reference_stat_inputs(channels)
-    c_hat_stat = grp.combine_cascades(g, cascades_stat)
-    if incumbent is None:
-        v0 = bf.heuristic_rcv(c_hat_stat, w_mf, weights)
-        w0 = _matched_start(v0, c_hat_stat, channels.h_bu_stat, p_max)
-    else:
-        w0 = incumbent.precoder.w
-        v0 = bf.heuristic_rcv(c_hat_stat, w0, weights)
-    stat = bf.solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power, p_max, weights, v0,
-                       opts, w0)
-    stat.grouping = g
-    return stat
-
-
-def _check_stat_inputs(channels, cascades_stat, w_mf):
-    """The stage-1 inputs two_stage_solve formed once equal the reference's own."""
-    own_cascades, own_beams = _reference_stat_inputs(channels)
-    assert np.array_equal(cascades_stat, own_cascades) and np.array_equal(w_mf, own_beams)
-
-
-def _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max):
-    """The arc search that solves every candidate, repeats included, from
-    starts it forms itself. Returns the statistical SolveResult of the
-    chosen grouping and that grouping's statistical cascade, as
-    _grouping_from_statistics does."""
-    _check_stat_inputs(channels, cascades_stat, w_mf)
-    best = None
-    for seed_g in (grp.adjacent_grouping(channels.num_elements, q),
-                   _reference_arc_seed(channels, weights, q)):
-        stat = _reference_statistical_solve(channels, seed_g, weights, p_max, opts)
-        if best is None or stat.wsr_bits > best.wsr_bits:
-            best = stat
-    for _ in range(3):
-        candidates = [grp.phase_arc_grouping(bf.heuristic_rcv(cascades_stat, best.precoder.w,
-                                                               best.aux.alpha_conj_xi), q)]
-        for k in range(channels.num_users):
-            ramp = cascades_stat[k] @ best.precoder.w[:, k]
-            candidates.append(grp.phase_arc_grouping(np.angle(ramp), q))
-        improved = False
-        for candidate in candidates:
-            if np.array_equal(candidate.assignment, best.grouping.assignment):
-                continue
-            stat = _reference_statistical_solve(channels, candidate, weights, p_max, opts,
-                                                incumbent=best)
-            if stat.wsr_bits > best.wsr_bits:
-                best = stat
-                improved = True
-        if not improved:
-            break
-    return best, grp.combine_cascades(best.grouping, cascades_stat)
-
-
-def _reference_grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_max,
-                                        relaxed_calls):
-    """Arc search, then up to one relaxed-program refinement kept only if it
-    raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
-    15 projected-gradient steps, the incumbent as an extra start)."""
-    best, c_hat_stat = _reference_arc_search(channels, cascades_stat, w_mf, q, opts, weights,
-                                             p_max)
-    relaxed_calls.append(q)
-    refined = grp.relaxed_qp_grouping(_reference_stat_inputs(channels)[0], channels.h_bu_stat,
-                                      best.precoder.w, np.exp(1j * best.rcv), best.aux, q,
-                                      rho=1.0, max_rounds=20, pg_steps=15,
-                                      extra_starts=(best.grouping,))
-    if not np.array_equal(refined.assignment, best.grouping.assignment):
-        stat = _reference_statistical_solve(channels, refined, weights, p_max, opts)
-        if stat.wsr_bits > best.wsr_bits:
-            best, c_hat_stat = stat, grp.combine_cascades(refined, cascades_stat)
-    return best, c_hat_stat
-
-
 def _stage1_scene(case):
     """(channels, Q, p_max, weights) of trial t of a seeded scene (c11's seed and layout).
 
@@ -1187,7 +925,6 @@ def _stage1_scene(case):
     "30dBm_t3", a candidate solved before an improvement comes back after
     it and wins, so the repeat record must be cleared when the state moves.
     """
-    from iegirs.config import trial_seed_sequence
     trial, kw = {"c11_n256": (0, dict(N=256)), "c11_n1024": (3, dict(N=1024)),
                  "q2": (0, dict(N=256, Q=2)), "q16": (2, dict(N=256, Q=16)),
                  "unobscured": (6, dict(N=256, scenario="unobscured")),
@@ -1196,8 +933,7 @@ def _stage1_scene(case):
                  "30dBm": (4, dict(N=256, power_dbm=30.0)),
                  "30dBm_t3": (3, dict(N=256, power_dbm=30.0))}[case]
     cfg = ScenarioConfig(**{"Q": 4, "seed": 11, **kw})
-    rng = np.random.default_rng(trial_seed_sequence(cfg.seed, trial).spawn(1)[0])
-    return build_scenario(cfg, rng), cfg.Q, cfg.power_watts, cfg.weights
+    return oracles.trial_channels(cfg, trial), cfg.Q, cfg.power_watts, cfg.weights
 
 
 class TestHeuristicRcv:
@@ -1205,7 +941,8 @@ class TestHeuristicRcv:
 
     @staticmethod
     def _stage1_inputs(monkeypatch):
-        """The statistical stack two_stage_solve builds, its matched beams, and a scene."""
+        """The statistical stack two_stage_solve builds, its matched beams, and a scene.
+        Stage 1's sums read the stack in stat_cascades' layout; another moves their last bits."""
         ch, q, p_max, weights = _stage1_scene("q16")
         seen = []
 
@@ -1216,6 +953,8 @@ class TestHeuristicRcv:
         monkeypatch.setattr(bf, "_grouping_from_statistics", record)
         with pytest.raises(StopIteration):
             two_stage_solve(ch, q, p_max, weights)
+        stack = ch.stat_cascades()
+        assert seen[0][0].strides == stack.strides and seen[0][0].tobytes() == stack.tobytes()
         return ch, q, *seen[0]
 
     @staticmethod
@@ -1254,23 +993,6 @@ class TestHeuristicRcv:
 
 
 class TestStage1BitExact:
-    def test_statistical_stack_has_np_stack_strides(self, monkeypatch):
-        # stage 1's sums read the stack in this layout; another moves their last bits
-        ch, q, p_max, weights = _stage1_scene("q2")
-        stack = ch.stat_cascades()
-        ref = _reference_stat_inputs(ch)[0]
-        assert stack.strides == ref.strides and stack.tobytes() == ref.tobytes()
-        seen = []
-
-        def record(channels, cascades_stat, *args):
-            seen.append(cascades_stat)
-            return grouping_from_statistics(channels, cascades_stat, *args)
-
-        grouping_from_statistics = bf._grouping_from_statistics
-        monkeypatch.setattr(bf, "_grouping_from_statistics", record)
-        two_stage_solve(ch, q, p_max, weights)
-        assert seen[0].strides == stack.strides and seen[0].tobytes() == stack.tobytes()
-
     @pytest.mark.parametrize("kw", [dict(), dict(K=1), dict(M=1), dict(K=1, M=1, N=37),
                                     dict(N=37), dict(kappa_bi=0.0), dict(kappa_iu=0.0)],
                              ids=["K=M=4", "K=1", "M=1", "K=M=1_N=37", "N=37", "kappa_bi=0",
@@ -1283,11 +1005,11 @@ class TestStage1BitExact:
         cfg = ScenarioConfig(**{"N": 64, "Q": 2, "seed": 6, **kw})
         ch = build_scenario(cfg, np.random.default_rng(6))
         stack = ch.stat_cascades()
-        ref = np.stack([np.conj(ch.h_iu_stat[k])[:, None] * np.conj(ch.h_bi_stat).T
-                        for k in range(cfg.K)])
+        ref = oracles.stat_stack(ch)
         assert stack.shape == ref.shape and stack.tobytes() == ref.tobytes()
         # the stride of a length-1 axis is never stepped (at M = 1 it is N*16, not 16)
-        assert _stepped_strides(stack) == _stepped_strides(ref)
+        assert [s for s, d in zip(stack.strides, stack.shape) if d > 1] == \
+            [s for s, d in zip(ref.strides, ref.shape) if d > 1]
         seen = []
 
         def record(cascades_stat, h_bu_stat):
@@ -1329,7 +1051,7 @@ class TestStage1BitExact:
         monkeypatch.setattr(bf, "_grouping_from_statistics", counted)
         monkeypatch.setattr(grp, "phase_arc_grouping", counted_arcs)
         ref = two_stage_solve(ch, q, p_max, weights)
-        _assert_same_two_stage(new, ref)
+        _assert_same_solve(new, ref)
         rounds, rest = divmod(arcs.count(n) - 1, k_users + 1)
         assert rest == 0 and rounds >= 1
         assert len(products) == k_users * (1 + rounds)
@@ -1342,12 +1064,12 @@ class TestStage1BitExact:
         calls = []
 
         def reference(*args):
-            return _reference_grouping_from_statistics(*args, calls)
+            return oracles.grouping_from_statistics(*args, calls)
 
         monkeypatch.setattr(bf, "_grouping_from_statistics", reference)
         ref = two_stage_solve(ch, q, p_max, weights)
         assert calls == [q]
-        _assert_same_two_stage(new, ref)
+        _assert_same_solve(new, ref)
 
     @pytest.mark.parametrize("case, skipped", [("c11_n256", 2), ("q2", 2), ("30dBm_t3", 0)])
     def test_repeat_candidates_skipped(self, case, skipped, monkeypatch):
@@ -1363,12 +1085,12 @@ class TestStage1BitExact:
         new = two_stage_solve(ch, q, p_max, weights)
         n_new = len(solves)
 
-        monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
+        monkeypatch.setattr(bf, "_grouping_from_statistics", oracles.arc_search)
         ref = two_stage_solve(ch, q, p_max, weights)
         # each run ends with one stage-2 solve; the reference also solves the
         # repeats and, before the arc seed, adjacent blocks
         assert len(solves) - n_new == n_new + skipped + 1
-        _assert_same_two_stage(new, ref)
+        _assert_same_solve(new, ref)
 
     def test_full_groups_seed_adjacent_blocks(self, monkeypatch):
         # at Q == N the arc seed relabels the identity, and seeding with it
@@ -1377,6 +1099,6 @@ class TestStage1BitExact:
         ch = build_scenario(cfg, np.random.default_rng(0))
         new = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
 
-        monkeypatch.setattr(bf, "_grouping_from_statistics", _reference_arc_search)
+        monkeypatch.setattr(bf, "_grouping_from_statistics", oracles.arc_search)
         ref = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
-        _assert_same_two_stage(new, ref)
+        _assert_same_solve(new, ref)

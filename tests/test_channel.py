@@ -11,6 +11,7 @@ from iegirs.channel import (ChannelSet, RicianLink, build_scenario,
                             rician_from_normals, sample_rician, upa_response)
 from iegirs.config import _LAYOUT, ScenarioConfig
 from iegirs.mathkit import array_response
+import oracles
 
 
 class TestPathLoss:
@@ -91,11 +92,6 @@ class TestSampleRician:
         assert stat.tobytes() == (0.7 * np.sqrt(2.0 / 3.0) * link.los).tobytes()
 
 
-def _reference_complex_normal(shape, rng):
-    """The two-draw form: real parts, then imaginary parts, divided by sqrt(2)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def _assert_one_draw_map(shape, seed):
     # one (2,) + shape draw, read as the real parts and then the imaginary
     # parts: the two-draw form bit for bit, and the stream ends where it does
@@ -103,7 +99,7 @@ def _assert_one_draw_map(shape, seed):
     link = RicianLink(delta=0.7, kappa=2.0, los=los)
     rng, ref_rng = np.random.default_rng(7 + seed), np.random.default_rng(7 + seed)
     h = sample_rician(link, rng)
-    ref = link.stat_component + link.nlos_scale * _reference_complex_normal(shape, ref_rng)
+    ref = link.stat_component + link.nlos_scale * oracles.complex_normal(shape, ref_rng)
     assert np.shape(h) == np.shape(ref) and h.dtype == ref.dtype
     assert h.tobytes() == ref.tobytes()
     assert rng.standard_normal() == ref_rng.standard_normal()
@@ -147,11 +143,6 @@ class TestCascadeDecompose:
         assert np.allclose(c1, expected)
 
 
-def _two_conjugate_cascade(h_iu_k, h_bi):
-    # the former formula, kept as the reference: a conjugated copy of each link, then their product
-    return np.conj(h_iu_k)[:, None] * np.conj(h_bi).T
-
-
 def _assert_same_cascade(got, ref, stepped_only=False):
     # bit for bit: each part's values and the signs of its zeros, and the strides;
     # stepped_only skips length-1 axes, never stepped (a stack slab's is N*16 at M = 1)
@@ -174,25 +165,6 @@ class TestCascadedChannel:
         c = cascaded_channel(np.zeros(8), h_bi)
         assert np.all(c == 0)
 
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        n, m = 8, 2
-        h_iu = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        h_bi = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        c = cascaded_channel(h_iu, h_bi)
-        assert c.shape == (n, m)
-        for i in range(n):
-            for j in range(m):
-                oracle = np.conj(h_iu[i]) * np.conj(h_bi[j, i])
-                assert abs(c[i, j] - oracle) <= 1e-13 * abs(oracle)
-
-    def test_single_antenna_reduces_to_entrywise_product(self):
-        rng = np.random.default_rng(8)
-        h_iu = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        h_bi = rng.standard_normal((1, 6)) + 1j * rng.standard_normal((1, 6))
-        c = cascaded_channel(h_iu, h_bi)
-        assert np.allclose(c[:, 0], np.conj(h_iu) * np.conj(h_bi[0]))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cascaded_channel(np.ones(4), np.ones((2, 5)))
@@ -214,22 +186,21 @@ class TestCascadedChannel:
             h_iu *= 0.0
         for rows in (slice(None), slice(q), slice(q, n)):
             _assert_same_cascade(cascaded_channel(h_iu[0, rows], h_bi[:, rows]),
-                                 _two_conjugate_cascade(h_iu[0, rows], h_bi[:, rows]))
+                                 oracles.cascade(h_iu[0, rows], h_bi[:, rows]))
         stack = np.empty((k_users, m, n), dtype=complex).transpose(0, 2, 1)
         for k in range(k_users):
             slab = stack[k]
             assert cascaded_channel(h_iu[k], h_bi, out=slab) is slab
-            _assert_same_cascade(slab, _two_conjugate_cascade(h_iu[k], h_bi), stepped_only=True)
+            _assert_same_cascade(slab, oracles.cascade(h_iu[k], h_bi), stepped_only=True)
 
     def test_channel_set_rows_and_stack(self):
         ch = build_scenario(ScenarioConfig(N=17, Q=4, kappa_iu=0.0), np.random.default_rng(4))
         for k in range(ch.num_users):
             for rows in (slice(None), slice(4), slice(4, 17)):
                 _assert_same_cascade(ch.cascade(k, rows),
-                                     _two_conjugate_cascade(ch.h_iu[k, rows], ch.h_bi[:, rows]))
+                                     oracles.cascade(ch.h_iu[k, rows], ch.h_bi[:, rows]))
         stack = ch.stat_cascades()
-        ref = np.stack([_two_conjugate_cascade(ch.h_iu_stat[k], ch.h_bi_stat)
-                        for k in range(ch.num_users)])
+        ref = oracles.stat_stack(ch)
         _assert_same_cascade(stack, ref)
         # at kappa_iu = 0 the statistical cascades are zeros of both signs
         assert not ref.any() and np.signbit(ref.imag).any() and not np.signbit(ref.imag).all()
@@ -247,56 +218,6 @@ class TestGeometryHelpers:
         assert np.allclose(upa_response(1, 8, 0.0, u), array_response(8, np.arcsin(u)))
 
 
-def _reference_build_scenario(config, rng):
-    """The former scene construction: every link built first, then drawn
-    through lists and np.stack, its statistical part read once more."""
-    bs = np.asarray(config.bs_pos, dtype=float)
-    irs = np.asarray(config.irs_pos, dtype=float)
-    center = np.asarray(config.user_center, dtype=float)
-    directions = rng.standard_normal((config.K, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = config.user_radius * rng.uniform(size=config.K) ** (1.0 / 3.0)
-    users = center[None, :] + radii[:, None] * directions
-    n1, n2 = near_square_factors(config.N)
-    y_axis, x_axis, z_axis = np.eye(3)[[1, 0, 2]]
-
-    def unit(v):
-        d = np.linalg.norm(v)
-        return v / d, d
-
-    e_bi, d_bi = unit(irs - bs)
-    bs_resp = array_response(config.M, np.arcsin(np.clip(e_bi @ y_axis, -1, 1)))
-    irs_resp_bi = upa_response(n1, n2, np.clip(-e_bi @ x_axis, -1, 1), np.clip(-e_bi @ z_axis, -1, 1))
-    link_bi = RicianLink(delta=path_loss_amplitude("los", d_bi), kappa=config.kappa_bi,
-                         los=np.outer(bs_resp, np.conj(irs_resp_bi)))
-    direct_model = "nlos" if config.scenario == "obscured" else "los"
-    links_iu, links_bu = [], []
-    for k in range(config.K):
-        e_iu, d_iu = unit(users[k] - irs)
-        links_iu.append(RicianLink(
-            delta=path_loss_amplitude("los", d_iu), kappa=config.kappa_iu,
-            los=upa_response(n1, n2, np.clip(e_iu @ x_axis, -1, 1), np.clip(e_iu @ z_axis, -1, 1))))
-        e_bu, d_bu = unit(users[k] - bs)
-        links_bu.append(RicianLink(
-            delta=path_loss_amplitude(direct_model, d_bu), kappa=config.kappa_bu,
-            los=array_response(config.M, np.arcsin(np.clip(e_bu @ y_axis, -1, 1)))))
-
-    def stat(link):                              # formed anew, as the property once was
-        return link.delta * np.sqrt(link.kappa / (1.0 + link.kappa)) * link.los
-
-    def draw(link):
-        return rician_from_normals(stat(link), link.nlos_scale,
-                                   rng.standard_normal((2,) + link.los.shape))
-
-    h_bi = draw(link_bi)
-    h_iu = np.stack([draw(lk) for lk in links_iu])
-    h_bu = np.stack([draw(lk) for lk in links_bu])
-    return ChannelSet(h_bi=h_bi, h_iu=h_iu, h_bu=h_bu, h_bi_stat=stat(link_bi),
-                      h_iu_stat=np.stack([stat(lk) for lk in links_iu]),
-                      h_bu_stat=np.stack([stat(lk) for lk in links_bu]),
-                      noise_power=config.noise_watts)
-
-
 SCENE_ARRAYS = ("h_bi", "h_iu", "h_bu", "h_bi_stat", "h_iu_stat", "h_bu_stat")
 
 
@@ -310,7 +231,7 @@ class TestBuildScenario:
         # N = 37 is prime, so its UPA is 1 x 37; kappa = 0 zeroes a statistical part
         cfg = ScenarioConfig(**{"N": 64, "Q": 1, "M": 3, "K": 2, "seed": 4, **kw})
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got, ref = build_scenario(cfg, rng), _reference_build_scenario(cfg, ref_rng)
+        got, ref = build_scenario(cfg, rng), oracles.build_scenario(cfg, ref_rng)
         for name in SCENE_ARRAYS:
             a, b = getattr(got, name), getattr(ref, name)
             assert (a.shape, a.dtype, a.strides) == (b.shape, b.dtype, b.strides), name
@@ -368,6 +289,19 @@ class TestBuildScenario:
                        h_bu_stat=np.ones((1, 1)), noise_power=0.0)
 
 
+NON_DEFAULT = ScenarioConfig(N=256, Q=8, M=3, K=3, bs_pos=(1.0, 2.0, 3.0), user_radius=4.0,
+                             kappa_bi=2.0, kappa_iu=3.0, kappa_bu=0.5, scenario="unobscured",
+                             weights=(3.0, 0.5, 1.0), trials=7, seed=42, schemes=("ieg", "no_irs"))
+
+
+def _raw(field, value):
+    """The from_dict mapping that sets one field, in the section _LAYOUT places it."""
+    for section, keys in _LAYOUT.items():
+        if isinstance(keys, dict) and field in keys.values():
+            return {section: {key: value for key, f in keys.items() if f == field}}
+    return {field: value}
+
+
 class TestScenarioConfig:
     def test_yaml_roundtrip(self, tmp_path):
         import yaml
@@ -379,10 +313,7 @@ class TestScenarioConfig:
         assert loaded == cfg
 
     def test_dict_roundtrip(self):
-        cfg = ScenarioConfig(N=256, Q=8, M=3, K=3, bs_pos=(1.0, 2.0, 3.0), user_radius=4.0,
-                             kappa_bi=2.0, kappa_iu=3.0, kappa_bu=0.5, scenario="unobscured",
-                             weights=(3.0, 0.5, 1.0), trials=7, seed=42, schemes=("ieg", "no_irs"))
-        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+        assert ScenarioConfig.from_dict(NON_DEFAULT.to_dict()) == NON_DEFAULT
 
     @pytest.mark.parametrize("cfg, expected", [
         (ScenarioConfig(), {
@@ -393,9 +324,7 @@ class TestScenarioConfig:
             "power_dbm": 10.0, "noise_dbm": -100.0, "scenario": "obscured",
             "weights": [1.0, 1.0, 1.0, 1.0], "trials": 20, "seed": 1,
             "schemes": ["ieg", "aeg", "uirs_q", "random_rcv", "no_irs"]}),
-        (ScenarioConfig(N=256, Q=8, M=3, K=3, bs_pos=(1.0, 2.0, 3.0), user_radius=4.0,
-                        kappa_bi=2.0, kappa_iu=3.0, kappa_bu=0.5, scenario="unobscured",
-                        weights=(3.0, 0.5, 1.0), trials=7, seed=42, schemes=("ieg", "no_irs")), {
+        (NON_DEFAULT, {
             "system": {"M": 3, "K": 3, "N": 256, "Q": 8},
             "geometry": {"bs": [1.0, 2.0, 3.0], "irs": [300.0, 0.0, 8.0],
                          "user_center": [300.0, 6.0, 0.0], "user_radius": 4.0},
@@ -486,9 +415,8 @@ class TestScenarioConfig:
         # numpy cast, and seed = 2.5 ran silently as seed 2
         with pytest.raises(ValueError, match=f"{key} must be a whole number"):
             ScenarioConfig(**{key: value})
-        raw = {key: value} if key in ("trials", "seed") else {"system": {key: value}}
         with pytest.raises(ValueError, match=f"{key} must be a whole number"):
-            ScenarioConfig.from_dict(raw)
+            ScenarioConfig.from_dict(_raw(key, value))
 
     def test_real_fields_stored_as_floats(self):
         cfg = ScenarioConfig(user_radius=3, kappa_bi=np.int64(5), kappa_iu=np.float32(0.5),
@@ -512,14 +440,8 @@ class TestScenarioConfig:
         # power_watts, and kappa_bi = "5" was stored as the string
         with pytest.raises(ValueError, match=f"^{key} must be a finite real number"):
             ScenarioConfig(**{key: value})
-        if key == "user_radius":
-            raw = {"geometry": {key: value}}
-        elif key.startswith("kappa_"):
-            raw = {"kappas": {key[len("kappa_"):]: value}}
-        else:
-            raw = {key: value}
         with pytest.raises(ValueError, match=f"^{key} must be a finite real number"):
-            ScenarioConfig.from_dict(raw)
+            ScenarioConfig.from_dict(_raw(key, value))
 
     @pytest.mark.parametrize("key, value", [("user_radius", -2.0), ("seed", -1), ("kappa_bi", -1.0),
                                             ("kappa_iu", -0.5), ("kappa_bu", -1e-12)])
@@ -528,14 +450,8 @@ class TestScenarioConfig:
         # without a word, seed = -1 died in SeedSequence and kappa_bi = -1 in RicianLink
         with pytest.raises(ValueError, match=f"^{key} must be >= 0, got {value!r}"):
             ScenarioConfig(**{key: value})
-        if key == "user_radius":
-            raw = {"geometry": {key: value}}
-        elif key.startswith("kappa_"):
-            raw = {"kappas": {key[len("kappa_"):]: value}}
-        else:
-            raw = {key: value}
         with pytest.raises(ValueError, match=f"^{key} must be >= 0"):
-            ScenarioConfig.from_dict(raw)
+            ScenarioConfig.from_dict(_raw(key, value))
 
     @pytest.mark.parametrize("key", ["power_dbm", "noise_dbm"])
     def test_powers_outside_float_watts_rejected(self, key):
@@ -555,9 +471,8 @@ class TestScenarioConfig:
     def test_counts_below_one_rejected(self, key):
         with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
             ScenarioConfig(**{key: 0})
-        raw = {key: 0} if key == "trials" else {"system": {key: 0}}
         with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
-            ScenarioConfig.from_dict(raw)
+            ScenarioConfig.from_dict(_raw(key, 0))
 
     def test_zero_radius_seed_and_kappas_accepted(self):
         cfg = ScenarioConfig(user_radius=0, seed=0, kappa_bi=0, kappa_iu=0, kappa_bu=0)

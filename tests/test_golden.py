@@ -6,12 +6,14 @@ output byte (a rate, an iteration count, a row) fails here; if it does so
 on purpose, it says so and re-pins the digest it moved.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -49,8 +51,25 @@ def _run_cli(args, tmp):
                    capture_output=True, text=True, check=True, env=env)
 
 
+def _kernels():
+    """The CPU kernels of this process and its CLI runs: the OpenBLAS core (OPENBLAS_CORETYPE
+    forces one) and numpy's SIMD targets (NPY_DISABLE_CPU_FEATURES turns some off)."""
+    core = "unknown"
+    for lib in (Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    umath = (getattr(np, "_core", None) or np.core)._multiarray_umath     # np.core before numpy 2
+    enabled = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return (f"OpenBLAS core {core}; numpy baseline {' '.join(umath.__cpu_baseline__)}, "
+            f"dispatch {' '.join(umath.__cpu_dispatch__)} (enabled: {' '.join(enabled) or 'none'})")
+
+
 @pytest.mark.parametrize("name", GOLDEN)
 def test_csv_bytes_pinned(name, tmp_path):
     args, files, digests = GOLDEN[name]
     _run_cli(args, tmp_path)
-    assert [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files] == digests
+    got = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files]
+    assert got == digests, ("digests differ from the pins, made on OpenBLAS core SkylakeX with "
+                            f"numpy dispatch up to AVX512_SPR; this run: {_kernels()}")

@@ -8,31 +8,13 @@ import pytest
 from iegirs import beamforming as bf
 from iegirs.asymptotics import AsymptoticInputs
 from iegirs import grouping as grp
-from iegirs.channel import cascade_coefficients
+from iegirs.channel import build_scenario, cascade_coefficients
 from iegirs.config import ScenarioConfig
 from iegirs.grouping import (GroupingMatrix, adjacent_grouping, combine_cascade, count_groupings,
                              grouping_objective, phase_partition_grouping,
                              project_columns_to_simplex, relaxed_qp_grouping)
 from iegirs.mathkit import array_response, group_shrink_factor
-
-
-def brute_force_partition_count(n, q):
-    """Enumerate set partitions into exactly q non-empty groups
-    (restricted growth strings: join an existing group or open a new one)."""
-    count = 0
-
-    def recurse(i, used):
-        nonlocal count
-        if i == n:
-            count += used == q
-            return
-        for _ in range(used):
-            recurse(i + 1, used)
-        if used < q:
-            recurse(i + 1, used + 1)
-
-    recurse(0, 0)
-    return count
+import oracles
 
 
 class TestValidate:
@@ -96,7 +78,7 @@ class TestCountGroupings:
     def test_matches_enumeration(self):
         for n in range(1, 8):
             for q in range(1, n + 1):
-                assert count_groupings(n, q) == brute_force_partition_count(n, q)
+                assert count_groupings(n, q) == oracles.partition_count(n, q)
 
     def test_exact_big_integers(self):
         # 2^50 - 1 pairs of groups: exact arithmetic, no float rounding
@@ -135,24 +117,6 @@ class TestPhasePartition:
             phase_partition_grouping(0.3, 2, 4)
 
 
-def _mod_arc_grouping(frac_pos, q):
-    """Labels of arc_grouping as written with np.mod, its callers wrapping
-    the positions by np.mod first."""
-    frac_pos = np.mod(np.asarray(frac_pos), 1.0)
-    frac = np.mod(np.round(frac_pos * 2.0 ** 40) / 2.0 ** 40, 1.0)
-    assignment = 1 + np.minimum((q * frac).astype(int), q - 1)
-    sizes = np.bincount(assignment - 1, minlength=q)
-    for label in range(1, q + 1):
-        while sizes[label - 1] == 0:
-            movable = np.where(sizes[assignment - 1] >= 2)[0]
-            d = np.abs(frac_pos[movable] - (label - 0.5) / q)
-            pick = movable[np.argmin(np.minimum(d, 1.0 - d))]
-            sizes[assignment[pick] - 1] -= 1
-            assignment[pick] = label
-            sizes[label - 1] += 1
-    return assignment
-
-
 class TestArcWrap:
     """The one wrap, grp._wrap = x - floor(x), against np.mod(x, 1.0) bit for bit."""
 
@@ -177,12 +141,8 @@ class TestArcWrap:
 
     @pytest.mark.parametrize("q", [1, 2, 4, 16, 256])
     def test_stage1_arcs_match_mod_form(self, q):
-        from iegirs.channel import build_scenario, cascaded_channel
-        from iegirs.config import ScenarioConfig
         ch = build_scenario(ScenarioConfig(N=1024, Q=4, seed=3), np.random.default_rng(3))
-        cascades_stat = np.stack([cascaded_channel(ch.h_iu_stat[k], ch.h_bi_stat)
-                                  for k in range(ch.num_users)])
-        w_mf = bf.stat_matched_beams(cascades_stat, ch.h_bu_stat)
+        cascades_stat, w_mf = oracles.stat_inputs(ch)
         rng = np.random.default_rng(q)
         tiny = np.array([0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, np.pi, -np.pi])
         for phases in (bf.heuristic_rcv(cascades_stat, w_mf, np.ones(ch.num_users)),
@@ -190,14 +150,14 @@ class TestArcWrap:
                        rng.uniform(-np.pi, np.pi, 1024), np.resize(tiny, 1024),
                        np.full(1024, 0.25)):
             got = grp.phase_arc_grouping(phases, q).assignment
-            assert np.array_equal(got, _mod_arc_grouping(-phases / (2 * np.pi), q))
+            assert np.array_equal(got, oracles.mod_arc_grouping(-phases / (2 * np.pi), q))
 
     @pytest.mark.parametrize("delta", [0.0, 0.3, -0.7, 1.0 / np.sqrt(2.0), 769 / 2048,
                                        1e-17, -1e-17, 123.456])
     def test_phase_partition_matches_mod_form(self, delta):
         for n, q in ((6, 2), (64, 4), (1024, 16), (4096, 256)):
             got = phase_partition_grouping(delta, n, q).assignment
-            assert np.array_equal(got, _mod_arc_grouping(np.arange(n) * delta, q))
+            assert np.array_equal(got, oracles.mod_arc_grouping(np.arange(n) * delta, q))
 
 
 class TestArcGrouping:
@@ -254,8 +214,8 @@ class TestAdjacent:
 
 def _check_against_add_at(n, q):
     """combine_cascade(s) of n elements into q groups: same sums, same order, same
-    zero signs as np.add.at into zeros with the caller's int64 labels, though the
-    grouping stores them as uint8 (q < 256) or uint16."""
+    zero signs as np.add.at into zeros with int64 labels, though the grouping
+    stores them as uint8 (q < 256) or uint16."""
     rng = np.random.default_rng(q)
     assignment = np.concatenate([np.arange(1, q + 1), rng.integers(1, q + 1, size=n - q)])
     rng.shuffle(assignment)
@@ -265,8 +225,7 @@ def _check_against_add_at(n, q):
     c[rng.random(n) < 0.3] = -0.0 - 0.0j
     users = (c, c[:, ::-1], c[::-1], np.asfortranarray(c))
     for x in users + (c.real.copy(), c[:, 0].copy(), c[:, 1].real.copy()):
-        expected = np.zeros((q,) + x.shape[1:], dtype=x.dtype)
-        np.add.at(expected, assignment - 1, x)
+        expected = oracles.combine(g, x)
         out = combine_cascade(g, x)
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
@@ -425,6 +384,17 @@ def _single_user_statistical_instance(seed, n=64, q=4):
     return cascades, h_bu, w, v, aux, partition, delta
 
 
+def _random_statistical_instance(rng, k, n, m, q, weights=None):
+    """Random (K, N, M) cascades, direct links and beams, random phases, and their auxiliaries."""
+    cascades = (rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))) * 0.1
+    h_bu = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) * 0.05
+    w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
+    v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
+    h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
+    aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-2), np.ones(k) if weights is None else weights)
+    return cascades, h_bu, w, v, aux
+
+
 class TestRelaxedProgram:
     def test_refines_phase_partition_single_user(self):
         for seed in range(50):
@@ -436,14 +406,9 @@ class TestRelaxedProgram:
 
     def test_never_worse_than_adjacent(self):
         rng = np.random.default_rng(11)
+        n, q = 32, 3
         for seed in range(10):
-            k, n, m, q = 2, 32, 2, 3
-            cascades = (rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))) * 0.1
-            h_bu = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) * 0.05
-            w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
-            v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-            h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
-            aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-2), np.ones(k))
+            cascades, h_bu, w, v, aux = _random_statistical_instance(rng, 2, n, 2, q)
             result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q)
             assert np.bincount(result.assignment - 1, minlength=q).min() >= 1
             val_res = grouping_objective(result, cascades, h_bu, w, v, aux)
@@ -453,14 +418,9 @@ class TestRelaxedProgram:
     def test_extra_starts_left_untouched(self):
         # the winning start comes back as a copy carrying this run's flag;
         # the caller's own object keeps its converged = False
-        rng = np.random.default_rng(11)
-        k, n, m, q = 2, 32, 2, 3
-        cascades = (rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))) * 0.1
-        h_bu = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) * 0.05
-        w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
-        v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
-        h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
-        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-2), np.ones(k))
+        q = 3
+        cascades, h_bu, w, v, aux = _random_statistical_instance(np.random.default_rng(11), 2, 32,
+                                                                 2, q)
         best = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q)
         start = GroupingMatrix(assignment=best.assignment, num_groups=q, converged=False)
         result = relaxed_qp_grouping(cascades, h_bu, w, v, aux, q, extra_starts=(start,))
@@ -470,15 +430,10 @@ class TestRelaxedProgram:
     def test_objective_uses_the_auxiliaries_weights(self):
         # alpha = sqrt(weights (1 + varsigma)) of the aux's own weights: on this
         # K = 3, N = 16, Q = 4 scene all-ones weights would read -11.976
-        rng = np.random.default_rng(25)
-        k, n, m, q = 3, 16, 2, 4
-        cascades = (rng.standard_normal((k, n, m)) + 1j * rng.standard_normal((k, n, m))) * 0.1
-        h_bu = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) * 0.05
-        w = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) * 0.3
-        v = np.exp(1j * rng.uniform(0, 2 * np.pi, q))
+        k, n, q = 3, 16, 4
         weights = np.array([3.0, 0.5, 1.0])
-        h = bf.effective_channels(v, np.zeros((k, q, m), dtype=complex), h_bu)
-        aux = bf.update_auxiliaries(*bf.rx_stats(h, w, 1e-2), weights)
+        cascades, h_bu, w, v, aux = _random_statistical_instance(np.random.default_rng(25), k, n,
+                                                                 2, q, weights)
         g = adjacent_grouping(n, q)
         value = grouping_objective(g, cascades, h_bu, w, v, aux)
         # oracle: the same objective in matrix form

@@ -12,18 +12,14 @@ from iegirs import harness
 from iegirs.beamforming import SolverOptions, two_stage_solve
 from iegirs.channel import ChannelSet, build_scenario
 from iegirs.cli import build_parser, main as cli_main
-from iegirs.config import SCHEMES, ScenarioConfig, trial_seed_sequence
-from iegirs.grouping import GroupingMatrix, adjacent_grouping, combine_cascade
+from iegirs.config import SCHEMES, ScenarioConfig
+from iegirs.grouping import GroupingMatrix, adjacent_grouping
 from iegirs.harness import (SCHEME_DIMS, aggregate, recompute_wsr, rows_to_csv_text,
-                            run_monte_carlo, run_scheme, scheme_problem, sweep, write_csv)
-
-TINY = dict(N=32, Q=2, M=2, K=2, trials=2, seed=13)
-
+                            run_monte_carlo, run_scheme, scheme_problem, sweep)
+import oracles
 
 def _tiny_config(**overrides):
-    kw = dict(TINY)
-    kw.update(overrides)
-    return ScenarioConfig(**kw)
+    return ScenarioConfig(**{**dict(N=32, Q=2, M=2, K=2, trials=2, seed=13), **overrides})
 
 
 class TestRunScheme:
@@ -101,8 +97,7 @@ class TestAudit:
             rows = run_monte_carlo(cfg)
             assert len(rows) == 15
             for row in rows:
-                ss = trial_seed_sequence(cfg.seed, row.trial)
-                channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+                channels = oracles.trial_channels(cfg, row.trial)
                 assert len(row.frozen_phases) == SCHEME_DIMS[row.scheme](cfg.N, cfg.Q)[1]
                 assert recompute_wsr(channels, row, cfg) == row.wsr_bits
                 assert recompute_wsr(channels, row, cfg) == row.wsr_bits
@@ -119,10 +114,9 @@ class TestAudit:
         # both schemes' stored solutions audit against the same realization
         cfg = _tiny_config(schemes=("aeg", "no_irs"), trials=1)
         rows = run_monte_carlo(cfg)
-        ss = trial_seed_sequence(cfg.seed, 0)
-        channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+        channels = oracles.trial_channels(cfg, 0)
         for row in rows:
-            assert abs(recompute_wsr(channels, row, cfg) - row.wsr_bits) <= 1e-9
+            assert recompute_wsr(channels, row, cfg) == row.wsr_bits
 
 
 class TestRowMemory:
@@ -183,22 +177,6 @@ class TestTrialMemory:
         assert peak <= 1.5 * cfg.K * cfg.N * cfg.M * 16
 
 
-def _reference_scheme_problem(scheme, channels, q, grouping=None, frozen=()):
-    # the former formula: every user's full (N, M) cascade, sliced per scheme
-    realtime, _ = SCHEME_DIMS[scheme](channels.num_elements, q)
-    vf = np.exp(1j * np.asarray(frozen))
-    rows, direct = [], []
-    for k in range(channels.num_users):
-        c = channels.cascade(k)
-        if grouping is None:
-            rows.append(c[:realtime].copy(order="K"))
-        else:
-            rows.append(combine_cascade(grouping, c))
-        if len(frozen):
-            direct.append(channels.h_bu[k] + c[-len(frozen):].conj().T @ vf)
-    return np.stack(rows), np.stack(direct) if direct else channels.h_bu
-
-
 def _scheme_inputs(scheme, cfg, rng):
     """(grouping, frozen) of one scheme's audit: a random grouping for ieg, blocks for aeg."""
     n_frozen = SCHEME_DIMS[scheme](cfg.N, cfg.Q)[1]
@@ -217,19 +195,13 @@ class TestSchemeProblem:
         # the solve's sums read c_hat in this layout; another one moves their last bits
         cfg = _tiny_config()
         ch = build_scenario(cfg, np.random.default_rng(0))
-        realtime, n_frozen = SCHEME_DIMS[scheme](cfg.N, cfg.Q)
+        n_frozen = SCHEME_DIMS[scheme](cfg.N, cfg.Q)[1]
         frozen = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=n_frozen)
         c_hat, h_bu = scheme_problem(scheme, ch, cfg.Q, frozen=frozen)
-        cascades = [ch.cascade(k) for k in range(cfg.K)]
-        ref = np.stack([c[:realtime] for c in cascades])
+        ref, ref_bu = oracles.scheme_problem(scheme, ch, cfg.Q, frozen=frozen)
         assert c_hat.strides == ref.strides and c_hat.tobytes() == ref.tobytes()
-        if n_frozen:
-            vf = np.exp(1j * frozen)
-            ref_bu = np.stack([ch.h_bu[k] + cascades[k][-n_frozen:].conj().T @ vf
-                               for k in range(cfg.K)])
-            assert h_bu.tobytes() == ref_bu.tobytes()
-        else:
-            assert h_bu is ch.h_bu
+        assert h_bu.tobytes() == ref_bu.tobytes()
+        assert (h_bu is ch.h_bu) == (not n_frozen)
 
     @pytest.mark.parametrize("n, q", [(16, 4), (16, 16), (1, 1)])
     @pytest.mark.parametrize("k, m", [(2, 2), (3, 2)], ids=["K=M=2", "K=3>M=2"])
@@ -240,7 +212,7 @@ class TestSchemeProblem:
         ch = build_scenario(cfg, np.random.default_rng(7))
         grouping, frozen = _scheme_inputs(scheme, cfg, np.random.default_rng(8))
         c_hat, h_bu = scheme_problem(scheme, ch, q, grouping=grouping, frozen=frozen)
-        ref_c, ref_bu = _reference_scheme_problem(scheme, ch, q, grouping=grouping, frozen=frozen)
+        ref_c, ref_bu = oracles.scheme_problem(scheme, ch, q, grouping=grouping, frozen=frozen)
         for got, ref in ((c_hat, ref_c), (h_bu, ref_bu)):
             assert got.shape == ref.shape and got.strides == ref.strides
             assert got.tobytes() == ref.tobytes()
@@ -251,8 +223,7 @@ class TestSchemeProblem:
         # no_irs forms none, uirs_q its Q head and N - Q tail rows
         cfg = ScenarioConfig(N=16, Q=4, K=3, M=2, trials=1, seed=3)
         rows = run_monte_carlo(cfg)
-        ss = trial_seed_sequence(cfg.seed, 0)
-        channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+        channels = oracles.trial_channels(cfg, 0)
         formed = []
 
         def counted(*args):
@@ -300,8 +271,7 @@ def test_degenerate_scene_rows_audit(scene):
         rows = run_monte_carlo(cfg)
         assert len(rows) == cfg.trials * len(SCHEMES)
         for row in rows:
-            ss = trial_seed_sequence(cfg.seed, row.trial)
-            channels = build_scenario(cfg, np.random.default_rng(ss.spawn(1)[0]))
+            channels = oracles.trial_channels(cfg, row.trial)
             assert 0.0 <= row.wsr_bits < math.inf
             assert recompute_wsr(channels, row, cfg) == row.wsr_bits
             assert row.solution.precoder.power <= cfg.power_watts * (1 + 1e-9)
@@ -459,8 +429,7 @@ class TestSweepAndAggregate:
         runs = []
         monkeypatch.setattr(harness, "run_monte_carlo", lambda *a, **kw: runs.append(a) or [])
         cfg = _tiny_config(schemes=("no_irs",))
-        cfg_path, out = tmp_path / "scene.yaml", tmp_path / "sweep.csv"
-        cfg_path.write_text(yaml.safe_dump(cfg.to_dict()))
+        cfg_path, out = _config_file(tmp_path, cfg.to_dict()), tmp_path / "sweep.csv"
         with pytest.raises(ValueError, match=f"^sweep axis {axis}: "):
             sweep(axis, values, cfg, out=str(out))
         assert runs == [] and not out.exists()
@@ -470,15 +439,16 @@ class TestSweepAndAggregate:
         assert runs == [] and not out.exists()
 
 
-class TestCli:
-    def _write_config(self, tmp_path):
-        cfg = _tiny_config(schemes=("aeg", "no_irs"))
-        path = tmp_path / "scene.yaml"
-        path.write_text(yaml.safe_dump(cfg.to_dict()))
-        return path
+def _config_file(tmp_path, raw=None):
+    """tmp_path / scene.yaml holding the config mapping raw, by default a tiny config's."""
+    path = tmp_path / "scene.yaml"
+    path.write_text(yaml.safe_dump(raw or _tiny_config(schemes=("aeg", "no_irs")).to_dict()))
+    return path
 
+
+class TestCli:
     def test_simulate(self, tmp_path, capsys):
-        cfg_path = self._write_config(tmp_path)
+        cfg_path = _config_file(tmp_path)
         out = tmp_path / "out.csv"
         rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 0
@@ -487,7 +457,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_capped_solves_reported(self, tmp_path, capsys, monkeypatch, command):
-        cfg_path = self._write_config(tmp_path)
+        cfg_path = _config_file(tmp_path)
         monkeypatch.setattr(harness.bf, "SolverOptions", lambda: SolverOptions(max_outer=2))
         args = {"simulate": ["simulate"], "sweep": ["sweep", "--axis", "groups", "--values", "2"]}
         capped = sum(not r.solution.converged
@@ -501,14 +471,14 @@ class TestCli:
         assert "max_outer" not in capsys.readouterr().out
 
     def test_simulate_trial_override(self, tmp_path):
-        cfg_path = self._write_config(tmp_path)
+        cfg_path = _config_file(tmp_path)
         out = tmp_path / "out.csv"
         cli_main(["simulate", "--config", str(cfg_path), "--out", str(out),
                   "--trials", "1", "--quiet"])
         assert len(out.read_text().strip().splitlines()) == 1 + 2
 
     def test_sweep(self, tmp_path):
-        cfg_path = self._write_config(tmp_path)
+        cfg_path = _config_file(tmp_path)
         out = tmp_path / "sweep.csv"
         rc = cli_main(["sweep", "--axis", "groups", "--values", "1,2", "--config",
                        str(cfg_path), "--out", str(out), "--quiet"])
@@ -554,13 +524,12 @@ class TestCli:
         for spelling in (int, float):
             raw["system"] = {k: spelling(v) for k, v in raw["system"].items()}
             raw["trials"] = spelling(raw["trials"])
-            cfg_path, out = tmp_path / "scene.yaml", tmp_path / f"{spelling.__name__}.csv"
-            cfg_path.write_text(yaml.safe_dump(raw))
+            cfg_path, out = _config_file(tmp_path, raw), tmp_path / f"{spelling.__name__}.csv"
             assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
             texts.append(out.read_bytes())
         assert "Q: 2.0" in cfg_path.read_text() and texts[0] == texts[1]
         raw["system"]["N"] = 32.5
-        cfg_path.write_text(yaml.safe_dump(raw))
+        _config_file(tmp_path, raw)
         with pytest.raises(ValueError, match="N must be a whole number, got 32.5"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
 
@@ -568,17 +537,16 @@ class TestCli:
         # YAML "seed: 2.0" is seed 2, byte for byte; "seed: 2.5" no longer
         # runs silently as seed 2
         raw = _tiny_config(schemes=("aeg", "no_irs"), trials=1).to_dict()
-        cfg_path = tmp_path / "scene.yaml"
         texts = []
         for seed in (2, 2.0):
             raw["seed"] = seed
-            cfg_path.write_text(yaml.safe_dump(raw))
+            cfg_path = _config_file(tmp_path, raw)
             out = tmp_path / f"{type(seed).__name__}.csv"
             assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
             texts.append(out.read_bytes())
         assert "seed: 2.0" in cfg_path.read_text() and texts[0] == texts[1]
         raw["seed"] = 2.5
-        cfg_path.write_text(yaml.safe_dump(raw))
+        _config_file(tmp_path, raw)
         with pytest.raises(ValueError, match="seed must be a whole number, got 2.5"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
 
@@ -587,8 +555,7 @@ class TestCli:
         # TypeError in power_watts once the run has started
         raw = _tiny_config(schemes=("no_irs",)).to_dict()
         raw["power_dbm"] = "10"
-        cfg_path = tmp_path / "scene.yaml"
-        cfg_path.write_text(yaml.safe_dump(raw))
+        cfg_path = _config_file(tmp_path, raw)
         with pytest.raises(ValueError, match="power_dbm must be a finite real number, got '10'"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
 
@@ -601,8 +568,7 @@ class TestCli:
         # kappa_bi = -1 died inside the first trial with messages naming no field
         raw = _tiny_config(schemes=("aeg",), trials=1).to_dict()
         (raw[section] if section else raw)[key] = value
-        cfg_path, out = tmp_path / "scene.yaml", tmp_path / "o.csv"
-        cfg_path.write_text(yaml.safe_dump(raw))
+        cfg_path, out = _config_file(tmp_path, raw), tmp_path / "o.csv"
         with pytest.raises(ValueError, match=f"^{field} must be >= 0, got {value!r}"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
         assert not out.exists()
@@ -612,8 +578,7 @@ class TestCli:
         monkeypatch.setattr(harness, "run_scheme", lambda *a, **kw: runs.append(a))
         raw = _tiny_config().to_dict()
         raw["schemes"] = ["aeg", "aeg", "no_irs"]
-        cfg_path, out = tmp_path / "scene.yaml", tmp_path / "o.csv"
-        cfg_path.write_text(yaml.safe_dump(raw))
+        cfg_path, out = _config_file(tmp_path, raw), tmp_path / "o.csv"
         with pytest.raises(ValueError, match=r"schemes \['aeg'\] repeat"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"])
         assert runs == [] and not out.exists()
@@ -642,8 +607,7 @@ class TestCli:
     def test_unknown_config_key_rejected(self, tmp_path):
         raw = _tiny_config().to_dict()
         raw["power"] = 30
-        cfg_path = tmp_path / "scene.yaml"
-        cfg_path.write_text(yaml.safe_dump(raw))
+        cfg_path = _config_file(tmp_path, raw)
         with pytest.raises(ValueError, match="power"):
             cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
 
@@ -659,8 +623,7 @@ class TestCli:
 
     def test_full_scale_flag(self, tmp_path):
         cfg = _tiny_config(schemes=("no_irs",), trials=1)
-        cfg_path = tmp_path / "scene.yaml"
-        cfg_path.write_text(yaml.safe_dump(cfg.to_dict()))
+        cfg_path = _config_file(tmp_path, cfg.to_dict())
         out = tmp_path / "full.csv"
         cli_main(["simulate", "--config", str(cfg_path), "--out", str(out),
                   "--full-scale", "--quiet"])

@@ -7,25 +7,7 @@ from scipy import special
 from iegirs import acceptance, cli, mathkit
 from iegirs.mathkit import (_i0e_i1e, array_response, group_shrink_factor, laguerre_half,
                             virtual_los_direction)
-
-
-def bessel_i_series(nu, z):
-    """Independent power-series oracle for the modified Bessel function."""
-    half = z / 2.0
-    term = half ** nu / math.factorial(nu)
-    total = 0.0
-    k = 0
-    while True:
-        total += term
-        k += 1
-        term *= half * half / (k * (k + nu))
-        if term < 1e-19 * max(total, 1.0) or k > 500:
-            return total
-
-
-def laguerre_series_oracle(x):
-    return math.exp(-x / 2.0) * ((1.0 + x) * bessel_i_series(0, x / 2.0)
-                                 + x * bessel_i_series(1, x / 2.0))
+import oracles
 
 
 class TestLaguerreHalf:
@@ -38,7 +20,7 @@ class TestLaguerreHalf:
         (10.0, 3.6586716081480355),
     ])
     def test_small_arguments(self, x, frozen):
-        series = laguerre_series_oracle(x)
+        series = acceptance.laguerre_oracle(x)     # the power series below x = 30
         assert abs(series - frozen) <= 1e-14 * frozen
         assert abs(laguerre_half(x) - series) <= 1e-10 * series
 
@@ -90,12 +72,6 @@ def assert_scipy_bits(h):
     assert off.size == 0, f"{off.size} arguments differ from scipy, first {off[:5]}"
 
 
-def scipy_laguerre_half(x):
-    """laguerre_half's formula on scipy.special's Bessel functions: the bits it must keep."""
-    h = x / 2.0
-    return (1.0 + x) * special.i0e(h) + x * special.i1e(h)
-
-
 class TestCephesKernel:
     def test_dense_grid_on_both_branches(self):
         assert_scipy_bits(np.linspace(0.0, 8.0, 200001))
@@ -127,13 +103,13 @@ class TestCephesKernel:
     def test_laguerre_half_keeps_the_scipy_bits(self):
         grid = np.concatenate([np.linspace(0.0, 50.0, 5001), np.geomspace(1e-9, 1e12, 5001),
                                [0.0, 16.0, np.nextafter(16.0, 0.0), np.nextafter(16.0, 32.0)]])
-        assert np.array_equal(laguerre_half(grid), scipy_laguerre_half(grid))
+        assert np.array_equal(laguerre_half(grid), oracles.laguerre_half(grid))
         assert np.array_equal(laguerre_half(grid.reshape(2, -1)),
-                              scipy_laguerre_half(grid.reshape(2, -1)))
+                              oracles.laguerre_half(grid.reshape(2, -1)))
         for x in grid[::97]:
             for arg in (float(x), np.asarray(x)):
                 val = laguerre_half(arg)
-                assert type(val) is float and val == float(scipy_laguerre_half(np.asarray(x)))
+                assert type(val) is float and val == float(oracles.laguerre_half(np.asarray(x)))
 
 
 class TestArrayResponse:

@@ -1,4 +1,4 @@
-"""Rules every module under src/iegirs/ keeps, checked on its syntax tree or its classes."""
+"""Rules src/iegirs/ (and, in the last two, tests/) keeps, checked on syntax trees or classes."""
 
 import ast
 from dataclasses import fields
@@ -123,3 +123,37 @@ def test_cascade_formed_only_in_channel(path):
     assert path.name != "asymptotics.py" or draws == [], \
         f"{path.name} draws a Rician realization on lines {draws}"
     assert conj == [], f"{path.name} conjugates a ChannelSet link on lines {conj}"
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def _functions(path, top_level=True):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node for node in (tree.body if top_level else ast.walk(tree))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_reference_oracles_only_in_oracles_module():
+    # one oracle per concept, in tests/oracles.py: a test module calls oracles.<name>
+    # instead of defining a reference of its own or another copy of one
+    shared = {node.name for node in _functions(ORACLES)}
+    defined = [f"{path.name}:{node.lineno} {node.name}" for path in TESTS
+               if path != ORACLES for node in _functions(path)
+               if node.name.lstrip("_").startswith("reference_") or node.name.lstrip("_") in shared]
+    assert defined == [], f"reference oracles outside tests/oracles.py: {defined}"
+
+
+def test_no_function_body_copied():
+    # a function body of two or more statements, docstring aside, appears once across the
+    # package and the tests: a test that needs the package's own formula calls it
+    where = {}
+    for path in SOURCES + TESTS:
+        for node in _functions(path, top_level=False):
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) >= 2:
+                dump = ast.dump(ast.Module(body=body, type_ignores=[]))
+                where.setdefault(dump, []).append(f"{path.name}:{node.lineno} {node.name}")
+    copies = [names for names in where.values() if len(names) > 1]
+    assert copies == [], f"function bodies defined more than once: {copies}"
