@@ -13,6 +13,7 @@ import io
 import math
 import time
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -153,6 +154,36 @@ def recompute_wsr(channels, result, config):
     return bf.wsr(bf.sinr_all(h, sol.precoder.w, channels.noise_power), weights)
 
 
+def trial_draw(config, trial):
+    """(seed, channels, scheme seeds) of trial `trial` of config's run, all from (config.seed,
+    trial): the CSV's seed, the channels its schemes share, one SeedSequence per scheme."""
+    ss = trial_seed_sequence(config.seed, trial)
+    children = ss.spawn(1 + len(config.schemes))
+    channels = build_scenario(config, np.random.default_rng(children[0]))
+    return int(ss.generate_state(1)[0]), channels, children[1:]
+
+
+def audit_rows(config, rows):
+    """(row, reason) for each check a row of config's run fails: its rate is finite, >= 0 and
+    recompute_wsr's bit for bit on the trial's channels (drawn once), its precoder power is
+    within budget * (1 + 1e-9), and its trace_steps never fall by over 1e-8 of max(1, |step|)."""
+    failed = []
+    for trial, trial_rows in groupby(sorted(rows, key=lambda r: r.trial), lambda r: r.trial):
+        channels = trial_draw(config, trial)[1]
+        for row in trial_rows:
+            rate, again = row.wsr_bits, recompute_wsr(channels, row, config)
+            steps, power = row.solution.trace_steps, row.solution.precoder.power
+            fall = -(np.diff(steps) / np.maximum(1.0, np.abs(steps[:-1]))).min(initial=0.0)
+            failed += [(row, reason) for bad, reason in (
+                (not 0.0 <= rate < math.inf, f"rate {rate} is not finite and >= 0"),
+                (again != rate, f"recompute_wsr gives {again!r}, the row {rate!r}"),
+                (power > config.power_watts * (1 + 1e-9),
+                 f"precoder power {power!r} exceeds budget {config.power_watts!r}"),
+                (fall > 1e-8, f"trace_steps fall by {fall:.2e} relative")) if bad]
+        del channels                # so the next trial's draw does not hold two realizations
+    return failed
+
+
 def run_monte_carlo(config, axis="single", axis_value=None, out=None, record_timings=False,
                     log=None):
     """Run all configured schemes over seeded trials.
@@ -167,12 +198,9 @@ def run_monte_carlo(config, axis="single", axis_value=None, out=None, record_tim
     start = time.perf_counter()
     try:
         for trial in range(config.trials):
-            ss = trial_seed_sequence(config.seed, trial)
-            trial_seed = int(ss.generate_state(1)[0])
-            children = ss.spawn(1 + len(config.schemes))
-            channels = build_scenario(config, np.random.default_rng(children[0]))
-            for i, scheme in enumerate(config.schemes):
-                res = run_scheme(scheme, channels, config, np.random.default_rng(children[1 + i]))
+            trial_seed, channels, scheme_seeds = trial_draw(config, trial)
+            for scheme, seed in zip(config.schemes, scheme_seeds):
+                res = run_scheme(scheme, channels, config, np.random.default_rng(seed))
                 res.axis = axis
                 res.axis_value = axis_value
                 res.trial = trial

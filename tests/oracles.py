@@ -6,7 +6,7 @@ from itertools import islice
 
 import numpy as np
 
-from iegirs import asymptotics, channel
+from iegirs import asymptotics
 from iegirs import beamforming as bf
 from iegirs import grouping as grp
 from iegirs.beamforming import (PrecodingMatrix, effective_channels, fp_objective,
@@ -14,7 +14,6 @@ from iegirs.beamforming import (PrecodingMatrix, effective_channels, fp_objectiv
                                 rx_stats, sinr_all, update_auxiliaries, update_precoder, wsr)
 from iegirs.channel import (ChannelSet, RicianLink, near_square_factors, path_loss_amplitude,
                             rician_from_normals, sample_rician, upa_response)
-from iegirs.config import trial_seed_sequence
 from iegirs.grouping import combine_cascade, phase_partition_grouping
 from iegirs.harness import SCHEME_DIMS
 from iegirs.mathkit import array_response
@@ -99,12 +98,6 @@ def build_scenario(config, rng):
                       h_iu_stat=np.stack([stat(lk) for lk in links_iu]),
                       h_bu_stat=np.stack([stat(lk) for lk in links_bu]),
                       noise_power=config.noise_watts)
-
-
-def trial_channels(config, trial):
-    """The channels of trial `trial` of a Monte Carlo run of config."""
-    rng = np.random.default_rng(trial_seed_sequence(config.seed, trial).spawn(1)[0])
-    return channel.build_scenario(config, rng)
 
 
 # asymptotics

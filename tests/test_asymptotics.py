@@ -118,10 +118,6 @@ class TestGroupedGain:
         # shrink -> 1 and a_bar^2 mu -> infinity: gain -> N^2 a_bar^2
         assert 0.99 <= ieg_gain(inp) / (inp.N ** 2 * inp.a_bar ** 2) <= 1.01
 
-    def test_group_gap_constants(self):
-        assert round(1 - group_shrink_factor(2) ** 2, 3) == 0.595
-        assert round(1 - group_shrink_factor(4) ** 2, 3) == 0.189
-
     def test_pure_los_guard(self):
         inp = AsymptoticInputs(N=64, Q=4, kappa_bi=1e18, kappa_iu=1e18)
         expect = 64 ** 2 * group_shrink_factor(4) ** 2
@@ -132,20 +128,9 @@ class TestPerformanceLoss:
     def test_no_los_loses_everything(self):
         assert performance_loss(0.0, 1.0, 10 ** 6) >= 0.99
 
-    def test_strong_los_loses_little(self):
-        assert performance_loss(100.0, 100.0, 10 ** 4) < 0.05
-
     def test_decreasing_in_rician_factor(self):
         vals = [performance_loss(k, k, 1000) for k in np.linspace(1.0, 100.0, 25)]
         assert np.all(np.diff(vals) < 0)
-
-    def test_matches_gain_ratio(self):
-        q = 10 ** 4
-        for kappa in (1.0, 10.0):
-            for mu in (100, 10 ** 4):
-                inp = AsymptoticInputs(N=q * mu, Q=q, kappa_bi=kappa, kappa_iu=kappa)
-                ratio = ieg_gain(inp) / uirs_gain(q * mu, inp)
-                assert abs(performance_loss(kappa, kappa, mu) - (1 - ratio)) <= 1e-3
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from iegirs.beamforming import (FPAuxiliaries, PrecodingMatrix, SolverOptions,
 from iegirs.channel import ChannelSet, build_scenario
 from iegirs.config import MAX_WEIGHT, SCHEMES, ScenarioConfig
 from iegirs.grouping import GroupingMatrix, adjacent_grouping, combine_cascade
+from iegirs.harness import run_scheme, trial_draw
 import oracles
 
 
@@ -91,10 +92,6 @@ class TestSinrAndWsr:
             intf = sum(abs(np.conj(h[k]) @ w[:, j]) ** 2 for j in range(3) if j != k)
             assert abs(gammas[k] - sig / (intf + noise)) <= 1e-12
 
-    def test_noise_guard(self):
-        with pytest.raises(ValueError):
-            sinr_all(np.ones((1, 1)), np.ones((1, 1)), 0.0)
-
     def test_wsr_values(self):
         assert wsr([0.0, 0.0], [1.0, 1.0]) == 0.0
         assert wsr([1.0], [1.0]) == 1.0
@@ -151,10 +148,6 @@ class TestUpdateAuxiliaries:
             aux1 = update_auxiliaries(*rx_stats(h, w, 1.0), weights)
             f1 = oracles.fp_at(v, w, aux1, c_hat, h_bu, 1.0)
             assert f1 >= f0 - 1e-10 * max(1.0, abs(f0))
-
-    def test_noise_guard(self):
-        with pytest.raises(ValueError):
-            rx_stats(np.ones((1, 1)), np.ones((1, 1)), -1.0)
 
     @pytest.mark.parametrize("bad", [-1e-300, -np.inf, np.inf, np.nan])
     def test_bad_varsigma_refused(self, bad):
@@ -250,11 +243,6 @@ class TestUpdatePrecoder:
             pm = update_precoder(aux, h, p_max=0.5)
             assert (oracles.precoder_objective(pm.w, l0, z)
                     >= oracles.precoder_objective(w_prev, l0, z) - 1e-10)
-
-    def test_budget_guard(self):
-        aux = FPAuxiliaries(varsigma=np.zeros(1), xi=np.zeros(1, dtype=complex), weights=np.ones(1))
-        with pytest.raises(ValueError):
-            update_precoder(aux, np.ones((1, 1)), 0.0)
 
     def test_power_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -895,7 +883,6 @@ class TestObjectiveCalls:
     def test_one_objective_per_outer_iteration(self, scheme, monkeypatch):
         # a scheme's solves evaluate the objective once per outer iteration,
         # stage 1's statistical solves included
-        from iegirs.harness import run_scheme
         cfg = ScenarioConfig(N=32, Q=4, M=2, K=2, seed=4)
         ch = build_scenario(cfg, np.random.default_rng(4))
         objectives, iterations = [], []
@@ -933,7 +920,7 @@ def _stage1_scene(case):
                  "30dBm": (4, dict(N=256, power_dbm=30.0)),
                  "30dBm_t3": (3, dict(N=256, power_dbm=30.0))}[case]
     cfg = ScenarioConfig(**{"Q": 4, "seed": 11, **kw})
-    return oracles.trial_channels(cfg, trial), cfg.Q, cfg.power_watts, cfg.weights
+    return trial_draw(cfg, trial)[1], cfg.Q, cfg.power_watts, cfg.weights
 
 
 class TestHeuristicRcv:

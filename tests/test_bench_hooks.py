@@ -26,10 +26,6 @@ from iegirs.harness import run_monte_carlo
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tiny_config(**overrides):
-    return ScenarioConfig(**{**dict(N=32, Q=2, M=2, K=2, trials=2, seed=13), **overrides})
-
-
 def _tree(name):
     path = PERFBENCH / name
     return ast.parse(path.read_text(), filename=str(path))
@@ -89,8 +85,7 @@ def test_row_rate_assignable():
 
 
 def _load_perfbench(name):
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -124,7 +119,7 @@ class TestBenchmarkHooks:
         # run counts its auxiliary updates, objective evaluations and MM steps
         from iegirs.grouping import adjacent_grouping
         spans = _load_perfbench("spans")
-        cfg = _tiny_config(N=16, Q=4)
+        cfg = ScenarioConfig(N=16, Q=4, M=2, K=2, trials=2, seed=13)
         ch = build_scenario(cfg, np.random.default_rng(1))
         tracer = spans.Tracer()
         tracer.install()
@@ -148,7 +143,8 @@ class TestBenchmarkHooks:
         # benchmark run, so catch it here
         child = _load_perfbench("child")
         cfg_path = tmp_path / "scene.yaml"
-        cfg_path.write_text(yaml.safe_dump(_tiny_config(trials=1).to_dict()))
+        cfg = ScenarioConfig(N=32, Q=2, M=2, K=2, trials=1, seed=13)
+        cfg_path.write_text(yaml.safe_dump(cfg.to_dict()))
         capture = child.Capture()
         capture.install()
         try:

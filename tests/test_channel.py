@@ -5,8 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from iegirs.channel import (ChannelSet, RicianLink, build_scenario,
-                            cascade_coefficients, cascaded_channel,
+from iegirs.channel import (RicianLink, build_scenario, cascade_coefficients, cascaded_channel,
                             near_square_factors, path_loss_amplitude, path_loss_db,
                             rician_from_normals, sample_rician, upa_response)
 from iegirs.config import _LAYOUT, ScenarioConfig
@@ -281,12 +280,6 @@ class TestBuildScenario:
                              user_center=(300.0, 6.0, 0.0), user_radius=0.0)
         with pytest.raises(ValueError):
             build_scenario(cfg, np.random.default_rng(0))
-
-    def test_noise_power_guard(self):
-        with pytest.raises(ValueError):
-            ChannelSet(h_bi=np.ones((1, 2)), h_iu=np.ones((1, 2)), h_bu=np.ones((1, 1)),
-                       h_bi_stat=np.ones((1, 2)), h_iu_stat=np.ones((1, 2)),
-                       h_bu_stat=np.ones((1, 1)), noise_power=0.0)
 
 
 NON_DEFAULT = ScenarioConfig(N=256, Q=8, M=3, K=3, bs_pos=(1.0, 2.0, 3.0), user_radius=4.0,

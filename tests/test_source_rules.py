@@ -1,4 +1,4 @@
-"""Rules src/iegirs/ (and, in the last two, tests/) keeps, checked on syntax trees or classes."""
+"""Rules src/iegirs/ (and, in the last three, tests/) keeps, checked on syntax trees or classes."""
 
 import ast
 from dataclasses import fields
@@ -157,3 +157,11 @@ def test_no_function_body_copied():
                 where.setdefault(dump, []).append(f"{path.name}:{node.lineno} {node.name}")
     copies = [names for names in where.values() if len(names) > 1]
     assert copies == [], f"function bodies defined more than once: {copies}"
+
+
+def test_top_level_names_defined_once_in_tests():
+    # a helper or test class that two test modules need is defined in one of them, not copied
+    names = [node.name for path in TESTS for node in ast.parse(path.read_text()).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    assert repeated == [], f"top-level names defined twice in tests/: {repeated}"
