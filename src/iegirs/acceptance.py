@@ -12,6 +12,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -274,23 +275,20 @@ def c09_reflection_majorization():
 
 
 def c10_alternating_convergence():
-    """Monotone trace (one closing objective per outer iteration) and
-    convergence of the full two-stage solve."""
+    """Monotone trace (one closing objective per outer iteration; solve_fp
+    raises on a fall past bf.TRACE_SLACK) and convergence of the full
+    two-stage solve."""
     worst = 0.0
     max_iters = 0
     for seed in range(20):
         cfg = ScenarioConfig(N=1024, Q=4, M=4, K=4, scenario="obscured", seed=seed)
         ch = build_scenario(cfg, np.random.default_rng(seed))
         res = bf.two_stage_solve(ch, 4, cfg.power_watts, cfg.weights)
-        ts = res.trace_steps
-        rel = np.diff(ts) / np.maximum(1.0, np.abs(ts[:-1]))
-        worst = min(worst, float(rel.min()))
+        worst = min(worst, -bf.trace_fall(res.trace_steps))
         max_iters = max(max_iters, res.iterations)
         if not res.converged:
             return False, (f"seed {seed} did not converge within "
                            f"{bf.SolverOptions().max_outer} outer iterations")
-        if rel.min() < -1e-8:
-            return False, f"seed {seed}: objective decreased by {rel.min():.2e} relative"
     return True, f"20 instances: worst relative step {worst:.2e}, max outer iterations {max_iters}"
 
 
@@ -333,7 +331,7 @@ def c12_end_to_end_determinism():
         out1, out2 = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
         cli_main(["simulate", "--config", cfg_path, "--out", out1, "--quiet"])
         cli_main(["simulate", "--config", cfg_path, "--out", out2, "--quiet"])
-        b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+        b1, b2 = Path(out1).read_bytes(), Path(out2).read_bytes()
     ok = b1 == b2 and len(b1) > 0
     return ok, f"two runs, {len(b1)} CSV bytes, identical: {b1 == b2}"
 

@@ -55,6 +55,10 @@ class FPAuxiliaries:
                              fp_base=(weights * (np.log1p(varsigma) - varsigma)).sum())
 
 
+# the largest precoder power, relative to the budget: a binding precoder meets it to rounding
+BUDGET_FACTOR = 1 + 1e-9
+
+
 @dataclass
 class PrecodingMatrix:
     """Stack of per-user transmit beamformers, columns w_k, shape (M, K)."""
@@ -65,7 +69,7 @@ class PrecodingMatrix:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=complex)
-        if self.power > self.p_max * (1 + 1e-9):
+        if self.power > self.p_max * BUDGET_FACTOR:
             raise ValueError(f"precoder power {self.power} exceeds budget {self.p_max}")
 
     @property
@@ -433,6 +437,16 @@ def _frobenius(x):
 # inner majorization steps per reflection update, and their relative stopping tolerance
 MM_ITERS = 30
 MM_TOL = 1e-9
+# the largest relative fall of an objective trace that rounding explains
+TRACE_SLACK = 1e-8
+
+
+def trace_fall(steps):
+    """Largest relative fall -(s[i+1] - s[i]) / max(1, |s[i]|) of a trace s, 0.0 if it never
+    falls. Every block update of the alternating loop is an ascent step, so the loop's trace
+    falls by at most TRACE_SLACK."""
+    s = np.asarray(steps, dtype=float)
+    return float(-(np.diff(s) / np.maximum(1.0, np.abs(s[:-1]))).min(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -455,7 +469,8 @@ class SolveResult:
     holds the reflection phases (Q,), of values np.exp(1j * rcv); aux is the
     last iteration's; wsr_bits, in bits/s/Hz, is the rate at (precoder, rcv);
     trace_steps holds the internal objective at the close of every outer
-    iteration, the value the stopping rule reads.
+    iteration, the value the stopping rule reads; solve_fp raises RuntimeError
+    unless its trace_fall is at most TRACE_SLACK.
     """
 
     grouping: GroupingMatrix | None
@@ -520,7 +535,9 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
     value is the same call on the same inputs that would recompute it, so
     every output is bit for bit that of forming h and rx_stats anew after
     every block. The objective is formed once per iteration, at its close;
-    its values between blocks would change no output.
+    its values between blocks would change no output. Every block update
+    is an ascent step, so a trace that falls by more than TRACE_SLACK
+    relative (trace_fall) raises RuntimeError.
     """
     checked_positive(p_max, "power budget")
     q = c_hat.shape[1]
@@ -549,10 +566,15 @@ def solve_fp(c_hat, h_bu, noise_power, p_max, weights, v0, opts, w0=None):
             converged = True
             break
         previous = current
+    trace_steps = np.asarray(trace_steps)
+    fall = trace_fall(trace_steps)
+    if not fall <= TRACE_SLACK:
+        raise RuntimeError(f"objective trace falls by {fall:.2e} relative, "
+                           f"more than the slack {TRACE_SLACK:g}")
     pm = PrecodingMatrix(w=w, p_max=p_max, lagrange=pm.lagrange)
     return SolveResult(grouping=None, precoder=pm, rcv=theta, aux=aux,
                        wsr_bits=wsr(sinr_all(h, pm.w, noise_power), aux.weights),
-                       trace_steps=np.asarray(trace_steps), iterations=it, converged=converged)
+                       trace_steps=trace_steps, iterations=it, converged=converged)
 
 
 def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_max):
@@ -638,8 +660,9 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
     instantaneous cascades until the internal objective's relative change
     drops below opts.tol or opts.max_outer is reached. p_max is the power
     budget (W) and weights the per-user rate weights, shape (K,). Returns
-    the stage-2 SolveResult with its grouping set; its trace_steps never
-    decrease by more than rounding noise.
+    the stage-2 SolveResult with its grouping set. Its trace_steps, and
+    those of every stage-1 statistical solve, fall by at most TRACE_SLACK
+    relative: solve_fp raises RuntimeError otherwise.
     """
     opts = opts or SolverOptions()
     n = channels.num_elements

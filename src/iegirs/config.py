@@ -6,7 +6,17 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields, replace
 import numpy as np
 
-SCHEMES = ("ieg", "aeg", "uirs_q", "random_rcv", "no_irs")
+# The schemes, each with its real-time reflection dims and frozen phases drawn, given (N, Q).
+# The real-time rows are the Q groups of ieg and aeg, or elements 1..Q of
+# uirs_q; the frozen elements are the last ones of the surface. no_irs has
+# no surface.
+SCHEME_DIMS = {
+    "ieg": lambda n, q: (q, 0),
+    "aeg": lambda n, q: (q, 0),
+    "uirs_q": lambda n, q: (q, n - q),
+    "random_rcv": lambda n, q: (0, n),
+    "no_irs": lambda n, q: (0, 0),
+}
 SCENARIOS = ("obscured", "unobscured")
 # the YAML layout of to_dict and from_dict: top-level key -> field, or section -> {key: field}
 _LAYOUT = {"system": {"M": "M", "K": "K", "N": "N", "Q": "Q"},
@@ -101,7 +111,7 @@ class ScenarioConfig:
     weights: tuple | None = None    # per-user rate weights, default all-ones
     trials: int = 20
     seed: int = 1
-    schemes: tuple = SCHEMES
+    schemes: tuple = tuple(SCHEME_DIMS)
 
     def __post_init__(self):
         check_fields(self, _AT_LEAST)
@@ -126,9 +136,9 @@ class ScenarioConfig:
         checked_weights(self.weights, self.K)
         if not self.schemes:
             raise ValueError("schemes must list at least one scheme")
-        unknown = [s for s in self.schemes if s not in SCHEMES]
+        unknown = [s for s in self.schemes if s not in SCHEME_DIMS]
         if unknown:
-            raise ValueError(f"unknown schemes {unknown}; choose from {SCHEMES}")
+            raise ValueError(f"unknown schemes {unknown}; choose from {tuple(SCHEME_DIMS)}")
         repeated = [s for s in dict.fromkeys(self.schemes) if self.schemes.count(s) > 1]
         if repeated:
             raise ValueError(f"schemes {repeated} repeat; list each scheme once")

@@ -20,22 +20,10 @@ import numpy as np
 from . import beamforming as bf
 from . import grouping as grp
 from .channel import build_scenario
-from .config import trial_seed_sequence
+from .config import SCHEME_DIMS, trial_seed_sequence
 
 CSV_HEADER = ("scheme", "axis", "axis_value", "N", "Q", "trial", "seed",
               "wsr_bits_per_hz", "iterations", "runtime_ms")
-
-# Real-time reflection dims and frozen phases drawn by each scheme, given (N, Q).
-# The real-time rows are the Q groups of ieg and aeg, or elements 1..Q of
-# uirs_q; the frozen elements are the last ones of the surface. no_irs has
-# no surface.
-SCHEME_DIMS = {
-    "ieg": lambda n, q: (q, 0),
-    "aeg": lambda n, q: (q, 0),
-    "uirs_q": lambda n, q: (q, n - q),
-    "random_rcv": lambda n, q: (0, n),
-    "no_irs": lambda n, q: (0, 0),
-}
 
 # The config at one value of each sweep axis; ScenarioConfig checks the value.
 SWEEP_AXES = {
@@ -78,10 +66,15 @@ class TrialResult:
 
     @property
     def frozen_phases(self):
-        bit_generator = getattr(np.random, self.frozen_state["bit_generator"])()
-        bit_generator.state = self.frozen_state
-        n_frozen = SCHEME_DIMS[self.scheme](self.N, self.Q)[1]
-        return np.random.Generator(bit_generator).uniform(0.0, 2.0 * np.pi, size=n_frozen)
+        return frozen_draw(self.frozen_state, SCHEME_DIMS[self.scheme](self.N, self.Q)[1])
+
+
+def frozen_draw(state, n):
+    """n frozen phases, uniform on [0, 2 pi), drawn by a new generator from the bit-generator
+    state `state`: the same state gives the same phases, and no caller's generator moves."""
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator).uniform(0.0, 2.0 * np.pi, size=n)
 
 
 def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
@@ -109,10 +102,10 @@ def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
 def run_scheme(scheme, channels, config, rng):
     """Solve one scheme on one channel realization and package the result.
 
-    rng drives only scheme-internal randomness (the frozen phase draws of
-    uirs_q and random_rcv); the channels are produced by the caller so every
-    scheme in a trial sees the same realization. The solve runs at the
-    default bf.SolverOptions.
+    rng's state seeds only scheme-internal randomness (the frozen phase draws
+    of uirs_q and random_rcv, by frozen_draw, which leaves rng as it was); the
+    channels are produced by the caller so every scheme in a trial sees the
+    same realization. The solve runs at the default bf.SolverOptions.
     """
     if scheme not in SCHEME_DIMS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -123,7 +116,7 @@ def run_scheme(scheme, channels, config, rng):
     expected, n_frozen = SCHEME_DIMS[scheme](channels.num_elements, q)
     t0 = time.perf_counter()
     frozen_state = rng.bit_generator.state
-    frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
+    frozen = frozen_draw(frozen_state, n_frozen)
     if scheme in ("ieg", "aeg"):
         grouping = grp.adjacent_grouping(channels.num_elements, q) if scheme == "aeg" else None
         res = bf.two_stage_solve(channels, q, p_max, weights, opts=opts, grouping=grouping)
@@ -166,20 +159,20 @@ def trial_draw(config, trial):
 def audit_rows(config, rows):
     """(row, reason) for each check a row of config's run fails: its rate is finite, >= 0 and
     recompute_wsr's bit for bit on the trial's channels (drawn once), its precoder power is
-    within budget * (1 + 1e-9), and its trace_steps never fall by over 1e-8 of max(1, |step|)."""
+    within budget * bf.BUDGET_FACTOR, and its trace_steps' bf.trace_fall is at most
+    bf.TRACE_SLACK, the rule solve_fp raises on."""
     failed = []
     for trial, trial_rows in groupby(sorted(rows, key=lambda r: r.trial), lambda r: r.trial):
         channels = trial_draw(config, trial)[1]
         for row in trial_rows:
             rate, again = row.wsr_bits, recompute_wsr(channels, row, config)
-            steps, power = row.solution.trace_steps, row.solution.precoder.power
-            fall = -(np.diff(steps) / np.maximum(1.0, np.abs(steps[:-1]))).min(initial=0.0)
+            fall, power = bf.trace_fall(row.solution.trace_steps), row.solution.precoder.power
             failed += [(row, reason) for bad, reason in (
                 (not 0.0 <= rate < math.inf, f"rate {rate} is not finite and >= 0"),
                 (again != rate, f"recompute_wsr gives {again!r}, the row {rate!r}"),
-                (power > config.power_watts * (1 + 1e-9),
+                (power > config.power_watts * bf.BUDGET_FACTOR,
                  f"precoder power {power!r} exceeds budget {config.power_watts!r}"),
-                (fall > 1e-8, f"trace_steps fall by {fall:.2e} relative")) if bad]
+                (not fall <= bf.TRACE_SLACK, f"trace_steps fall by {fall:.2e} relative")) if bad]
         del channels                # so the next trial's draw does not hold two realizations
     return failed
 

@@ -14,8 +14,8 @@ from iegirs.beamforming import (PrecodingMatrix, effective_channels, fp_objectiv
                                 rx_stats, sinr_all, update_auxiliaries, update_precoder, wsr)
 from iegirs.channel import (ChannelSet, RicianLink, near_square_factors, path_loss_amplitude,
                             rician_from_normals, sample_rician, upa_response)
+from iegirs.config import SCHEME_DIMS
 from iegirs.grouping import combine_cascade, phase_partition_grouping
-from iegirs.harness import SCHEME_DIMS
 from iegirs.mathkit import array_response
 
 

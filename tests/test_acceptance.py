@@ -5,6 +5,7 @@ they complete, or `iegirs validate` for the same checks outside pytest.
 """
 
 import functools
+import warnings
 
 import pytest
 
@@ -30,3 +31,12 @@ def test_c07_xi_oracle_is_tight():
     passed, detail = _outcome(acceptance.c07_auxiliary_closed_forms)
     xi_err = float(detail.split("xi vs oracle ")[1].split(",")[0])
     assert passed and xi_err <= 1e-10, detail
+
+
+def test_c12_closes_its_files():
+    # c12 reads both CSVs back; a file left to the garbage collector warns under python -X dev
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        passed, detail = acceptance.c12_end_to_end_determinism()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert passed and leaks == [], (detail, leaks)

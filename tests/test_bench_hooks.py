@@ -20,7 +20,7 @@ import yaml
 from iegirs.beamforming import SolverOptions, two_stage_solve
 from iegirs.channel import build_scenario
 from iegirs.cli import main as cli_main
-from iegirs.config import SCHEMES, ScenarioConfig
+from iegirs.config import SCHEME_DIMS, ScenarioConfig
 from iegirs.harness import run_monte_carlo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -153,6 +153,6 @@ class TestBenchmarkHooks:
         finally:
             capture.uninstall()
         rows = [r for batch in capture.rows for r in batch]
-        assert {r.scheme for r in rows} == set(SCHEMES)
+        assert {r.scheme for r in rows} == set(SCHEME_DIMS)
         assert child.audit_trial_rows(capture.rows, capture.draws) == 0
         assert len(capture.solve_refs) == len(rows)

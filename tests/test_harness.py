@@ -13,10 +13,10 @@ from iegirs import harness
 from iegirs.beamforming import SolverOptions, two_stage_solve
 from iegirs.channel import ChannelSet, build_scenario
 from iegirs.cli import build_parser, main as cli_main
-from iegirs.config import SCHEMES, ScenarioConfig
+from iegirs.config import SCHEME_DIMS, ScenarioConfig
 from iegirs.grouping import GroupingMatrix, adjacent_grouping
-from iegirs.harness import (SCHEME_DIMS, aggregate, audit_rows, recompute_wsr,
-                            rows_to_csv_text, run_monte_carlo, run_scheme, scheme_problem, sweep)
+from iegirs.harness import (aggregate, audit_rows, recompute_wsr, rows_to_csv_text,
+                            run_monte_carlo, run_scheme, scheme_problem, sweep)
 import oracles
 
 def _tiny_config(**overrides):
@@ -53,9 +53,6 @@ class TestRunScheme:
         monkeypatch.setitem(harness.SCHEME_DIMS, "aeg", lambda n, q: (q + 1, 0))
         with pytest.raises(RuntimeError, match="real-time dims"):
             run_scheme("aeg", channels, cfg, np.random.default_rng(1))
-
-    def test_scheme_table_covers_config_schemes(self):
-        assert tuple(harness.SCHEME_DIMS) == SCHEMES
 
     def test_capped_solve_flagged_outside_csv(self, monkeypatch):
         cfg = _tiny_config(schemes=("ieg", "aeg", "uirs_q"), trials=1)
@@ -219,7 +216,7 @@ class TestSchemeProblem:
 
     @pytest.mark.parametrize("n, q", [(16, 4), (16, 16), (1, 1)])
     @pytest.mark.parametrize("k, m", [(2, 2), (3, 2)], ids=["K=M=2", "K=3>M=2"])
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", tuple(SCHEME_DIMS))
     def test_equals_reference_value_and_stride(self, scheme, n, q, k, m):
         # the solve's sums read c_hat in its layout, so the strides must match too
         cfg = ScenarioConfig(N=n, Q=q, K=k, M=m, seed=3)
@@ -282,17 +279,11 @@ def test_degenerate_scene_rows_audit(scene):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = run_monte_carlo(cfg)
-        assert len(rows) == cfg.trials * len(SCHEMES)
+        assert len(rows) == cfg.trials * len(SCHEME_DIMS)
         assert audit_rows(cfg, rows) == []
 
 
 class TestDeterminism:
-    def test_identical_csv_bytes(self):
-        cfg = _tiny_config(schemes=("aeg", "no_irs"))
-        text1 = rows_to_csv_text(run_monte_carlo(cfg))
-        text2 = rows_to_csv_text(run_monte_carlo(cfg))
-        assert text1 == text2
-
     def test_first_trial_independent_of_trial_count(self):
         cfg1 = _tiny_config(schemes=("aeg",), trials=1)
         cfg3 = _tiny_config(schemes=("aeg",), trials=3)

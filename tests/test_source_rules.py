@@ -165,3 +165,28 @@ def test_top_level_names_defined_once_in_tests():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     repeated = sorted({name for name in names if names.count(name) > 1})
     assert repeated == [], f"top-level names defined twice in tests/: {repeated}"
+
+
+def _is_call_of(node, name):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        and node.func.attr == name
+
+
+SOLVE_RULES = {
+    # a trace's relative steps, np.diff(s) / np.maximum(1.0, |s[:-1]|), formed by bf.trace_fall
+    "trace rule": lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+    and _is_call_of(node.left, "diff") and _is_call_of(node.right, "maximum"),
+    # the precoder's budget slack 1 + 1e-9, bf.BUDGET_FACTOR
+    "budget factor": lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+    and {getattr(side, "value", None) for side in (node.left, node.right)} == {1, 1e-9},
+}
+
+
+@pytest.mark.parametrize("rule", SOLVE_RULES)
+def test_solve_rule_written_once(rule):
+    # each invariant of a solve is written once, in beamforming.py: solve_fp and
+    # PrecodingMatrix raise on it, and the audit, criterion c10 and the tests call it
+    where = [f"{path.name}:{node.lineno}" for path in SOURCES + TESTS
+             for node in ast.walk(ast.parse(path.read_text())) if SOLVE_RULES[rule](node)]
+    assert len(where) == 1 and where[0].startswith("beamforming.py:"), \
+        f"the {rule} is written at {where}"
