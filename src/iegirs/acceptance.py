@@ -352,7 +352,8 @@ class CheckResult:
 
 def run(names=None):
     """Run selected (default: all) acceptance criteria, one PASS/FAIL line each on stdout;
-    a name is a full name or a number (c05), and one that selects none is a ValueError."""
+    a name is a full name or a number (c05), and one that selects none is a ValueError.
+    A criterion that raises an Exception fails, naming it, and the next one still runs."""
     full = [fn.__name__ for fn in CRITERIA]
     short = [name.split("_")[0] for name in full]
     unknown = [n for n in names or () if n not in short + full]
@@ -363,7 +364,10 @@ def run(names=None):
         if names and not {key, name} & set(names):
             continue
         t0 = time.perf_counter()
-        passed, detail = fn()
+        try:
+            passed, detail = fn()
+        except Exception as err:
+            passed, detail = False, f"raised {type(err).__name__}: {err}"
         dt = time.perf_counter() - t0
         results.append(CheckResult(name=name, passed=passed, detail=detail, seconds=dt))
         print(f"{'PASS' if passed else 'FAIL'}  {name} ({dt:.1f}s): {detail}")

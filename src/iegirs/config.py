@@ -187,8 +187,3 @@ class ScenarioConfig:
         value = {f: list(v) if isinstance(v, tuple) else v for f, v in vars(self).items()}
         return {key: {k: value[f] for k, f in entry.items()} if isinstance(entry, dict)
                 else value[entry] for key, entry in _LAYOUT.items()}
-
-
-def trial_seed_sequence(master_seed, trial):
-    """Root seed sequence for one trial; stable under changes of trial count."""
-    return np.random.SeedSequence([int(master_seed), int(trial)])

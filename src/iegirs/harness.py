@@ -9,7 +9,6 @@ dimensions, keeping the pilot budget comparable.
 """
 
 import csv
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 from . import beamforming as bf
 from . import grouping as grp
 from .channel import build_scenario
-from .config import SCHEME_DIMS, trial_seed_sequence
+from .config import SCHEME_DIMS
 
 CSV_HEADER = ("scheme", "axis", "axis_value", "N", "Q", "trial", "seed",
               "wsr_bits_per_hz", "iterations", "runtime_ms")
@@ -40,10 +39,8 @@ class TrialResult:
 
     wsr_bits, finite and >= 0, and iterations are the solution's;
     recompute_wsr audits the row from solution (a bf.SolveResult) and
-    frozen_phases, the phases at which the scheme's frozen elements were
-    held. The row keeps those phases as frozen_state, the generator state
-    just before run_scheme drew them: frozen_phases redraws them from it on
-    each read and consumes no generator state.
+    scheme_seed, the seed (an int or a SeedSequence) that scheme_problem
+    draws the scheme's frozen phases from, the same phases on every draw.
     """
 
     scheme: str
@@ -57,55 +54,46 @@ class TrialResult:
     iterations: int
     runtime_ms: float
     solution: bf.SolveResult
-    frozen_state: dict
+    scheme_seed: "int | np.random.SeedSequence"   # quoted: np.random would load at import
 
     def __post_init__(self):
         if not 0.0 <= self.wsr_bits < math.inf:
             raise ValueError(f"weighted sum rate must be finite and nonnegative, "
                              f"got {self.wsr_bits}")
 
-    @property
-    def frozen_phases(self):
-        return frozen_draw(self.frozen_state, SCHEME_DIMS[self.scheme](self.N, self.Q)[1])
 
-
-def frozen_draw(state, n):
-    """n frozen phases, uniform on [0, 2 pi), drawn by a new generator from the bit-generator
-    state `state`: the same state gives the same phases, and no caller's generator moves."""
-    bit_generator = getattr(np.random, state["bit_generator"])()
-    bit_generator.state = state
-    return np.random.Generator(bit_generator).uniform(0.0, 2.0 * np.pi, size=n)
-
-
-def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
+def scheme_problem(scheme, channels, q, seed, grouping=None):
     """(c_hat, h_bu_eff) of one scheme on one channel realization.
 
     c_hat (K, rows, M) stacks the cascades steered in real time: combined
     under grouping for the grouped schemes, else the leading elements, as
     many as SCHEME_DIMS gives. h_bu_eff adds to the direct links the last
-    len(frozen) elements, held at the phases frozen. Only the element rows
-    a scheme steers or freezes are formed, one user at a time.
+    elements, as many as SCHEME_DIMS freezes, held at phases uniform on
+    [0, 2 pi) drawn from seed: the same seed gives the same phases. Only the
+    element rows a scheme steers or freezes are formed, one user at a time.
     """
     n, users = channels.num_elements, range(channels.num_users)
-    realtime, _ = SCHEME_DIMS[scheme](n, q)
+    realtime, n_frozen = SCHEME_DIMS[scheme](n, q)
 
     if grouping is None:
         c_hat = np.stack([channels.cascade(k, slice(realtime)) for k in users])
     else:
         c_hat = grp.combine_cascades(grouping, map(channels.cascade, users))
-    if not len(frozen):
+    if not n_frozen:
         return c_hat, channels.h_bu
-    vf, tail = np.exp(1j * np.asarray(frozen)), slice(n - len(frozen), n)
+    vf = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n_frozen))
+    tail = slice(n - n_frozen, n)
     return c_hat, np.stack([channels.h_bu[k] + channels.cascade(k, tail).conj().T @ vf for k in users])
 
 
-def run_scheme(scheme, channels, config, rng):
+def run_scheme(scheme, channels, config, seed):
     """Solve one scheme on one channel realization and package the result.
 
-    rng's state seeds only scheme-internal randomness (the frozen phase draws
-    of uirs_q and random_rcv, by frozen_draw, which leaves rng as it was); the
-    channels are produced by the caller so every scheme in a trial sees the
-    same realization. The solve runs at the default bf.SolverOptions.
+    seed (an int or a SeedSequence), kept in the row as scheme_seed, is the
+    scheme's only randomness: scheme_problem draws the frozen phases of
+    uirs_q and random_rcv from it. The channels are produced by the caller so
+    every scheme in a trial sees the same realization. The solve runs at the
+    default bf.SolverOptions.
     """
     if scheme not in SCHEME_DIMS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -113,15 +101,13 @@ def run_scheme(scheme, channels, config, rng):
     weights = np.asarray(config.weights, dtype=float)
     p_max = config.power_watts
     q = config.Q
-    expected, n_frozen = SCHEME_DIMS[scheme](channels.num_elements, q)
+    expected = SCHEME_DIMS[scheme](channels.num_elements, q)[0]
     t0 = time.perf_counter()
-    frozen_state = rng.bit_generator.state
-    frozen = frozen_draw(frozen_state, n_frozen)
     if scheme in ("ieg", "aeg"):
         grouping = grp.adjacent_grouping(channels.num_elements, q) if scheme == "aeg" else None
         res = bf.two_stage_solve(channels, q, p_max, weights, opts=opts, grouping=grouping)
     else:
-        c_hat, h_bu_eff = scheme_problem(scheme, channels, q, frozen=frozen)
+        c_hat, h_bu_eff = scheme_problem(scheme, channels, q, seed)
         res = bf.solve_fp(c_hat, h_bu_eff, channels.noise_power, p_max, weights,
                           np.zeros(c_hat.shape[1]), opts)
 
@@ -132,16 +118,16 @@ def run_scheme(scheme, channels, config, rng):
     return TrialResult(
         scheme=scheme, axis="", axis_value=0.0, N=config.N, Q=q, trial=0, seed=0,
         wsr_bits=res.wsr_bits, iterations=res.iterations, runtime_ms=runtime_ms,
-        solution=res, frozen_state=frozen_state,
+        solution=res, scheme_seed=seed,
     )
 
 
 def recompute_wsr(channels, result, config):
     """Re-derive the weighted sum rate of a row from its solution's beams and
-    phases, its grouping and its frozen phases; never reads solution.wsr_bits."""
+    phases, its grouping and its scheme_seed's frozen phases; never reads solution.wsr_bits."""
     sol = result.solution
-    c_hat, h_bu = scheme_problem(result.scheme, channels, result.Q, grouping=sol.grouping,
-                                 frozen=result.frozen_phases)
+    c_hat, h_bu = scheme_problem(result.scheme, channels, result.Q, result.scheme_seed,
+                                 grouping=sol.grouping)
     h = bf.effective_channels(np.exp(1j * sol.rcv), c_hat, h_bu)
     weights = np.asarray(config.weights, dtype=float)
     return bf.wsr(bf.sinr_all(h, sol.precoder.w, channels.noise_power), weights)
@@ -149,8 +135,9 @@ def recompute_wsr(channels, result, config):
 
 def trial_draw(config, trial):
     """(seed, channels, scheme seeds) of trial `trial` of config's run, all from (config.seed,
-    trial): the CSV's seed, the channels its schemes share, one SeedSequence per scheme."""
-    ss = trial_seed_sequence(config.seed, trial)
+    trial), so stable under changes of the trial count: the CSV's seed, the channels its
+    schemes share, one SeedSequence per scheme."""
+    ss = np.random.SeedSequence([config.seed, trial])
     children = ss.spawn(1 + len(config.schemes))
     channels = build_scenario(config, np.random.default_rng(children[0]))
     return int(ss.generate_state(1)[0]), channels, children[1:]
@@ -193,7 +180,7 @@ def run_monte_carlo(config, axis="single", axis_value=None, out=None, record_tim
         for trial in range(config.trials):
             trial_seed, channels, scheme_seeds = trial_draw(config, trial)
             for scheme, seed in zip(config.schemes, scheme_seeds):
-                res = run_scheme(scheme, channels, config, np.random.default_rng(seed))
+                res = run_scheme(scheme, channels, config, seed)
                 res.axis = axis
                 res.axis_value = axis_value
                 res.trial = trial
@@ -253,25 +240,19 @@ def aggregate(rows):
     return out
 
 
-def rows_to_csv_text(rows, timings=False):
-    """Render trial rows as CSV text with the pinned schema.
+def write_csv(rows, path, timings=False):
+    """Write trial rows to path as CSV with the pinned schema.
 
     Rows are sorted by (scheme, axis_value, trial); runtime_ms is written as
     0 unless timings is requested, keeping the output byte-reproducible.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in sorted(rows, key=lambda r: (r.scheme, r.axis_value, r.trial)):
-        runtime = r.runtime_ms if timings else 0.0
-        writer.writerow([r.scheme, r.axis, r.axis_value, r.N, r.Q, r.trial, r.seed,
-                         float(r.wsr_bits), r.iterations, float(runtime)])
-    return buf.getvalue()
-
-
-def write_csv(rows, path, timings=False):
     with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv_text(rows, timings=timings))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in sorted(rows, key=lambda r: (r.scheme, r.axis_value, r.trial)):
+            runtime = r.runtime_ms if timings else 0.0
+            writer.writerow([r.scheme, r.axis, r.axis_value, r.N, r.Q, r.trial, r.seed,
+                             float(r.wsr_bits), r.iterations, float(runtime)])
 
 
 def _aggregate_path(path):

@@ -392,10 +392,10 @@ def grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_
 
 
 # harness
-def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
+def scheme_problem(scheme, channels, q, seed, grouping=None):
     """The former formula: every user's full (N, M) cascade, sliced per scheme."""
-    realtime, _ = SCHEME_DIMS[scheme](channels.num_elements, q)
-    vf = np.exp(1j * np.asarray(frozen))
+    realtime, n_frozen = SCHEME_DIMS[scheme](channels.num_elements, q)
+    vf = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, n_frozen))
     rows, direct = [], []
     for k in range(channels.num_users):
         c = channels.cascade(k)
@@ -403,6 +403,6 @@ def scheme_problem(scheme, channels, q, grouping=None, frozen=()):
             rows.append(c[:realtime].copy(order="K"))
         else:
             rows.append(combine_cascade(grouping, c))
-        if len(frozen):
-            direct.append(channels.h_bu[k] + c[-len(frozen):].conj().T @ vf)
+        if n_frozen:
+            direct.append(channels.h_bu[k] + c[-n_frozen:].conj().T @ vf)
     return np.stack(rows), np.stack(direct) if direct else channels.h_bu

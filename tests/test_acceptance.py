@@ -40,3 +40,17 @@ def test_c12_closes_its_files():
         passed, detail = acceptance.c12_end_to_end_determinism()
     leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
     assert passed and leaks == [], (detail, leaks)
+
+
+def test_run_goes_on_after_a_criterion_raises(monkeypatch, capsys):
+    # a criterion that raises is one FAIL line naming the error, and the next criterion runs:
+    # the first solve's trace opens 1.0, 0.0, a fall of 1 relative that solve_fp raises on
+    opening, objective = [0.0, 1.0], acceptance.bf.fp_objective
+    monkeypatch.setattr(acceptance.bf, "fp_objective",
+                        lambda *args: opening.pop() if opening else objective(*args))
+    c10, c12 = acceptance.run(["c10", "c12"])
+    assert c10.name == "c10_alternating_convergence" and not c10.passed
+    assert c10.detail.startswith("raised RuntimeError: objective trace falls by 1.00e+00"), c10
+    assert c12.name == "c12_end_to_end_determinism" and c12.passed, c12
+    assert capsys.readouterr().out.startswith(
+        f"FAIL  c10_alternating_convergence ({c10.seconds:.1f}s): raised RuntimeError: ")

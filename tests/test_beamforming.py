@@ -903,7 +903,7 @@ class TestObjectiveCalls:
 
         monkeypatch.setattr(bf, "fp_objective", lambda *a: objectives.append(a) or fp_objective_(*a))
         monkeypatch.setattr(bf, "solve_fp", counted_solve)
-        row = run_scheme(scheme, ch, cfg, np.random.default_rng(5))
+        row = run_scheme(scheme, ch, cfg, 5)
         assert len(objectives) == sum(iterations) >= row.iterations > 0
         assert len(iterations) > (1 if scheme == "ieg" else 0)
 

@@ -15,8 +15,8 @@ from iegirs.channel import ChannelSet, build_scenario
 from iegirs.cli import build_parser, main as cli_main
 from iegirs.config import SCHEME_DIMS, ScenarioConfig
 from iegirs.grouping import GroupingMatrix, adjacent_grouping
-from iegirs.harness import (aggregate, audit_rows, recompute_wsr, rows_to_csv_text,
-                            run_monte_carlo, run_scheme, scheme_problem, sweep)
+from iegirs.harness import (aggregate, audit_rows, recompute_wsr, run_monte_carlo, run_scheme,
+                            scheme_problem, sweep, write_csv)
 import oracles
 
 def _tiny_config(**overrides):
@@ -32,7 +32,7 @@ class TestRunScheme:
         h_iu = (rng.standard_normal((cfg.K, cfg.N)) + 1j * rng.standard_normal((cfg.K, cfg.N)))
         ch = ChannelSet(h_bi=h_bi, h_iu=h_iu, h_bu=zeros_bu, h_bi_stat=h_bi, h_iu_stat=h_iu,
                         h_bu_stat=zeros_bu, noise_power=cfg.noise_watts)
-        res = run_scheme("no_irs", ch, cfg, np.random.default_rng(1))
+        res = run_scheme("no_irs", ch, cfg, 1)
         assert res.wsr_bits == 0.0
 
     def test_pilot_budget_accounting(self):
@@ -45,16 +45,16 @@ class TestRunScheme:
         cfg = _tiny_config()
         ch = build_scenario(cfg, np.random.default_rng(2))
         with pytest.raises(ValueError):
-            run_scheme("beam_hopping", ch, cfg, np.random.default_rng(2))
+            run_scheme("beam_hopping", ch, cfg, 2)
 
     def test_realtime_dims_invariant_raises(self, monkeypatch):
         cfg = _tiny_config()
         channels = build_scenario(cfg, np.random.default_rng(0))
         monkeypatch.setitem(harness.SCHEME_DIMS, "aeg", lambda n, q: (q + 1, 0))
         with pytest.raises(RuntimeError, match="real-time dims"):
-            run_scheme("aeg", channels, cfg, np.random.default_rng(1))
+            run_scheme("aeg", channels, cfg, 1)
 
-    def test_capped_solve_flagged_outside_csv(self, monkeypatch):
+    def test_capped_solve_flagged_outside_csv(self, monkeypatch, tmp_path):
         cfg = _tiny_config(schemes=("ieg", "aeg", "uirs_q"), trials=1)
         rows = run_monte_carlo(cfg)
         monkeypatch.setattr(harness.bf, "SolverOptions", lambda: SolverOptions(max_outer=2))
@@ -62,7 +62,8 @@ class TestRunScheme:
         assert all(r.solution.converged and r.iterations > 2 for r in rows)
         assert not any(r.solution.converged for r in capped)
         assert all(r.iterations == 2 for r in capped)
-        lines = rows_to_csv_text(capped).splitlines()          # the flag is not a CSV column
+        write_csv(capped, tmp_path / "capped.csv")
+        lines = (tmp_path / "capped.csv").read_text().splitlines()   # the flag is not a CSV column
         assert lines[0] == ",".join(harness.CSV_HEADER)
         assert [len(line.split(",")) for line in lines] == [len(harness.CSV_HEADER)] * 4
 
@@ -77,7 +78,7 @@ class TestRunScheme:
     def test_adjacent_at_full_groups_equals_ungrouped(self):
         cfg = _tiny_config(N=16, Q=16)
         ch = build_scenario(cfg, np.random.default_rng(3))
-        res_aeg = run_scheme("aeg", ch, cfg, np.random.default_rng(4))
+        res_aeg = run_scheme("aeg", ch, cfg, 4)
         res_idn = two_stage_solve(ch, 16, p_max=cfg.power_watts,
                                   weights=np.asarray(cfg.weights, dtype=float),
                                   grouping=GroupingMatrix(assignment=np.arange(1, 17), num_groups=16))
@@ -88,7 +89,7 @@ class TestRunScheme:
 class TestAudit:
     def test_recomputed_rates_match(self):
         # bit for bit: the returned phases are exactly those the rate was computed at; the
-        # second audit proves that reading frozen_phases redraws them, consuming no state
+        # second audit proves that each row's scheme_seed gives the same frozen phases again
         for cfg in (ScenarioConfig(N=256, Q=4, trials=3), ScenarioConfig(N=16, Q=16, trials=3),
                     ScenarioConfig(N=64, Q=8, trials=3, weights=(1.0, 2.0, 0.5, 1.5))):
             rows = run_monte_carlo(cfg)
@@ -97,8 +98,7 @@ class TestAudit:
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
     def test_row_refuses_a_rate_that_is_not_finite_and_nonnegative(self, rate):
         cfg = _tiny_config(trials=1)
-        row = run_scheme("no_irs", build_scenario(cfg, np.random.default_rng(0)), cfg,
-                         np.random.default_rng(1))
+        row = run_scheme("no_irs", build_scenario(cfg, np.random.default_rng(0)), cfg, 1)
         with pytest.raises(ValueError, match="^weighted sum rate must be finite and nonnegative"):
             dataclasses.replace(row, wsr_bits=rate)
 
@@ -188,16 +188,14 @@ class TestTrialMemory:
         assert peak <= 1.5 * cfg.K * cfg.N * cfg.M * 16
 
 
-def _scheme_inputs(scheme, cfg, rng):
-    """(grouping, frozen) of one scheme's audit: a random grouping for ieg, blocks for aeg."""
-    n_frozen = SCHEME_DIMS[scheme](cfg.N, cfg.Q)[1]
-    frozen = rng.uniform(0.0, 2.0 * np.pi, size=n_frozen)
+def _scheme_grouping(scheme, cfg, rng):
+    """The grouping of one scheme's audit: a random grouping for ieg, blocks for aeg, else None."""
     if scheme == "aeg":
-        return adjacent_grouping(cfg.N, cfg.Q), frozen
+        return adjacent_grouping(cfg.N, cfg.Q)
     if scheme == "ieg":
         labels = rng.permutation(np.arange(cfg.N) % cfg.Q) + 1
-        return GroupingMatrix(assignment=labels, num_groups=cfg.Q), frozen
-    return None, frozen
+        return GroupingMatrix(assignment=labels, num_groups=cfg.Q)
+    return None
 
 
 class TestSchemeProblem:
@@ -207,9 +205,8 @@ class TestSchemeProblem:
         cfg = _tiny_config()
         ch = build_scenario(cfg, np.random.default_rng(0))
         n_frozen = SCHEME_DIMS[scheme](cfg.N, cfg.Q)[1]
-        frozen = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, size=n_frozen)
-        c_hat, h_bu = scheme_problem(scheme, ch, cfg.Q, frozen=frozen)
-        ref, ref_bu = oracles.scheme_problem(scheme, ch, cfg.Q, frozen=frozen)
+        c_hat, h_bu = scheme_problem(scheme, ch, cfg.Q, 1)
+        ref, ref_bu = oracles.scheme_problem(scheme, ch, cfg.Q, 1)
         assert c_hat.strides == ref.strides and c_hat.tobytes() == ref.tobytes()
         assert h_bu.tobytes() == ref_bu.tobytes()
         assert (h_bu is ch.h_bu) == (not n_frozen)
@@ -221,13 +218,13 @@ class TestSchemeProblem:
         # the solve's sums read c_hat in its layout, so the strides must match too
         cfg = ScenarioConfig(N=n, Q=q, K=k, M=m, seed=3)
         ch = build_scenario(cfg, np.random.default_rng(7))
-        grouping, frozen = _scheme_inputs(scheme, cfg, np.random.default_rng(8))
-        c_hat, h_bu = scheme_problem(scheme, ch, q, grouping=grouping, frozen=frozen)
-        ref_c, ref_bu = oracles.scheme_problem(scheme, ch, q, grouping=grouping, frozen=frozen)
+        grouping = _scheme_grouping(scheme, cfg, np.random.default_rng(8))
+        c_hat, h_bu = scheme_problem(scheme, ch, q, 9, grouping=grouping)
+        ref_c, ref_bu = oracles.scheme_problem(scheme, ch, q, 9, grouping=grouping)
         for got, ref in ((c_hat, ref_c), (h_bu, ref_bu)):
             assert got.shape == ref.shape and got.strides == ref.strides
             assert got.tobytes() == ref.tobytes()
-        assert (h_bu is ch.h_bu) == (not len(frozen))
+        assert (h_bu is ch.h_bu) == (not SCHEME_DIMS[scheme](n, q)[1])
 
     def test_element_rows_formed_per_user(self, monkeypatch):
         # rows of the per-element cascade formed for one solve or audit, per user:
@@ -251,7 +248,7 @@ class TestSchemeProblem:
             assert sum(formed) == expected[row.scheme] * cfg.K, row.scheme
             if row.scheme in ("uirs_q", "random_rcv", "no_irs"):
                 formed.clear()
-                run_scheme(row.scheme, channels, cfg, np.random.default_rng(0))
+                run_scheme(row.scheme, channels, cfg, 0)
                 assert sum(formed) == expected[row.scheme] * cfg.K, row.scheme
 
 
@@ -296,15 +293,15 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="^schemes must list at least one scheme$"):
             _tiny_config(schemes=())
 
-    def test_runtime_column_zeroed_by_default(self):
+    def test_runtime_column_zeroed_by_default(self, tmp_path):
         cfg = _tiny_config(schemes=("no_irs",), trials=1)
         rows = run_monte_carlo(cfg)
         assert rows[0].runtime_ms > 0          # measured on the result object
-        text = rows_to_csv_text(rows)
-        last_field = text.strip().splitlines()[1].split(",")[-1]
-        assert float(last_field) == 0.0
-        timed = rows_to_csv_text(rows, timings=True)
-        assert float(timed.strip().splitlines()[1].split(",")[-1]) > 0
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        write_csv(rows, plain)
+        write_csv(rows, timed, timings=True)
+        assert float(plain.read_text().splitlines()[1].split(",")[-1]) == 0.0
+        assert float(timed.read_text().splitlines()[1].split(",")[-1]) > 0
 
 
 class TestSweepAndAggregate:

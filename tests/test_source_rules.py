@@ -93,6 +93,26 @@ def test_no_float_modulo(path):
     assert uses == [], f"{path.name} uses np.mod, np.remainder or np.fmod on lines {uses}"
 
 
+def _lines_naming(tree, word):
+    """Lines where word is a name, an attribute, an imported name or a string constant."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == word
+                   or isinstance(node, ast.Attribute) and node.attr == word
+                   or isinstance(node, ast.Constant) and node.value == word
+                   or isinstance(node, ast.ImportFrom) and word in (a.name for a in node.names)})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_seeding_only_in_harness(path):
+    # harness.py makes every seeding decision, a trial's SeedSequence and one child per
+    # scheme, and a scheme's seed is its only randomness: scheme_problem redraws the
+    # frozen phases from it, so no module captures or rebuilds a generator's state
+    tree = ast.parse(path.read_text(), filename=str(path))
+    seeds, states = _lines_naming(tree, "SeedSequence"), _lines_naming(tree, "bit_generator")
+    assert path.name == "harness.py" or seeds == [], f"{path.name} seeds on lines {seeds}"
+    assert states == [], f"{path.name} reads a bit-generator state on lines {states}"
+
+
 CASCADE_LINKS = {"h_bi", "h_iu", "h_bi_stat", "h_iu_stat"}
 LINKS = CASCADE_LINKS | {"h_bu", "h_bu_stat"}
 
