@@ -582,15 +582,14 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
 
     cascades_stat is the (K, N, M) stack of statistical cascades and w_mf their
     matched beams (stat_matched_beams). Returns the statistical SolveResult of
-    the chosen grouping and that grouping's statistical cascade (K, Q, M). It
-    solves the alternating loop on the deterministic channels at one seed
-    grouping, the beam-domain arc partition (grouping.phase_arc_grouping) of
-    the aggregate cascade phase under w_mf, then ranks candidate arcs by
-    warm-started statistical solves and keeps any that raises the statistical
-    rate, for up to three rounds. At Q == N, where every grouping relabels the
-    identity, the seed is adjacent blocks (the identity itself): a relabelled
-    arc seed reaches the same rate up to the order of its sums, so only its
-    last bits would differ.
+    the chosen grouping. It solves the alternating loop on the deterministic
+    channels at one seed grouping, the beam-domain arc partition
+    (grouping.phase_arc_grouping) of the aggregate cascade phase under w_mf,
+    then ranks candidate arcs by warm-started statistical solves and keeps any
+    that raises the statistical rate, for up to three rounds. At Q == N the
+    search stops at its seed, adjacent blocks (the identity): every candidate
+    arc relabels it, and a relabelled solve gains only from iterating past
+    the seed solve's tolerance.
 
     Each statistical solve, solve(g, w_align, w0), starts from the heuristic
     reflection under the beams w_align and from w0 (solve_fp's matched start
@@ -603,7 +602,7 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
         stat = solve_fp(c_hat_stat, channels.h_bu_stat, channels.noise_power, p_max, weights,
                         heuristic_rcv(c_hat_stat, w_align, weights), opts, w0)
         stat.grouping = g
-        return stat, c_hat_stat
+        return stat
 
     def beam_products(w, own):
         # each user's beam product C_k w_k in turn, formed once: the mixed sum
@@ -616,10 +615,8 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
 
     n = channels.num_elements
     if q == n:
-        g = grp.adjacent_grouping(n, q)
-    else:
-        g = grp.phase_arc_grouping(heuristic_rcv(cascades_stat, w_mf, weights), q)
-    best, best_c_hat = solve(g, w_mf)
+        return solve(grp.adjacent_grouping(n, q), w_mf)
+    best = solve(grp.phase_arc_grouping(heuristic_rcv(cascades_stat, w_mf, weights), q), w_mf)
 
     # candidate arcs, all ranked by statistical solves warm-started from the
     # current best: the mixed-user fixed point (regroup under the solved
@@ -630,7 +627,7 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
     # not raise the best rate left best as it was, so an assignment already
     # solved from the current best, or the best's own, is skipped: its rate
     # is known not to win. solved holds exactly those assignments.
-    solved = {g.assignment.tobytes()}
+    solved = {best.grouping.assignment.tobytes()}
     for _ in range(3):
         own = []
         mixed = _phase_of_sum(beam_products(best.precoder.w, own), best.aux.alpha_conj_xi, n)
@@ -640,15 +637,15 @@ def _grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p
             key = candidate.assignment.tobytes()
             if key in solved:
                 continue
-            stat, c_hat_stat = solve(candidate, best.precoder.w, best.precoder.w)
+            stat = solve(candidate, best.precoder.w, best.precoder.w)
             solved.add(key)
             if stat.wsr_bits > best.wsr_bits:
-                best, best_c_hat = stat, c_hat_stat
+                best = stat
                 improved = True
                 solved = {key}
         if not improved:
             break
-    return best, best_c_hat
+    return best
 
 
 def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
@@ -676,15 +673,12 @@ def two_stage_solve(channels, q, p_max, weights, opts=None, grouping=None):
     cascades_stat = channels.stat_cascades()
     w_stat = stat_matched_beams(cascades_stat, channels.h_bu_stat)
     if grouping is None:
-        stat, c_hat_stat = _grouping_from_statistics(channels, cascades_stat, w_stat, q, opts,
-                                                     weights, p_max)
-        g, w_stat = stat.grouping, stat.precoder.w
-    else:
-        g, c_hat_stat = grouping, grp.combine_cascades(grouping, cascades_stat)
-    v0 = heuristic_rcv(c_hat_stat, w_stat, weights)
+        stat = _grouping_from_statistics(channels, cascades_stat, w_stat, q, opts, weights, p_max)
+        grouping, w_stat = stat.grouping, stat.precoder.w
+    v0 = heuristic_rcv(grp.combine_cascades(grouping, cascades_stat), w_stat, weights)
     del cascades_stat                 # released before the instantaneous cascades are formed
 
-    c_hat = grp.combine_cascades(g, map(channels.cascade, range(channels.num_users)))
+    c_hat = grp.combine_cascades(grouping, map(channels.cascade, range(channels.num_users)))
     res = solve_fp(c_hat, channels.h_bu, channels.noise_power, p_max, weights, v0, opts)
-    res.grouping = g
+    res.grouping = grouping
     return res

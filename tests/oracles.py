@@ -341,9 +341,8 @@ def statistical_solve(channels, g, weights, p_max, opts, incumbent=None):
 def arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max):
     """The arc search that solves every candidate, repeats included, from
     starts it forms itself. Returns the statistical SolveResult of the
-    chosen grouping and that grouping's statistical cascade, as
-    _grouping_from_statistics does. It first checks that the stage-1 inputs
-    two_stage_solve formed once equal its own."""
+    chosen grouping, as _grouping_from_statistics does. It first checks that
+    the stage-1 inputs two_stage_solve formed once equal its own."""
     own_cascades, own_beams = stat_inputs(channels)
     assert np.array_equal(cascades_stat, own_cascades) and np.array_equal(w_mf, own_beams)
     best = None
@@ -369,7 +368,7 @@ def arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max):
                 improved = True
         if not improved:
             break
-    return best, grp.combine_cascades(best.grouping, cascades_stat)
+    return best
 
 
 def grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_max,
@@ -377,8 +376,7 @@ def grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_
     """Arc search, then up to one relaxed-program refinement kept only if it
     raises the statistical rate (the relaxed program at rho = 1, 20 rounds of
     15 projected-gradient steps, the incumbent as an extra start)."""
-    best, c_hat_stat = arc_search(channels, cascades_stat, w_mf, q, opts, weights,
-                                            p_max)
+    best = arc_search(channels, cascades_stat, w_mf, q, opts, weights, p_max)
     relaxed_calls.append(q)
     refined = grp.relaxed_qp_grouping(stat_inputs(channels)[0], channels.h_bu_stat,
                                       best.precoder.w, np.exp(1j * best.rcv), best.aux, q,
@@ -387,8 +385,8 @@ def grouping_from_statistics(channels, cascades_stat, w_mf, q, opts, weights, p_
     if not np.array_equal(refined.assignment, best.grouping.assignment):
         stat = statistical_solve(channels, refined, weights, p_max, opts)
         if stat.wsr_bits > best.wsr_bits:
-            best, c_hat_stat = stat, grp.combine_cascades(refined, cascades_stat)
-    return best, c_hat_stat
+            best = stat
+    return best
 
 
 # harness

@@ -1087,13 +1087,19 @@ class TestStage1BitExact:
         assert len(solves) - n_new == n_new + skipped + 1
         _assert_same_solve(new, ref)
 
-    def test_full_groups_seed_adjacent_blocks(self, monkeypatch):
-        # at Q == N the arc seed relabels the identity, and seeding with it
-        # moves the last bits of this scene's rate
+    def test_full_groups_stop_at_seed(self, monkeypatch):
+        # at Q == N every candidate arc relabels the identity, so stage 1 makes
+        # one statistical solve, at adjacent blocks, and stage 2 the other
         cfg = ScenarioConfig(N=8, Q=8, seed=0)
         ch = build_scenario(cfg, np.random.default_rng(0))
-        new = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
+        channels_of_solves = []
+        solve = bf.solve_fp
 
-        monkeypatch.setattr(bf, "_grouping_from_statistics", oracles.arc_search)
-        ref = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
-        _assert_same_solve(new, ref)
+        def counted(c_hat, h_bu, *args, **kwargs):
+            channels_of_solves.append(h_bu)
+            return solve(c_hat, h_bu, *args, **kwargs)
+
+        monkeypatch.setattr(bf, "solve_fp", counted)
+        res = two_stage_solve(ch, 8, cfg.power_watts, cfg.weights)
+        assert [h is ch.h_bu_stat for h in channels_of_solves] == [True, False]
+        assert np.array_equal(res.grouping.assignment, adjacent_grouping(8, 8).assignment)

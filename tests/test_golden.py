@@ -4,9 +4,9 @@ Each run is a fresh interpreter with BLAS pinned to one thread, so the
 digests do not depend on the machine's core count, and pinned to one set of
 CPU kernels, OpenBLAS's Haswell core (AVX2) and numpy's SIMD dispatch up to
 X86_V3, so they do not depend on the SIMD width the host offers either: the
-last bits of a rate move with the kernel. A host without AVX2 cannot run
-those kernels and fails with a message that names the kernels its runs got.
-A change that moves any output byte (a rate, an iteration count, a row)
+last bits of a rate move with the kernel. A failed digest names the kernels
+its runs got, so a host without AVX2, which cannot run the pinned ones, says
+so. A change that moves any output byte (a rate, an iteration count, a row)
 fails here; if it does so on purpose, it says so and re-pins the digest it
 moved.
 """
@@ -41,8 +41,8 @@ GOLDEN = {
     "sweep": (["sweep", "--config", "{tmp}/small.yaml", "--axis", "groups", "--values", "4,16",
                "--out", "{tmp}/sweep.csv", "--quiet"],
               ["sweep.csv", "sweep_agg.csv"],
-              ["a1af93cf8bbeb6b993126d5dc01d06ac04cf9d78c4852c448acbbd588aa9c0ef",
-               "0739ecfa058e4e34ead2c1b9875778884aecabbb6a157798dc724b89516b7e52"]),
+              ["1a4bd3c6ae7cbbd7e0241d6d79e2c877772ffc478e99453af76a0b4339881bc6",
+               "376a150a3afeead7bac7abb5517ebde22848007585d042455cdf15c0e8f8ae2c"]),
     "asymptotics": (["asymptotics", "--seed", "7", "--trials", "7", "--out", "{tmp}/asym.csv"],
                     ["asym.csv"],
                     ["040fee6f6eb59abe080118b7d1521e7d4ef24063f35d0f58590e8137cf4f8eb2"]),

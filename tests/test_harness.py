@@ -262,6 +262,7 @@ DEGENERATE_SCENES = {
     "M=K=1": dict(M=1, K=1),
     "N=Q=1": dict(N=1, Q=1),
     "Q=1": dict(Q=1),
+    "Q=N-1": dict(Q=15),
     "Q=N": dict(Q=16),
     "zero-weight": dict(weights=(0.0, 1.0, 1.0, 1.0)),
     "all-zero-weights": dict(weights=(0.0, 0.0, 0.0, 0.0)),
